@@ -15,7 +15,6 @@ from .energy import (
     Thresholds,
     ThresholdWatcher,
     apply_charge,
-    differential_reading,
     mood_of,
     sensor_gain,
     tick_discharge,
@@ -30,7 +29,6 @@ from .scenario import (
     parse_scenario,
     parse_scenario_checked,
     serialize_scenario,
-    validate_scenario,
 )
 from .scenarios import BUILTIN_NAMES, builtin_scenario, builtin_scenario_text
 from .sim import (
@@ -58,7 +56,6 @@ from .weights import (
     WeightEntry,
     WeightTable,
     load_weights,
-    ranked_options,
     record_outcome,
     save_weights,
     select_option,

@@ -1,8 +1,9 @@
 """Command line: validate scenarios, run single episodes, run Monte Carlo batches.
 
 Exit codes: 0 success, 1 validation errors, 2 usage errors, 3 runtime I/O
-failures. All randomness flows from --seed; a repeated invocation writes
-byte-identical outputs.
+failures, 4 a state machine that cannot make progress (the message names the
+step, the active state path and the event). All randomness flows from --seed;
+a repeated invocation writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from .sim import (
     write_stats_csv,
     write_trace_jsonl,
 )
+from .statemachine import MachineStuckError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_STUCK = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,6 +165,13 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
+    except MachineStuckError as exc:
+        print(
+            f"machine stuck at step {exc.step} in {'/'.join(exc.path)} "
+            f"on event '{exc.event}': {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_STUCK
     return EXIT_USAGE
 
 

@@ -86,15 +86,6 @@ class EnergyState:
 
 
 @dataclass(frozen=True)
-class DifferentialReading:
-    """Comparator output: operating (battery) power against the countdown value."""
-
-    operating_power: float
-    countdown_value: float
-    delta: float
-
-
-@dataclass(frozen=True)
 class EnergyProfile:
     """Capacities, initial levels, drain rates and thresholds for one scenario.
 
@@ -172,14 +163,6 @@ def apply_charge(state: EnergyState, source: str, power: float, dt: float = 1.0)
         battery=new_battery,
         capacitor=new_capacitor,
         charging_source=source,
-    )
-
-
-def differential_reading(state: EnergyState) -> DifferentialReading:
-    return DifferentialReading(
-        operating_power=state.battery,
-        countdown_value=state.capacitor,
-        delta=state.battery - state.capacitor,
     )
 
 

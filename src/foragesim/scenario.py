@@ -28,7 +28,7 @@ completion trigger; guards come from the fixed built-in registry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .energy import DischargeProfile, EnergyProfile, Thresholds
 from .world import BeaconSpec, StationSpec, WorldMap
@@ -58,21 +58,61 @@ _RESERVED_WORDS = frozenset(
     }
 )
 
-_WORLD_KEYS = (
-    "grid", "robot.start",
-    "station.pos", "station.ir_radius", "station.charge_rate", "station.track",
-    "track.gap",
-    "beacon.pos", "beacon.tx_power", "beacon.d0", "beacon.resonance_radius",
-    "beacon.poll_radius", "beacon.i_min",
-)
+# Every [world] and [energy] key, in canonical output order:
+#   key -> (section, group, field, shape, bound)
+# group "" fills the section's own object (WorldMap, EnergyProfile); any other
+# group is the nested object held in the field of that name. A tuple field
+# takes a cell apart (grid is a size, not a position). Shapes: num (one
+# number), int (one integer), cell (two integers), cells (an even, non-empty
+# list of integers). A bound applies to every number of the value.
+_KEYS: dict[str, tuple[str, str, str | tuple[str, str], str, str | None]] = {
+    "grid": ("world", "", ("width", "height"), "cell", ">0"),
+    "robot.start": ("world", "", "robot_start", "cell", None),
+    "station.pos": ("world", "station", "pos", "cell", None),
+    "station.ir_radius": ("world", "station", "ir_radius", "num", ">0"),
+    "station.charge_rate": ("world", "station", "charge_rate", "num", ">=0"),
+    "station.track": ("world", "station", "track", "cells", None),
+    "track.gap": ("world", "station", "gaps", "cells", None),
+    "beacon.pos": ("world", "beacon", "pos", "cell", None),
+    "beacon.tx_power": ("world", "beacon", "tx_power", "num", ">=0"),
+    "beacon.d0": ("world", "beacon", "d0", "num", ">0"),
+    "beacon.resonance_radius": ("world", "beacon", "resonance_radius", "num", ">0"),
+    "beacon.poll_radius": ("world", "beacon", "poll_radius", "num", ">0"),
+    "beacon.i_min": ("world", "beacon", "i_min", "num", ">=0"),
+    "battery_capacity": ("energy", "", "battery_capacity", "num", None),
+    "capacitor_capacity": ("energy", "", "capacitor_capacity", "num", None),
+    "battery_initial": ("energy", "", "battery_initial", "num", None),
+    "capacitor_initial": ("energy", "", "capacitor_initial", "num", None),
+    "rate.idle": ("energy", "rates", "idle", "num", ">=0"),
+    "rate.move": ("energy", "rates", "move", "num", ">=0"),
+    "rate.sense": ("energy", "rates", "sense", "num", ">=0"),
+    "rate.process": ("energy", "rates", "process", "num", ">=0"),
+    "threshold.low": ("energy", "thresholds", "low_frac", "num", None),
+    "threshold.lower": ("energy", "thresholds", "lower_frac", "num", None),
+    "gain_min": ("energy", "", "gain_min", "num", None),
+    "max_charge_ticks": ("energy", "", "max_charge_ticks", "int", ">=0"),
+}
 
-_ENERGY_KEYS = (
-    "battery_capacity", "capacitor_capacity",
-    "battery_initial", "capacitor_initial",
-    "rate.idle", "rate.move", "rate.sense", "rate.process",
-    "threshold.low", "threshold.lower",
-    "gain_min", "max_charge_ticks",
-)
+_TARGETS = {
+    "world": WorldMap, "station": StationSpec, "beacon": BeaconSpec,
+    "energy": EnergyProfile, "rates": DischargeProfile, "thresholds": Thresholds,
+}
+
+# (section, group) -> the key that fills the target's field without a default
+_REQUIRED = {
+    (section, group): key
+    for key, (section, group, name, _, _) in _KEYS.items()
+    for f in fields(_TARGETS[group or section])
+    if f.name in (name if isinstance(name, tuple) else (name,))
+    and f.default is MISSING and f.default_factory is MISSING
+}
+
+_SHAPE_TEXT = {
+    "num": "exactly one number",
+    "int": "exactly one integer",
+    "cell": "two integer coordinates",
+    "cells": "an even list of integer coordinates",
+}
 
 
 @dataclass(frozen=True)
@@ -132,17 +172,16 @@ class MachineDef:
     is_entry: bool = False
     line: int = field(default=0, compare=False)
 
+    def __post_init__(self) -> None:
+        # built in reverse so that the first declaration of a name wins
+        self._states = {st.name: st for st in reversed(self.states)}
+        self._exit_tags = dict(reversed(self.exits))
+
     def state(self, name: str) -> StateDef | None:
-        for st in self.states:
-            if st.name == name:
-                return st
-        return None
+        return self._states.get(name)
 
     def exit_tag(self, name: str) -> str | None:
-        for exit_name, tag in self.exits:
-            if exit_name == name:
-                return tag
-        return None
+        return self._exit_tags.get(name)
 
     def final_state_names(self) -> list[str]:
         return [st.name for st in self.states if st.kind == KIND_FINAL]
@@ -156,11 +195,12 @@ class ScenarioDef:
     seed_weights: dict[tuple[str, str], tuple[float, float]]
     name: str = field(default="scenario", compare=False)
 
+    def __post_init__(self) -> None:
+        # built in reverse so that the first declaration of a name wins
+        self._machines = {m.name: m for m in reversed(self.machines)}
+
     def machine(self, name: str) -> MachineDef | None:
-        for m in self.machines:
-            if m.name == name:
-                return m
-        return None
+        return self._machines.get(name)
 
     def entry_machine(self) -> MachineDef:
         for m in self.machines:
@@ -271,6 +311,13 @@ _EXIT_RE = re.compile(
 _KV_RE = re.compile(
     r"^(?P<key>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)\s*=\s*(?P<values>.+)$"
 )
+_INITIAL_RE = re.compile(r"^->\s*([A-Za-z_][A-Za-z0-9_]*)$")
+_STATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:->\s*(.+))?$")
+_CHOICE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+)$")
+_FINAL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)$")
+_SUBMACHINE_RE = re.compile(
+    r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*(.+)$"
+)
 _WLINE_RE = re.compile(
     r"^(?P<node>[A-Za-z_][A-Za-z0-9_]*)\.(?P<option>[A-Za-z_][A-Za-z0-9_]*)"
     r"\s*=\s*(?P<values>.+)$"
@@ -292,8 +339,8 @@ def parse_scenario_checked(
     """Parse DSL source, returning the scenario (if buildable) and all diagnostics."""
     diags: list[Diagnostic] = []
     machines: list[_MachineBuilder] = []
-    world_kv: dict[str, tuple[list[float], int]] = {}
-    energy_kv: dict[str, tuple[list[float], int]] = {}
+    # section -> key -> (value, or None when it was rejected; line)
+    given: dict[str, dict[str, tuple[object, int]]] = {"world": {}, "energy": {}}
     weights: dict[tuple[str, str], tuple[float, float]] = {}
     weight_lines: dict[tuple[str, str], int] = {}
     section: str | None = None  # "machine" | "world" | "energy" | "weights"
@@ -352,15 +399,13 @@ def parse_scenario_checked(
                 values.append(v)
             if not ok:
                 continue
-            store = world_kv if section == "world" else energy_kv
-            known = _WORLD_KEYS if section == "world" else _ENERGY_KEYS
-            if key not in known:
+            if key not in _KEYS or _KEYS[key][0] != section:
                 diags.append(_error(lineno, f"unknown {section} key {key!r}"))
                 continue
-            if key in store:
+            if key in given[section]:
                 diags.append(_error(lineno, f"duplicate key {key!r}"))
                 continue
-            store[key] = (values, lineno)
+            given[section][key] = (_convert(key, values, lineno, diags), lineno)
         elif section == "weights":
             m = _WLINE_RE.match(line)
             if m is None:
@@ -383,10 +428,12 @@ def parse_scenario_checked(
 
     built = [b.build(diags) for b in machines]
     machine_defs = tuple(m for m in built if m is not None)
-    world, world_ok = _build_world(world_kv, diags)
-    energy, energy_ok = _build_energy(energy_kv, diags)
+    world = _build_section("world", given["world"], diags)
+    if world is not None:
+        _check_world(world, given["world"], diags)
+    energy = _build_section("energy", given["energy"], diags)
 
-    if any(m is None for m in built) or not world_ok or not energy_ok:
+    if any(m is None for m in built) or world is None or energy is None:
         return None, _sorted(diags)
 
     scenario = ScenarioDef(
@@ -409,7 +456,7 @@ def _parse_machine_stmt(
     rest = rest.strip()
 
     if word == "initial":
-        m = re.match(r"^->\s*([A-Za-z_][A-Za-z0-9_]*)$", rest)
+        m = _INITIAL_RE.match(rest)
         if m is None:
             diags.append(_error(lineno, f"bad initial statement {line!r}"))
             return
@@ -421,7 +468,7 @@ def _parse_machine_stmt(
         return
 
     if word == "state":
-        m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:->\s*(.+))?$", rest)
+        m = _STATE_RE.match(rest)
         if m is None or not rest:
             diags.append(_error(lineno, f"bad state statement {line!r}"))
             return
@@ -433,10 +480,7 @@ def _parse_machine_stmt(
         return
 
     if word == "submachine":
-        m = re.match(
-            r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*(.+)$",
-            rest,
-        )
+        m = _SUBMACHINE_RE.match(rest)
         if m is None:
             diags.append(_error(lineno, f"bad submachine statement {line!r}"))
             return
@@ -450,7 +494,7 @@ def _parse_machine_stmt(
         return
 
     if word == "choice":
-        m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+)$", rest)
+        m = _CHOICE_RE.match(rest)
         if m is None:
             diags.append(_error(lineno, f"bad choice statement {line!r}"))
             return
@@ -475,7 +519,7 @@ def _parse_machine_stmt(
         return
 
     if word == "final":
-        m = re.match(r"^([A-Za-z][A-Za-z0-9_]*)$", rest)
+        m = _FINAL_RE.match(rest)
         if m is None:
             diags.append(_error(lineno, f"bad final statement {line!r}"))
             return
@@ -489,189 +533,100 @@ def _parse_machine_stmt(
     diags.append(_error(lineno, f"unknown statement {word!r}"))
 
 
-def _as_cell(values: list[float], lineno: int, key: str, diags: list[Diagnostic]) -> tuple[int, int] | None:
-    if len(values) != 2 or any(v != int(v) for v in values):
-        diags.append(_error(lineno, f"{key} needs two integer coordinates"))
+def _convert(key: str, values: list[float], lineno: int, diags: list[Diagnostic]):
+    """Read a key's numbers by its shape and check its bound; None after an error."""
+    _, _, _, shape, bound = _KEYS[key]
+    ints = values if shape == "num" else [int(v) for v in values]
+    if shape == "num" and len(values) == 1:
+        value = values[0]
+    elif shape == "int" and len(ints) == 1 and ints == values:
+        value = ints[0]
+    elif shape == "cell" and len(ints) == 2 and ints == values:
+        value = (ints[0], ints[1])
+    elif shape == "cells" and len(ints) % 2 == 0 and ints == values:
+        value = tuple(zip(ints[::2], ints[1::2]))
+    else:
+        diags.append(_error(lineno, f"{key} needs {_SHAPE_TEXT[shape]}"))
         return None
-    return (int(values[0]), int(values[1]))
-
-
-def _as_scalar(values: list[float], lineno: int, key: str, diags: list[Diagnostic]) -> float | None:
-    if len(values) != 1:
-        diags.append(_error(lineno, f"{key} needs exactly one number"))
+    if bound == ">0" and min(values) <= 0:
+        diags.append(_error(lineno, f"{key} must be positive"))
         return None
-    return values[0]
-
-
-def _as_cells(values: list[float], lineno: int, key: str, diags: list[Diagnostic]) -> tuple | None:
-    if not values or len(values) % 2 != 0 or any(v != int(v) for v in values):
-        diags.append(_error(lineno, f"{key} needs an even list of integer coordinates"))
+    if bound == ">=0" and min(values) < 0:
+        diags.append(_error(lineno, f"{key} must be non-negative"))
         return None
-    it = iter(int(v) for v in values)
-    return tuple(zip(it, it))
+    return value
 
 
-def _build_world(
-    kv: dict[str, tuple[list[float], int]], diags: list[Diagnostic]
-) -> tuple[WorldMap | None, bool]:
-    if not kv:
-        return WorldMap(width=8, height=8), True
+def _build_section(section: str, rows: dict[str, tuple[object, int]], diags: list[Diagnostic]):
+    """Build a section's object from its given keys; None after an error.
 
-    before = len(diags)
-
-    def take(key):
-        return kv.get(key)
-
-    grid = take("grid")
-    if grid is None:
-        line = min(line for _, line in kv.values())
-        diags.append(_error(line, "world section is missing 'grid'"))
-        return None, False
-    cell = _as_cell(grid[0], grid[1], "grid", diags)
-    if cell is None:
-        return None, False
-    width, height = cell
-    if width <= 0 or height <= 0:
-        diags.append(_error(grid[1], "grid dimensions must be positive"))
-        return None, False
-
-    robot_start = (0, 0)
-    if take("robot.start"):
-        values, line = kv["robot.start"]
-        cell = _as_cell(values, line, "robot.start", diags)
-        if cell is not None:
-            robot_start = cell
-
-    station = None
-    station_keys = [k for k in kv if k.startswith("station.") or k == "track.gap"]
-    if station_keys:
-        if "station.pos" not in kv:
-            diags.append(
-                _error(kv[station_keys[0]][1], "station keys given without station.pos")
-            )
+    A nested object is built when one of its keys is given, and every field
+    that no key sets keeps its dataclass default. A section without keys is
+    the default object (for [world], an empty 8x8 grid).
+    """
+    if any(value is None for value, _ in rows.values()):
+        return None
+    if not rows:
+        return WorldMap(width=8, height=8) if section == "world" else EnergyProfile()
+    kwargs: dict[str, dict] = {"": {}}
+    for key, (value, _) in rows.items():
+        _, group, name, _, _ = _KEYS[key]
+        if isinstance(name, tuple):
+            kwargs.setdefault(group, {}).update(zip(name, value))
         else:
-            values, line = kv["station.pos"]
-            pos = _as_cell(values, line, "station.pos", diags)
-            ir_radius = 8.0
-            charge_rate = 5.0
-            track: tuple = ()
-            gaps: frozenset = frozenset()
-            if take("station.ir_radius"):
-                v = _as_scalar(*kv["station.ir_radius"], "station.ir_radius", diags)
-                if v is not None:
-                    ir_radius = v
-            if take("station.charge_rate"):
-                v = _as_scalar(*kv["station.charge_rate"], "station.charge_rate", diags)
-                if v is not None:
-                    charge_rate = v
-            if take("station.track"):
-                cells = _as_cells(*kv["station.track"], "station.track", diags)
-                if cells is not None:
-                    track = cells
-            if take("track.gap"):
-                cells = _as_cells(*kv["track.gap"], "track.gap", diags)
-                if cells is not None:
-                    gaps = frozenset(cells)
-            if pos is not None:
-                station = StationSpec(
-                    pos=pos,
-                    ir_radius=ir_radius,
-                    track=track,
-                    charge_rate=charge_rate,
-                    gaps=gaps,
-                )
-
-    beacon = None
-    beacon_keys = [k for k in kv if k.startswith("beacon.")]
-    if beacon_keys:
-        if "beacon.pos" not in kv:
-            diags.append(
-                _error(kv[beacon_keys[0]][1], "beacon keys given without beacon.pos")
-            )
-        else:
-            values, line = kv["beacon.pos"]
-            pos = _as_cell(values, line, "beacon.pos", diags)
-            params = {}
-            for key, attr in (
-                ("beacon.tx_power", "tx_power"),
-                ("beacon.d0", "d0"),
-                ("beacon.resonance_radius", "resonance_radius"),
-                ("beacon.poll_radius", "poll_radius"),
-                ("beacon.i_min", "i_min"),
-            ):
-                if take(key):
-                    v = _as_scalar(*kv[key], key, diags)
-                    if v is not None:
-                        params[attr] = v
-            if pos is not None:
-                beacon = BeaconSpec(pos=pos, **params)
-
-    if len(diags) > before:
-        return None, False
-    return (
-        WorldMap(
-            width=width, height=height, robot_start=robot_start,
-            station=station, beacon=beacon,
-        ),
-        True,
-    )
-
-
-def _build_energy(
-    kv: dict[str, tuple[list[float], int]], diags: list[Diagnostic]
-) -> tuple[EnergyProfile | None, bool]:
+            kwargs.setdefault(group, {})[name] = value
     before = len(diags)
-    scalars: dict[str, float] = {}
-    for key, (values, line) in kv.items():
-        v = _as_scalar(values, line, key, diags)
-        if v is not None:
-            scalars[key] = v
+    top = kwargs.pop("")
+    for group, group_kwargs in kwargs.items():
+        top[group] = _make(section, group, group_kwargs, rows, diags)
     if len(diags) > before:
-        return None, False
+        return None
+    return _make(section, "", top, rows, diags)
 
-    first_line = min((line for _, line in kv.values()), default=1)
-    kwargs: dict = {}
-    if "battery_capacity" in scalars:
-        kwargs["battery_capacity"] = scalars["battery_capacity"]
-    if "capacitor_capacity" in scalars:
-        kwargs["capacitor_capacity"] = scalars["capacitor_capacity"]
-    if "battery_initial" in scalars:
-        kwargs["battery_initial"] = scalars["battery_initial"]
-    if "capacitor_initial" in scalars:
-        kwargs["capacitor_initial"] = scalars["capacitor_initial"]
-    if "gain_min" in scalars:
-        kwargs["gain_min"] = scalars["gain_min"]
-    if "max_charge_ticks" in scalars:
-        v = scalars["max_charge_ticks"]
-        if v != int(v) or v < 0:
-            diags.append(_error(kv["max_charge_ticks"][1], "max_charge_ticks must be a non-negative integer"))
-            return None, False
-        kwargs["max_charge_ticks"] = int(v)
 
-    rate_kwargs = {}
-    for key, attr in (
-        ("rate.idle", "idle"), ("rate.move", "move"),
-        ("rate.sense", "sense"), ("rate.process", "process"),
-    ):
-        if key in scalars:
-            if scalars[key] < 0:
-                diags.append(_error(kv[key][1], f"{key} must be non-negative"))
-                return None, False
-            rate_kwargs[attr] = scalars[key]
-    kwargs["rates"] = DischargeProfile(**rate_kwargs)
+def _make(section: str, group: str, kwargs: dict, rows: dict, diags: list[Diagnostic]):
+    """Build one target; a missing required key or a rejected value is reported at
+    the group's first line (the section's first line for the section's own object)."""
 
-    th_kwargs = {}
-    if "threshold.low" in scalars:
-        th_kwargs["low_frac"] = scalars["threshold.low"]
-    if "threshold.lower" in scalars:
-        th_kwargs["lower_frac"] = scalars["threshold.lower"]
+    def line() -> int:
+        return next(n for key, (_, n) in rows.items() if not group or _KEYS[key][1] == group)
+
+    required = _REQUIRED.get((section, group))
+    if required is not None and required not in rows:
+        diags.append(_error(line(), f"{group or section} keys given without {required}"))
+        return None
     try:
-        kwargs["thresholds"] = Thresholds(**th_kwargs)
-        profile = EnergyProfile(**kwargs)
+        return _TARGETS[group or section](**kwargs)
     except ValueError as exc:
-        diags.append(_error(first_line, str(exc)))
-        return None, False
-    return profile, True
+        diags.append(_error(line(), str(exc)))
+        return None
+
+
+def _check_world(world: WorldMap, rows: dict[str, tuple[object, int]], diags: list[Diagnostic]) -> None:
+    """Positions inside the grid, track shape and gaps, each at its key's line."""
+    where: dict[tuple[str, object], tuple[str, int]] = {}
+    for key, (value, line) in rows.items():
+        _, group, name, shape, _ = _KEYS[key]
+        where[group, name] = key, line
+        if isinstance(name, tuple) or shape not in ("cell", "cells"):
+            continue
+        for cell in (value,) if shape == "cell" else value:
+            if not world.in_grid(cell):
+                diags.append(_error(line, f"{key} cell {cell} is outside the grid"))
+    st = world.station
+    if st is None:
+        return
+    if st.track:
+        key, line = where["station", "track"]
+        if st.track[-1] != st.pos:
+            diags.append(_error(line, f"{key} must end at {where['station', 'pos'][0]}"))
+        for a, b in zip(st.track, st.track[1:]):
+            if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
+                diags.append(_error(line, f"{key} cells {a} and {b} are not adjacent"))
+    for cell in st.gaps:
+        if cell not in st.track:
+            key, line = where["station", "gaps"]
+            diags.append(_error(line, f"{key} cell {cell} is not on the track"))
 
 
 def _sorted(diags: list[Diagnostic]) -> list[Diagnostic]:
@@ -680,11 +635,6 @@ def _sorted(diags: list[Diagnostic]) -> list[Diagnostic]:
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def validate_scenario(scenario: ScenarioDef) -> list[Diagnostic]:
-    """Structural checks; an empty list means the scenario is sound."""
-    return _sorted(_validate(scenario, {}))
 
 
 def _validate(
@@ -707,6 +657,7 @@ def _validate(
         seen[m.name] = m.line
 
     by_name = {m.name: m for m in machines}
+    options_of: dict[str, set[str]] = {}  # choice node name -> its options, over all machines
     referenced: set[str] = set()
 
     for m in machines:
@@ -729,6 +680,7 @@ def _validate(
 
         for st in m.states:
             if st.kind == KIND_CHOICE:
+                options_of.setdefault(st.name, set()).update(st.options)
                 if len(st.options) < 2:
                     diags.append(_error(st.line, "choice requires >=2 options"))
                 dup = {o for o in st.options if st.options.count(o) > 1}
@@ -806,7 +758,7 @@ def _validate(
                 nexts: list[str] = list(st.options)
                 for tr in st.transitions:
                     if tr.target == TARGET_FINAL:
-                        nexts.extend(m.final_state_names()[:1])
+                        nexts.extend(finals[:1])
                     elif not tr.target.startswith(EXIT_PREFIX):
                         nexts.append(tr.target)
                 for nxt in nexts:
@@ -844,56 +796,16 @@ def _validate(
             diags.append(_warning(m.line, f"machine '{m.name}' is never used"))
 
     for (node, option), (w_pos, w_neg) in scenario.seed_weights.items():
-        line = weight_lines.get((node, option), 1)
+        line = weight_lines[node, option]
         if not (0.0 <= w_pos <= 1.0 and 0.0 <= w_neg <= 1.0):
             diags.append(_error(line, f"weight out of [0,1] for {node}.{option}"))
+        if node not in options_of:
+            diags.append(_warning(line, f"weight {node}.{option}: '{node}' is not a choice node"))
+        elif option not in options_of[node]:
+            diags.append(
+                _warning(line, f"weight {node}.{option}: '{option}' is not an option of '{node}'")
+            )
 
-    diags.extend(_validate_world(scenario.world))
-    return diags
-
-
-def _validate_world(world: WorldMap) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-
-    def check_pos(cell, label):
-        if not world.in_grid(cell):
-            diags.append(_error(1, f"{label} {cell} is outside the grid"))
-
-    check_pos(world.robot_start, "robot.start")
-    st = world.station
-    if st is not None:
-        check_pos(st.pos, "station.pos")
-        if st.ir_radius <= 0:
-            diags.append(_error(1, "station.ir_radius must be positive"))
-        if st.charge_rate < 0:
-            diags.append(_error(1, "station.charge_rate must be non-negative"))
-        for cell in st.track:
-            check_pos(cell, "station.track cell")
-        if st.track:
-            if st.track[-1] != st.pos:
-                diags.append(_error(1, "station.track must end at station.pos"))
-            for a, b in zip(st.track, st.track[1:]):
-                if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                    diags.append(
-                        _error(1, f"station.track cells {a} and {b} are not adjacent")
-                    )
-        for cell in st.gaps:
-            if cell not in st.track:
-                diags.append(_error(1, f"track.gap cell {cell} is not on the track"))
-    b = world.beacon
-    if b is not None:
-        check_pos(b.pos, "beacon.pos")
-        for label, v in (
-            ("beacon.d0", b.d0),
-            ("beacon.resonance_radius", b.resonance_radius),
-            ("beacon.poll_radius", b.poll_radius),
-        ):
-            if v <= 0:
-                diags.append(_error(1, f"{label} must be positive"))
-        if b.tx_power < 0:
-            diags.append(_error(1, "beacon.tx_power must be non-negative"))
-        if b.i_min < 0:
-            diags.append(_error(1, "beacon.i_min must be non-negative"))
     return diags
 
 
@@ -917,6 +829,31 @@ def _fmt_arm(tr: TransitionDef) -> str:
     if tr.guard is not None:
         arm += f" if {tr.guard}"
     return arm
+
+
+def _section_lines(section: str, obj) -> list[str]:
+    """The [world] or [energy] section of `obj` in table order; empty cell lists are left out."""
+    lines = [f"[{section}]"]
+    for key, (sec, group, name, shape, _) in _KEYS.items():
+        if sec != section:
+            continue
+        target = getattr(obj, group) if group else obj
+        if target is None:  # no station, or no beacon
+            continue
+        if isinstance(name, tuple):
+            value = tuple(getattr(target, n) for n in name)
+        else:
+            value = getattr(target, name)
+        if shape == "num":
+            lines.append(f"{key} = {_fmt_num(value)}")
+        elif shape == "int":
+            lines.append(f"{key} = {value}")
+        elif shape == "cell":
+            lines.append(f"{key} = {_fmt_cell(value)}")
+        elif value:
+            cells = sorted(value) if isinstance(value, frozenset) else value
+            lines.append(f"{key} = " + " ".join(_fmt_cell(c) for c in cells))
+    return lines
 
 
 def serialize_scenario(scenario: ScenarioDef) -> str:
@@ -944,45 +881,9 @@ def serialize_scenario(scenario: ScenarioDef) -> str:
             lines.append(f"exit {exit_name} ({tag})")
         lines.append("")
 
-    w = scenario.world
-    lines.append("[world]")
-    lines.append(f"grid = {w.width} {w.height}")
-    lines.append(f"robot.start = {_fmt_cell(w.robot_start)}")
-    if w.station is not None:
-        st = w.station
-        lines.append(f"station.pos = {_fmt_cell(st.pos)}")
-        lines.append(f"station.ir_radius = {_fmt_num(st.ir_radius)}")
-        lines.append(f"station.charge_rate = {_fmt_num(st.charge_rate)}")
-        if st.track:
-            flat = " ".join(_fmt_cell(c) for c in st.track)
-            lines.append(f"station.track = {flat}")
-        if st.gaps:
-            flat = " ".join(_fmt_cell(c) for c in sorted(st.gaps))
-            lines.append(f"track.gap = {flat}")
-    if w.beacon is not None:
-        b = w.beacon
-        lines.append(f"beacon.pos = {_fmt_cell(b.pos)}")
-        lines.append(f"beacon.tx_power = {_fmt_num(b.tx_power)}")
-        lines.append(f"beacon.d0 = {_fmt_num(b.d0)}")
-        lines.append(f"beacon.resonance_radius = {_fmt_num(b.resonance_radius)}")
-        lines.append(f"beacon.poll_radius = {_fmt_num(b.poll_radius)}")
-        lines.append(f"beacon.i_min = {_fmt_num(b.i_min)}")
+    lines += _section_lines("world", scenario.world)
     lines.append("")
-
-    e = scenario.energy_profile
-    lines.append("[energy]")
-    lines.append(f"battery_capacity = {_fmt_num(e.battery_capacity)}")
-    lines.append(f"capacitor_capacity = {_fmt_num(e.capacitor_capacity)}")
-    lines.append(f"battery_initial = {_fmt_num(e.battery_initial)}")
-    lines.append(f"capacitor_initial = {_fmt_num(e.capacitor_initial)}")
-    lines.append(f"rate.idle = {_fmt_num(e.rates.idle)}")
-    lines.append(f"rate.move = {_fmt_num(e.rates.move)}")
-    lines.append(f"rate.sense = {_fmt_num(e.rates.sense)}")
-    lines.append(f"rate.process = {_fmt_num(e.rates.process)}")
-    lines.append(f"threshold.low = {_fmt_num(e.thresholds.low_frac)}")
-    lines.append(f"threshold.lower = {_fmt_num(e.thresholds.lower_frac)}")
-    lines.append(f"gain_min = {_fmt_num(e.gain_min)}")
-    lines.append(f"max_charge_ticks = {e.max_charge_ticks}")
+    lines += _section_lines("energy", scenario.energy_profile)
 
     if scenario.seed_weights:
         lines.append("")

@@ -45,7 +45,15 @@ class UnknownEventError(ValueError):
 
 
 class MachineStuckError(RuntimeError):
-    """The drain loop could not make legal progress (unhandled exit or no quiescence)."""
+    """The drain loop could not make legal progress (unhandled exit or no quiescence).
+
+    `dispatch` sets where it happened: the context's `step`, the active state
+    `path` when the machine gave up, and the dispatched `event`.
+    """
+
+    step: int | None = None
+    path: tuple[str, ...] = ()
+    event: str | None = None
 
 
 @dataclass(frozen=True)
@@ -122,12 +130,6 @@ class MachineInstance:
     def leaf_state_name(self) -> str | None:
         return self.frames[-1].state if self.frames else None
 
-    def leaf_state(self) -> StateDef | None:
-        if not self.frames:
-            return None
-        f = self.frames[-1]
-        return f.machine.state(f.state)
-
     # -- construction -------------------------------------------------------
 
     def _start(self) -> None:
@@ -177,7 +179,7 @@ class MachineInstance:
             f.state = finals[0]
         else:
             f.state = tr.target
-        self._enter_current(ctx)
+        self._descend()
         records.append(
             TransitionRecord(
                 step=ctx.step,
@@ -187,18 +189,6 @@ class MachineInstance:
                 chosen_option=chosen,
             )
         )
-
-    def _enter_current(self, ctx) -> None:
-        f = self.frames[-1]
-        st = f.machine.state(f.state)
-        if st is None:
-            raise MachineStuckError(f"undefined state '{f.state}'")
-        if st.kind == KIND_COMPOSITE:
-            self._descend()
-        elif st.kind == KIND_CHOICE:
-            f.choice_pending = True
-        elif st.kind == KIND_FINAL and len(self.frames) == 1:
-            self.status = STATUS_FINALIZED
 
     def _cross_exit(self, exit_name: str, trigger: str,
                     from_path: tuple[str, ...], ctx, records) -> None:
@@ -270,7 +260,7 @@ class MachineInstance:
                 f.pursuits.append((st.name, chosen))
                 from_path = tuple(self.active_path())
                 f.state = chosen
-                self._enter_current(ctx)
+                self._descend()
                 records.append(
                     TransitionRecord(
                         step=ctx.step,
@@ -330,7 +320,11 @@ def dispatch(instance: MachineInstance, event: str, ctx=None) -> list[Transition
     if event != AUTO and event not in instance._vocabulary:
         raise UnknownEventError(f"unknown event '{event}'")
     records: list[TransitionRecord] = []
-    if event != AUTO:
-        instance._process_event(event, ctx, records)
-    instance._drain(ctx, records)
+    try:
+        if event != AUTO:
+            instance._process_event(event, ctx, records)
+        instance._drain(ctx, records)
+    except MachineStuckError as exc:
+        exc.step, exc.path, exc.event = ctx.step, tuple(instance.active_path()), event
+        raise
     return records

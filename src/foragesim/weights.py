@@ -11,6 +11,7 @@ outcome, so a miss halves the success weight.
 from __future__ import annotations
 
 import csv
+import os
 import random
 import warnings
 from dataclasses import dataclass, replace
@@ -58,21 +59,8 @@ class WeightTable:
             raise ValueError(f"weight out of range for ({node}, {option})")
         self.entries[(node, option)] = entry
 
-    def options_for(self, node: str) -> list[str]:
-        return [opt for (n, opt) in self.entries if n == node]
-
     def snapshot(self) -> dict[tuple[str, str], WeightEntry]:
         return dict(self.entries)
-
-    def is_all_zero(self) -> bool:
-        return all(
-            e.w_pos == 0.0 and e.w_neg == 0.0 for e in self.entries.values()
-        )
-
-    def copy(self) -> "WeightTable":
-        dup = WeightTable()
-        dup.entries = dict(self.entries)
-        return dup
 
 
 def select_option(
@@ -127,32 +115,31 @@ def record_outcome(table: WeightTable, node: str, option: str, success: bool) ->
     return updated
 
 
-def ranked_options(table: WeightTable, node: str) -> list[tuple[str, float, float]]:
-    """Options of `node` sorted by success weight descending, stable on ties."""
-    rows = [
-        (opt, e.w_pos, e.w_neg)
-        for (n, opt), e in table.entries.items()
-        if n == node
-    ]
-    rows.sort(key=lambda r: -r[1])
-    return rows
-
-
 def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
 def save_weights(table: WeightTable, path: str | Path) -> None:
-    """Write the table as CSV, weights at nine decimal digits, sorted rows."""
+    """Write the table as CSV, weights at nine decimal digits, sorted rows.
+
+    The rows go to a temporary file beside `path` that then replaces it, so a
+    write that fails part way leaves the previous file as it was.
+    """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEIGHTS_CSV_HEADER)
-        for (node, option) in sorted(table.entries):
-            e = table.entries[(node, option)]
-            writer.writerow(
-                [node, option, f"{e.w_pos:.9f}", f"{e.w_neg:.9f}", e.successes, e.failures]
-            )
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(WEIGHTS_CSV_HEADER)
+            for (node, option) in sorted(table.entries):
+                e = table.entries[(node, option)]
+                writer.writerow(
+                    [node, option, f"{e.w_pos:.9f}", f"{e.w_neg:.9f}", e.successes, e.failures]
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_weights(path: str | Path) -> WeightTable:

@@ -37,6 +37,10 @@ class StationSpec:
     charge_rate: float = 5.0
     gaps: frozenset[Cell] = frozenset()
 
+    def __post_init__(self) -> None:
+        # gaps are a set, whichever collection of cells they are given as
+        object.__setattr__(self, "gaps", frozenset(self.gaps))
+
     def track_cells(self) -> tuple[Cell, ...]:
         """Track cells that are actually detectable (gaps removed)."""
         return tuple(c for c in self.track if c not in self.gaps)
@@ -77,7 +81,6 @@ class CueReading:
     ir_bearing: str | None = None
     track_detected: bool = False
     nearest_track: Cell | None = None
-    beacon_signal: float | None = None
 
 
 def _dist(a: Cell, b: Cell) -> float:

@@ -1,8 +1,10 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import foragesim
 from foragesim.cli import main
 from foragesim.scenarios import builtin_scenario_text
 
@@ -10,6 +12,13 @@ BROKEN = """
 [machine top entry]
 initial -> a
 state a -> foo on go
+"""
+
+AUTO_CYCLE = """
+[machine top entry]
+initial -> a
+state a -> b on auto
+state b -> a on auto
 """
 
 
@@ -79,6 +88,17 @@ class TestRun:
         assert main(["run", str(dual_source_path), "--warp", "9"]) == 2
 
 
+class TestStuckMachine:
+    @pytest.mark.parametrize("verb", [["run"], ["mc", "--episodes", "2"]])
+    def test_auto_cycle_exits_four_with_step_path_and_event(self, verb, scenario_file, capsys):
+        path = scenario_file(AUTO_CYCLE, "cycle.scn")
+        assert main(["validate", str(path)]) == 0
+        assert main([verb[0], str(path), "--steps", "5", *verb[1:]]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("machine stuck at step 1 in top/a on event 'auto':")
+        assert "Traceback" not in err
+
+
 class TestMonteCarlo:
     def test_row_count_matches_episodes(self, scenario_file, tmp_path, capsys):
         path = scenario_file(builtin_scenario_text("learning_lab"), "lab.scn")
@@ -119,10 +139,13 @@ class TestMonteCarlo:
 
 class TestEntryPoint:
     def test_module_invocation(self, dual_source_path):
+        # run from the directory the package was imported from, so that the
+        # child finds the same code without an install
         proc = subprocess.run(
             [sys.executable, "-m", "foragesim", "validate", str(dual_source_path)],
             capture_output=True,
             text=True,
+            cwd=Path(foragesim.__file__).parents[1],
         )
         assert proc.returncode == 0
         assert proc.stdout == ""

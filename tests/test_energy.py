@@ -20,7 +20,6 @@ from foragesim.energy import (
     Thresholds,
     ThresholdWatcher,
     apply_charge,
-    differential_reading,
     mood_of,
     sensor_gain,
     tick_discharge,
@@ -120,16 +119,6 @@ class TestCharge:
 
 
 class TestReadingsAndMoods:
-    @pytest.mark.parametrize(
-        "battery,capacitor,delta",
-        [(40.0, 10.0, 30.0), (0.0, 10.0, -10.0), (0.0, 0.0, 0.0)],
-    )
-    def test_differential_reading(self, battery, capacitor, delta):
-        r = differential_reading(state(battery=battery, capacitor=capacitor))
-        assert r.operating_power == battery
-        assert r.countdown_value == capacitor
-        assert r.delta == delta
-
     def test_mood_normal_above_thresholds(self):
         assert mood_of(state(battery=80.0), Thresholds()) == MOOD_NORMAL
 

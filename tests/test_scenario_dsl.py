@@ -8,7 +8,6 @@ from foragesim.scenario import (
     parse_scenario,
     parse_scenario_checked,
     serialize_scenario,
-    validate_scenario,
 )
 from foragesim.scenarios import builtin_scenario, builtin_scenario_text
 
@@ -110,8 +109,8 @@ exit x0 (success)
 
 class TestValidate:
     def test_builtin_fixtures_are_clean(self, builtin_name):
-        s = builtin_scenario(builtin_name)
-        assert validate_scenario(s) == []
+        _, diags = parse_scenario_checked(builtin_scenario_text(builtin_name), name=builtin_name)
+        assert diags == []
 
     def test_choice_requires_two_options(self):
         text = "[machine top entry]\ninitial -> c\nchoice c : a\nstate a\n"
@@ -135,11 +134,68 @@ class TestValidate:
         _, diags = parse_scenario_checked(text)
         assert any("must end at station.pos" in d.message for d in errors(diags))
 
+    def test_orphan_seed_weights_warn_at_their_lines(self):
+        text = (
+            "[machine top entry]\ninitial -> c\nchoice c : a | b\nstate a\nstate b\n"
+            "[weights]\nc.a = 0.5 0.5\nc.z = 0.5 0.5\nnowhere.a = 0.5 0.5\n"
+        )
+        _, diags = parse_scenario_checked(text)
+        assert errors(diags) == []
+        assert [(d.line, d.message) for d in warnings_of(diags)] == [
+            (8, "weight c.z: 'z' is not an option of 'c'"),
+            (9, "weight nowhere.a: 'nowhere' is not a choice node"),
+        ]
+
     def test_entry_machine_may_be_endless(self):
         # a machine with no exit and no final is a legal life loop
         scenario, diags = parse_scenario_checked(MINIMAL)
         assert scenario is not None
         assert errors(diags) == []
+
+
+# Each case is [world]/[energy] text in which the line marked `# <-` is the
+# one at fault; every error must be reported at that line.
+KEY_ERRORS = {
+    "num_shape": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.ir_radius = 2 3  # <-\n",
+    "int_shape": "[energy]\nrate.idle = 0.1\nmax_charge_ticks = 2.5  # <-\n",
+    "cell_shape": "[world]\ngrid = 8 8\nrobot.start = 1  # <-\n",
+    "cell_not_integral": "[world]\ngrid = 8 8\nbeacon.pos = 1.5 2  # <-\n",
+    "cells_shape": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.track = 1 2 1  # <-\n",
+    "grid_positive": "[world]\nrobot.start = 1 1\ngrid = 8 0  # <-\n",
+    "ir_radius_positive": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.ir_radius = 0  # <-\n",
+    "d0_positive": "[world]\ngrid = 8 8\nbeacon.pos = 1 1\nbeacon.d0 = 0  # <-\n",
+    "resonance_positive": "[world]\ngrid = 8 8\nbeacon.pos = 1 1\nbeacon.resonance_radius = -1  # <-\n",
+    "poll_positive": "[world]\ngrid = 8 8\nbeacon.pos = 1 1\nbeacon.poll_radius = 0  # <-\n",
+    "charge_rate_nonneg": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.charge_rate = -0.5  # <-\n",
+    "tx_power_nonneg": "[world]\ngrid = 8 8\nbeacon.pos = 1 1\nbeacon.tx_power = -1  # <-\n",
+    "i_min_nonneg": "[world]\ngrid = 8 8\nbeacon.pos = 1 1\nbeacon.i_min = -0.1  # <-\n",
+    "rate_idle_nonneg": "[energy]\nbattery_capacity = 50\nrate.idle = -0.1  # <-\n",
+    "rate_move_nonneg": "[energy]\nbattery_capacity = 50\nrate.move = -1  # <-\n",
+    "rate_sense_nonneg": "[energy]\nbattery_capacity = 50\nrate.sense = -1  # <-\n",
+    "rate_process_nonneg": "[energy]\nbattery_capacity = 50\nrate.process = -1  # <-\n",
+    "max_charge_ticks_nonneg": "[energy]\nbattery_capacity = 50\nmax_charge_ticks = -3  # <-\n",
+    "station_without_pos": "[world]\ngrid = 8 8\nrobot.start = 1 1\nstation.ir_radius = 3  # <-\nstation.charge_rate = 2\n",
+    "beacon_without_pos": "[world]\ngrid = 8 8\nbeacon.d0 = 2  # <-\nbeacon.i_min = 1\n",
+    "missing_grid": "[world]\nrobot.start = 1 1  # <-\nbeacon.pos = 2 2\n",
+    "world_key_in_energy": "[energy]\nbattery_capacity = 50\ngrid = 8 8  # <-\n",
+    "start_outside_grid": "[world]\ngrid = 8 8\nrobot.start = 8 1  # <-\n",
+    "station_outside_grid": "[world]\ngrid = 8 8\nrobot.start = 1 1\nstation.pos = -1 3  # <-\n",
+    "beacon_outside_grid": "[world]\ngrid = 8 8\nbeacon.pos = 2 9  # <-\n",
+    "track_outside_grid": "[world]\ngrid = 4 4\nstation.pos = 0 0\nstation.track = 0 -1 0 0  # <-\n",
+    "track_not_at_station": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.track = 4 4 4 5  # <-\n",
+    "track_not_adjacent": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.track = 1 3 1 1  # <-\n",
+    "gap_off_track": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.track = 1 2 1 1\ntrack.gap = 2 2  # <-\n",
+}
+
+
+class TestKeyErrors:
+    @pytest.mark.parametrize("case", sorted(KEY_ERRORS))
+    def test_rejected_at_the_key_line(self, case):
+        text = MINIMAL + KEY_ERRORS[case]
+        line = next(n for n, t in enumerate(text.splitlines(), start=1) if "# <-" in t)
+        _, diags = parse_scenario_checked(text)
+        assert errors(diags), "accepted"
+        assert {d.line for d in errors(diags)} == {line}, diags
 
 
 class TestSerialize:

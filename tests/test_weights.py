@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from foragesim.weights import (
     WeightTable,
     WeightsFileError,
     load_weights,
-    ranked_options,
     record_outcome,
     save_weights,
     select_option,
@@ -140,22 +140,6 @@ class TestRecord:
         assert abs(down.w_pos - w0 / 2**k) <= 1e-12
 
 
-class TestRanked:
-    def test_fig4_order(self):
-        table = WeightTable(SIGNAL_VS_TRACK)
-        assert ranked_options(table, "decision_flow") == [
-            ("follow_ir_signal", 0.8, 0.1),
-            ("follow_track_path", 0.2, 0.7),
-        ]
-
-    def test_unknown_node_is_empty(self):
-        assert ranked_options(WeightTable(SIGNAL_VS_TRACK), "nowhere") == []
-
-    def test_equal_weights_keep_declaration_order(self):
-        table = WeightTable({("n", "first"): (0.5, 0.0), ("n", "second"): (0.5, 0.0)})
-        assert [name for name, _, _ in ranked_options(table, "n")] == ["first", "second"]
-
-
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         table = WeightTable(SIGNAL_VS_TRACK)
@@ -169,6 +153,31 @@ class TestPersistence:
         path = tmp_path / "w.csv"
         save_weights(table, path)
         assert "0.800000000" in path.read_text()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.csv"
+        save_weights(WeightTable(SIGNAL_VS_TRACK), path)
+        before = path.read_bytes()
+        real_writer = csv.writer
+
+        class FailsAfterHeader:
+            def __init__(self, fh):
+                self._writer = real_writer(fh)
+                self._rows = 0
+
+            def writerow(self, row):
+                if self._rows == 1:
+                    raise OSError("disk full")
+                self._rows += 1
+                self._writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailsAfterHeader)
+        table = WeightTable(SIGNAL_VS_TRACK)
+        record_outcome(table, "decision_flow", "follow_ir_signal", success=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_weights(table, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_file_warns_and_zeroes(self, tmp_path):
         with pytest.warns(UserWarning, match="zero table"):
