@@ -36,7 +36,6 @@ from .sim import (
     SimConfig,
     SurvivalStats,
     TraceEvent,
-    apply_death_consequence,
     run_episode,
     run_monte_carlo,
     write_stats_csv,

@@ -139,8 +139,8 @@ def tick_discharge(state: EnergyState, active: set[str], profile: DischargeProfi
     return replace(state, battery=new_battery, capacitor=new_capacitor)
 
 
-def apply_charge(state: EnergyState, source: str, power: float, dt: float = 1.0) -> EnergyState:
-    """Add `power * dt` units from `source`.
+def apply_charge(state: EnergyState, source: str, power: float) -> EnergyState:
+    """Add one tick of `power` units from `source`.
 
     A station charges the battery only. Wireless power charges the battery
     and, once the battery is full, tops up the capacitor. Both levels clamp
@@ -150,13 +150,12 @@ def apply_charge(state: EnergyState, source: str, power: float, dt: float = 1.0)
         raise ValueError("charge power must be non-negative")
     if source not in (SOURCE_STATION, SOURCE_WIRELESS):
         raise ValueError(f"unknown charging source {source!r}")
-    amount = power * dt
     headroom = state.battery_capacity - state.battery
-    to_battery = min(headroom, amount)
+    to_battery = min(headroom, power)
     new_battery = state.battery + to_battery
     new_capacitor = state.capacitor
     if source == SOURCE_WIRELESS:
-        spill = amount - to_battery
+        spill = power - to_battery
         new_capacitor = min(state.capacitor_capacity, state.capacitor + spill)
     return replace(
         state,
@@ -184,7 +183,7 @@ def mood_of(state: EnergyState, thresholds: Thresholds) -> str:
     return MOOD_NORMAL
 
 
-def sensor_gain(state: EnergyState, gain_min: float = 0.2) -> float:
+def sensor_gain(state: EnergyState, gain_min: float) -> float:
     """Battery-proportional sensing gain, floored at `gain_min`.
 
     Multiplies every detection radius in the world, so sensing degrades as

@@ -198,6 +198,13 @@ class ScenarioDef:
     def __post_init__(self) -> None:
         # built in reverse so that the first declaration of a name wins
         self._machines = {m.name: m for m in reversed(self.machines)}
+        self._events = frozenset(
+            tr.event
+            for m in self.machines
+            for st in m.states
+            for tr in st.transitions
+            if tr.event != RESERVED_EVENT
+        )
 
     def machine(self, name: str) -> MachineDef | None:
         return self._machines.get(name)
@@ -209,13 +216,7 @@ class ScenarioDef:
         raise ValueError("no entry machine declared")
 
     def event_vocabulary(self) -> frozenset[str]:
-        events: set[str] = set()
-        for m in self.machines:
-            for st in m.states:
-                for tr in st.transitions:
-                    if tr.event != RESERVED_EVENT:
-                        events.add(tr.event)
-        return frozenset(events)
+        return self._events
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +586,9 @@ def _build_section(section: str, rows: dict[str, tuple[object, int]], diags: lis
 
 
 def _make(section: str, group: str, kwargs: dict, rows: dict, diags: list[Diagnostic]):
-    """Build one target; a missing required key or a rejected value is reported at
-    the group's first line (the section's first line for the section's own object)."""
+    """Build one target. A rejected value is reported at the line of the key its
+    message begins with; a missing required key, or a message that names no
+    given key, at the group's first line (the section's for its own object)."""
 
     def line() -> int:
         return next(n for key, (_, n) in rows.items() if not group or _KEYS[key][1] == group)
@@ -598,7 +600,9 @@ def _make(section: str, group: str, kwargs: dict, rows: dict, diags: list[Diagno
     try:
         return _TARGETS[group or section](**kwargs)
     except ValueError as exc:
-        diags.append(_error(line(), str(exc)))
+        # an EnergyProfile message begins with the field it names, which is its key
+        named = rows.get(str(exc).partition(" ")[0])
+        diags.append(_error(named[1] if named else line(), str(exc)))
         return None
 
 

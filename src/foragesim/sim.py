@@ -15,7 +15,7 @@ import json
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import weights as weights_mod
@@ -71,13 +71,6 @@ CHARGING_STATES = {"recharge": SOURCE_STATION, "charge": SOURCE_WIRELESS}
 
 STATS_CSV_HEADER = ("episode", "outcome", "lifetime", "recharges_station", "recharges_wireless")
 
-_TRACE_KEY_ORDER = (
-    "step", "state", "event", "node", "option",
-    "w_pos_before", "w_pos_after", "w_neg_before", "w_neg_after",
-    "battery", "capacitor", "mood", "x", "y",
-)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     scenario: ScenarioDef
@@ -115,12 +108,8 @@ class TraceEvent:
     y: int | None = None
 
     def to_dict(self) -> dict:
-        out = {}
-        for key in _TRACE_KEY_ORDER:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The set fields, in declaration order (the documented key order)."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass
@@ -143,70 +132,58 @@ class SurvivalStats:
     results: list[EpisodeResult]
 
 
-@dataclass(frozen=True)
-class _BehaviorResult:
-    pose: RobotPose
-    activities: frozenset[str]
-    events: tuple[str, ...] = ()
+# A behaviour returns the tick's (pose, activities, events); the activity set is
+# the loop's to extend.
+_FOLLOW_EVENTS = {FOLLOW_ARRIVED: (EVENT_LOCATED,), FOLLOW_LOST: (EVENT_LOST,)}
 
 
 def _behave_follow(cue: str):
-    def run(ep: "_Episode") -> _BehaviorResult:
+    def run(ep: "_Episode"):
         gain = sensor_gain(ep.energy, ep.profile.gain_min)
         acts = {"sense", "process"}
         cues = detect_station_cues(ep.world, ep.pose, gain)
-        detected = cues.ir_detected if cue == CUE_IR else cues.track_detected
-        if not detected:
-            return _BehaviorResult(ep.pose, frozenset(acts), (EVENT_LOST,))
+        if not (cues.ir_detected if cue == CUE_IR else cues.track_detected):
+            return ep.pose, acts, (EVENT_LOST,)
         new_pose, status = step_follow(ep.world, ep.pose, cue, gain)
         if new_pose.pos != ep.pose.pos:
             acts.add("move")
-        if status == FOLLOW_ARRIVED:
-            events: tuple[str, ...] = (EVENT_LOCATED,)
-        elif status == FOLLOW_LOST:
-            events = (EVENT_LOST,)
-        else:
-            events = ()
-        return _BehaviorResult(new_pose, frozenset(acts), events)
+        return new_pose, acts, _FOLLOW_EVENTS.get(status, ())
 
     return run
 
 
-def _behave_poll(ep: "_Episode") -> _BehaviorResult:
+def _behave_poll(ep: "_Episode"):
     gain = sensor_gain(ep.energy, ep.profile.gain_min)
     acts = {"sense", "process"}
-    signal = poll_beacon(ep.world, ep.pose, gain)
-    if signal is None:
-        return _BehaviorResult(ep.pose, frozenset(acts), (EVENT_NO_SIGNAL,))
+    if poll_beacon(ep.world, ep.pose, gain) is None:
+        return ep.pose, acts, (EVENT_NO_SIGNAL,)
     beacon = ep.world.beacon
     if math.dist(ep.pose.pos, beacon.pos) <= beacon.resonance_radius:
-        return _BehaviorResult(ep.pose, frozenset(acts), (EVENT_FOUND,))
+        return ep.pose, acts, (EVENT_FOUND,)
     new_pose = step_seek_intensity(ep.world, ep.pose)
     if new_pose.pos != ep.pose.pos:
         acts.add("move")
-    return _BehaviorResult(new_pose, frozenset(acts))
+    return new_pose, acts, ()
 
 
-def _behave_engage(ep: "_Episode") -> _BehaviorResult:
-    acts = frozenset({"process"})
+def _behave_engage(ep: "_Episode"):
     if coupling_efficiency(ep.world, ep.pose.pos) > 0.0:
-        return _BehaviorResult(ep.pose, acts, (EVENT_LOCATED,))
-    return _BehaviorResult(ep.pose, acts, (EVENT_NO_SIGNAL,))
+        return ep.pose, {"process"}, (EVENT_LOCATED,)
+    return ep.pose, {"process"}, (EVENT_NO_SIGNAL,)
 
 
-def _behave_navigate(ep: "_Episode") -> _BehaviorResult:
+def _behave_navigate(ep: "_Episode"):
     acts = {"sense", "process"}
-    beacon = ep.world.beacon
-    if beacon is not None and intensity_at(ep.world, ep.pose.pos) >= beacon.i_min:
-        return _BehaviorResult(ep.pose, frozenset(acts))
+    if ep.signal_sufficient():
+        return ep.pose, acts, ()
     new_pose = step_seek_intensity(ep.world, ep.pose)
     if new_pose.pos != ep.pose.pos:
         acts.add("move")
-    return _BehaviorResult(new_pose, frozenset(acts))
+    return new_pose, acts, ()
 
 
-def _behave_idle(ep: "_Episode") -> _BehaviorResult:
-    return _BehaviorResult(ep.pose, frozenset())
+def _behave_idle(ep: "_Episode"):
+    return ep.pose, set(), ()
 
 
 # behaviour is bound by state name; anything unnamed here just idles
@@ -220,68 +197,14 @@ BEHAVIORS = {
 }
 
 
-class _EpisodeContext:
-    """Dispatch context wired to the live episode: guards, chooser, outcomes."""
-
-    def __init__(self, episode: "_Episode"):
-        self.ep = episode
-        self.step = 0
-        self.choice_rows: list[TraceEvent] = []
-        self.outcome_rows: list[TraceEvent] = []
-
-    def guard(self, name: str) -> bool:
-        ep = self.ep
-        if name == "isSignalSufficient":
-            beacon = ep.world.beacon
-            return beacon is not None and intensity_at(ep.world, ep.pose.pos) >= beacon.i_min
-        if name == "batteryFull":
-            return ep.energy.battery >= ep.energy.battery_capacity
-        if name == "powerLow":
-            return ep.energy.battery_frac < ep.profile.thresholds.low_frac
-        if name == "powerLower":
-            return ep.energy.battery_frac < ep.profile.thresholds.lower_frac
-        raise ValueError(f"unknown guard '{name}'")
-
-    def choose(self, node: str, options: list[str]) -> str:
-        ep = self.ep
-        chosen = select_option(ep.table, node, options, ep.rng)
-        ep.choice_fired = True
-        ep.choices_made[(node, chosen)] += 1
-        ep.first_choices.setdefault(node, chosen)
-        entry = ep.table.get(node, chosen)
-        self.choice_rows.append(
-            TraceEvent(
-                step=self.step,
-                state="/".join(ep.instance.active_path()),
-                event=TRIGGER_CHOICE,
-                node=node,
-                option=chosen,
-                w_pos_before=entry.w_pos,
-                w_neg_before=entry.w_neg,
-            )
-        )
-        return chosen
-
-    def outcome(self, node: str, option: str, success: bool) -> None:
-        ep = self.ep
-        before = ep.table.get(node, option)
-        after = record_outcome(ep.table, node, option, success)
-        self.outcome_rows.append(
-            TraceEvent(
-                step=self.step,
-                state="/".join(ep.instance.active_path()),
-                event="outcome_success" if success else "outcome_failure",
-                node=node,
-                option=option,
-                w_pos_before=before.w_pos,
-                w_pos_after=after.w_pos,
-                w_neg_before=before.w_neg,
-                w_neg_after=after.w_neg,
-            )
-        )
-
-
 class _Episode:
+    """One life, and the dispatch context its machine runs in.
+
+    `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`;
+    the last two note what they did, and `_dispatch` turns the notes into
+    trace rows once the run to completion is over.
+    """
+
     def __init__(self, cfg: SimConfig, table: WeightTable):
         self.cfg = cfg
         self.scenario = cfg.scenario
@@ -302,7 +225,41 @@ class _Episode:
         self.choice_fired = False
         self.charge_ticks = 0
         self.wait_sent = False
-        self.ctx = _EpisodeContext(self)
+        self.step = 0
+        # per dispatch: the weights each choice consulted, and each outcome's
+        # (state path, node, option, success, weights before, weights after)
+        self.consulted: list[weights_mod.WeightEntry] = []
+        self.outcomes: list[tuple] = []
+
+    # -- dispatch context ----------------------------------------------------
+
+    def signal_sufficient(self) -> bool:
+        beacon = self.world.beacon
+        return beacon is not None and intensity_at(self.world, self.pose.pos) >= beacon.i_min
+
+    def guard(self, name: str) -> bool:
+        if name == "isSignalSufficient":
+            return self.signal_sufficient()
+        if name == "batteryFull":
+            return self.energy.battery >= self.energy.battery_capacity
+        if name == "powerLow":
+            return self.energy.battery_frac < self.profile.thresholds.low_frac
+        if name == "powerLower":
+            return self.energy.battery_frac < self.profile.thresholds.lower_frac
+        raise ValueError(f"unknown guard '{name}'")
+
+    def choose(self, node: str, options: list[str]) -> str:
+        chosen = select_option(self.table, node, options, self.rng)
+        self.choice_fired = True
+        self.choices_made[(node, chosen)] += 1
+        self.first_choices.setdefault(node, chosen)
+        self.consulted.append(self.table.get(node, chosen))
+        return chosen
+
+    def outcome(self, node: str, option: str, success: bool) -> None:
+        before = self.table.get(node, option)
+        after = record_outcome(self.table, node, option, success)
+        self.outcomes.append((self.instance.active_path(), node, option, success, before, after))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -312,25 +269,35 @@ class _Episode:
                 self.queue.append(event)
 
     def _dispatch(self, event: str) -> None:
-        ctx = self.ctx
-        ctx.choice_rows.clear()
-        ctx.outcome_rows.clear()
-        records = dispatch(self.instance, event, ctx)
-        choice_rows = deque(ctx.choice_rows)
+        """Dispatch one event and append its rows: transitions in firing order
+        (a choice row carries the weights it consulted), then the outcomes."""
+        self.consulted.clear()
+        self.outcomes.clear()
+        records = dispatch(self.instance, event, self)
+        consulted = iter(self.consulted)
         for rec in records:
             if rec.note is not None:
                 continue
-            if rec.trigger == TRIGGER_CHOICE and choice_rows:
-                self.trace.append(choice_rows.popleft())
+            if rec.trigger == TRIGGER_CHOICE:
+                # the choice left its node, the innermost state of from_path
+                entry = next(consulted)
+                self.trace.append(TraceEvent(
+                    step=self.step, state="/".join(rec.from_path), event=TRIGGER_CHOICE,
+                    node=rec.from_path[-1], option=rec.chosen_option,
+                    w_pos_before=entry.w_pos, w_neg_before=entry.w_neg,
+                ))
             else:
-                self.trace.append(
-                    TraceEvent(
-                        step=ctx.step,
-                        state="/".join(rec.to_path),
-                        event=rec.trigger,
-                    )
-                )
-        self.trace.extend(ctx.outcome_rows)
+                self.trace.append(TraceEvent(
+                    step=self.step, state="/".join(rec.to_path), event=rec.trigger,
+                ))
+        for path, node, option, success, before, after in self.outcomes:
+            self.trace.append(TraceEvent(
+                step=self.step, state="/".join(path),
+                event="outcome_success" if success else "outcome_failure",
+                node=node, option=option,
+                w_pos_before=before.w_pos, w_pos_after=after.w_pos,
+                w_neg_before=before.w_neg, w_neg_after=after.w_neg,
+            ))
         if self.instance.status != STATUS_RUNNING:
             self.instance = start_instance(self.scenario)
 
@@ -343,20 +310,6 @@ class _Episode:
             return SOURCE_NONE
         return source
 
-    def _tick_summary(self, step: int) -> None:
-        mood = mood_of(self.energy, self.profile.thresholds)
-        self.trace.append(
-            TraceEvent(
-                step=step,
-                state="/".join(self.instance.active_path()),
-                battery=self.energy.battery,
-                capacitor=self.energy.capacitor,
-                mood=mood,
-                x=self.pose.pos[0],
-                y=self.pose.pos[1],
-            )
-        )
-
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> EpisodeResult:
@@ -364,19 +317,16 @@ class _Episode:
         death_step: int | None = None
 
         for step in range(1, self.cfg.max_steps + 1):
-            self.ctx.step = step
+            self.step = step
             self.choice_fired = False
 
             while self.queue:
                 self._dispatch(self.queue.popleft())
             self._dispatch(AUTO)
 
-            leaf = self.instance.leaf_state_name() or ""
-            behavior = BEHAVIORS.get(leaf, _behave_idle)
-            result = behavior(self)
-            self.pose = result.pose
-            activities = set(result.activities)
-            self._enqueue(result.events)
+            behavior = BEHAVIORS.get(self.instance.leaf_state_name() or "", _behave_idle)
+            self.pose, activities, events = behavior(self)
+            self._enqueue(events)
             while self.queue:
                 self._dispatch(self.queue.popleft())
 
@@ -411,12 +361,20 @@ class _Episode:
                 self.charge_ticks = 0
                 self.wait_sent = False
 
+            self.trace.append(
+                TraceEvent(
+                    step=step,
+                    state="/".join(self.instance.active_path()),
+                    battery=self.energy.battery,
+                    capacitor=self.energy.capacitor,
+                    mood=mood_of(self.energy, self.profile.thresholds),
+                    x=self.pose.pos[0],
+                    y=self.pose.pos[1],
+                )
+            )
             if self.energy.depleted:
                 death_step = step
-                self._tick_summary(step)
                 break
-
-            self._tick_summary(step)
 
         if death_step is not None:
             outcome = OUTCOME_DIED
@@ -451,37 +409,17 @@ def run_episode(
 
     When `table` is omitted, volatile mode starts from the scenario's seed
     weights and nonvolatile mode loads the weights file (falling back to the
-    seeds on a cold start). On death the memory-mode consequence is applied
-    before the result snapshot is taken.
+    seeds on a cold start). Nonvolatile memory saves the table after every
+    life, death or not; a volatile death erases it, so the result reports no
+    final weights.
     """
-    if table is None:
-        table = _initial_table(cfg)
-    episode = _Episode(cfg, table)
+    episode = _Episode(cfg, _initial_table(cfg) if table is None else table)
     result = episode.run()
-    if result.outcome == OUTCOME_DIED:
-        table = apply_death_consequence(table, cfg.memory_mode, cfg.weights_path)
-        result.final_weights = table.snapshot()
-    elif cfg.memory_mode == MEMORY_NONVOLATILE:
-        save_weights(table, cfg.weights_path)
+    if cfg.memory_mode == MEMORY_NONVOLATILE:
+        save_weights(episode.table, cfg.weights_path)
+    elif result.outcome == OUTCOME_DIED:
+        result.final_weights = {}
     return result, episode.trace
-
-
-def apply_death_consequence(
-    table: WeightTable, mode: str, path: str | Path | None = None
-) -> WeightTable:
-    """Apply the memory consequence of a death.
-
-    Volatile memory erases everything (a fresh zero table is returned);
-    nonvolatile memory persists the table to `path` and returns it intact.
-    """
-    if mode == MEMORY_VOLATILE:
-        return WeightTable()
-    if mode == MEMORY_NONVOLATILE:
-        if path is None:
-            raise ValueError("nonvolatile consequence requires a weights path")
-        save_weights(table, path)
-        return table
-    raise ValueError(f"unknown memory mode {mode!r}")
 
 
 def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:

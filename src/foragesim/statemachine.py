@@ -115,10 +115,8 @@ class MachineInstance:
         self.scenario = scenario
         self.machine = machine
         self.status = STATUS_RUNNING
-        self.exit_name: str | None = None
         self.frames: list[_Frame] = []
         self.pending_events: deque[str] = deque()
-        self._vocabulary = scenario.event_vocabulary()
 
     # -- inspection ---------------------------------------------------------
 
@@ -211,7 +209,6 @@ class MachineInstance:
         )
         if not self.frames:
             self.status = STATUS_EXITED
-            self.exit_name = exit_name
             return
         parent = self.frames[-1]
         composite = parent.state
@@ -317,7 +314,7 @@ def dispatch(instance: MachineInstance, event: str, ctx=None) -> list[Transition
                 note=f"ignored: machine {instance.status}",
             )
         ]
-    if event != AUTO and event not in instance._vocabulary:
+    if event != AUTO and event not in instance.scenario.event_vocabulary():
         raise UnknownEventError(f"unknown event '{event}'")
     records: list[TransitionRecord] = []
     try:

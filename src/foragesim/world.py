@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 Cell = tuple[int, int]
 
-# heading -> unit step, in tie-break priority order
-_STEPS: tuple[tuple[str, Cell], ...] = (
-    ("N", (0, -1)),
-    ("E", (1, 0)),
-    ("S", (0, 1)),
-    ("W", (-1, 0)),
-)
+# unit steps N, E, S, W: the tie-break priority order
+_STEPS: tuple[Cell, ...] = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 FOLLOW_PROGRESSING = "progressing"
 FOLLOW_ARRIVED = "arrived"
@@ -72,28 +67,16 @@ class WorldMap:
 @dataclass(frozen=True)
 class RobotPose:
     pos: Cell
-    heading: str = "N"
 
 
 @dataclass(frozen=True)
 class CueReading:
     ir_detected: bool = False
-    ir_bearing: str | None = None
     track_detected: bool = False
-    nearest_track: Cell | None = None
 
 
 def _dist(a: Cell, b: Cell) -> float:
     return math.dist(a, b)
-
-
-def _bearing(src: Cell, dst: Cell) -> str:
-    """Compass direction of the dominant axis from src to dst."""
-    dx = dst[0] - src[0]
-    dy = dst[1] - src[1]
-    if abs(dy) >= abs(dx):
-        return "N" if dy < 0 else "S"
-    return "E" if dx > 0 else "W"
 
 
 def intensity_at(world: WorldMap, pos: Cell) -> float:
@@ -136,35 +119,29 @@ def detect_station_cues(world: WorldMap, pose: RobotPose, gain: float) -> CueRea
     st = world.station
     if st is None:
         return CueReading()
-    ir_detected = _dist(pose.pos, st.pos) <= st.ir_radius * gain
-    bearing = _bearing(pose.pos, st.pos) if ir_detected else None
-    nearest = None
     track_detected = False
     cells = st.track_cells()
     if cells:
         nearest = min(cells, key=lambda c: (_dist(pose.pos, c), c))
         track_detected = _dist(pose.pos, nearest) <= 1.0 * gain
     return CueReading(
-        ir_detected=ir_detected,
-        ir_bearing=bearing,
+        ir_detected=_dist(pose.pos, st.pos) <= st.ir_radius * gain,
         track_detected=track_detected,
-        nearest_track=nearest if track_detected else None,
     )
 
 
-def _greedy_step(world: WorldMap, pos: Cell, goal: Cell) -> tuple[Cell, str]:
+def _greedy_step(world: WorldMap, pos: Cell, goal: Cell) -> Cell:
     """One 4-neighbour step strictly reducing distance to `goal` (N,E,S,W ties)."""
     best = pos
     best_d = _dist(pos, goal)
-    heading = "N"
-    for name, (dx, dy) in _STEPS:
+    for dx, dy in _STEPS:
         nxt = (pos[0] + dx, pos[1] + dy)
         if not world.in_grid(nxt):
             continue
         d = _dist(nxt, goal)
         if d < best_d:
-            best, best_d, heading = nxt, d, name
-    return best, heading
+            best, best_d = nxt, d
+    return best
 
 
 def step_follow(
@@ -184,7 +161,7 @@ def step_follow(
         return pose, FOLLOW_ARRIVED
 
     if cue == CUE_IR:
-        nxt, heading = _greedy_step(world, pose.pos, st.pos)
+        nxt = _greedy_step(world, pose.pos, st.pos)
     elif cue == CUE_TRACK:
         if pose.pos in st.track:
             idx = st.track.index(pose.pos)
@@ -194,11 +171,11 @@ def step_follow(
             if not cells:
                 return pose, FOLLOW_LOST
             target = min(cells, key=lambda c: (_dist(pose.pos, c), c))
-        nxt, heading = _greedy_step(world, pose.pos, target)
+        nxt = _greedy_step(world, pose.pos, target)
     else:
         raise ValueError(f"unknown cue {cue!r}")
 
-    new_pose = RobotPose(pos=nxt, heading=heading)
+    new_pose = RobotPose(pos=nxt)
     if nxt == st.pos:
         return new_pose, FOLLOW_ARRIVED
     after = detect_station_cues(world, new_pose, gain)
@@ -210,14 +187,13 @@ def step_seek_intensity(world: WorldMap, pose: RobotPose) -> RobotPose:
     """Climb the beacon field one cell, or stay put at a local maximum."""
     best_pos = pose.pos
     best_i = intensity_at(world, pose.pos)
-    heading = pose.heading
-    for name, (dx, dy) in _STEPS:
+    for dx, dy in _STEPS:
         nxt = (pose.pos[0] + dx, pose.pos[1] + dy)
         if not world.in_grid(nxt):
             continue
         i = intensity_at(world, nxt)
         if i > best_i:
-            best_pos, best_i, heading = nxt, i, name
+            best_pos, best_i = nxt, i
     if best_pos == pose.pos:
         return pose
-    return RobotPose(pos=best_pos, heading=heading)
+    return RobotPose(pos=best_pos)

@@ -93,13 +93,13 @@ class TestDischarge:
 
 class TestCharge:
     def test_station_charges_battery_only(self):
-        out = apply_charge(state(battery=50.0, capacitor=5.0), SOURCE_STATION, 5.0, dt=2)
+        out = apply_charge(state(battery=50.0, capacitor=5.0), SOURCE_STATION, 10.0)
         assert out.battery == 60.0
         assert out.capacitor == 5.0
         assert out.charging_source == SOURCE_STATION
 
     def test_wireless_tops_up_capacitor_once_battery_full(self):
-        out = apply_charge(state(battery=100.0, capacitor=5.0), SOURCE_WIRELESS, 2.0, dt=1)
+        out = apply_charge(state(battery=100.0, capacitor=5.0), SOURCE_WIRELESS, 2.0)
         assert out.battery == 100.0
         assert out.capacitor == 7.0
 
@@ -140,8 +140,8 @@ class TestReadingsAndMoods:
         assert mood_of(s, Thresholds()) == MOOD_DEAD
 
     def test_gain_is_linear_with_floor(self):
-        assert sensor_gain(state(battery=100.0)) == 1.0
-        assert sensor_gain(state(battery=50.0)) == 0.5
+        assert sensor_gain(state(battery=100.0), gain_min=0.2) == 1.0
+        assert sensor_gain(state(battery=50.0), gain_min=0.2) == 0.5
         assert sensor_gain(state(battery=5.0), gain_min=0.2) == 0.2
 
 

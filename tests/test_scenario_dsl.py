@@ -185,6 +185,13 @@ KEY_ERRORS = {
     "track_not_at_station": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.track = 4 4 4 5  # <-\n",
     "track_not_adjacent": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.track = 1 3 1 1  # <-\n",
     "gap_off_track": "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.track = 1 2 1 1\ntrack.gap = 2 2  # <-\n",
+    # rejected by the energy profile itself, after every key was read
+    "battery_capacity_positive": "[energy]\nrate.idle = 0.1\nbattery_capacity = 0  # <-\n",
+    "capacitor_capacity_nonneg": "[energy]\nrate.idle = 0.1\ncapacitor_capacity = -1  # <-\n",
+    "battery_initial_range": "[energy]\nbattery_capacity = 50\nbattery_initial = 60  # <-\n",
+    "capacitor_initial_range": "[energy]\nrate.idle = 0.1\ncapacitor_initial = 11  # <-\n",
+    "gain_min_range": "[energy]\nrate.idle = 0.1\ngain_min = 2  # <-\n",
+    "threshold_order": "[energy]\nrate.idle = 0.1\nthreshold.low = 0.1  # <-\nthreshold.lower = 0.2\n",
 }
 
 
@@ -196,6 +203,44 @@ class TestKeyErrors:
         _, diags = parse_scenario_checked(text)
         assert errors(diags), "accepted"
         assert {d.line for d in errors(diags)} == {line}, diags
+
+
+# Each case is text in which the line marked `# <-` must carry the message.
+STRUCTURE_ERRORS = {
+    "bad_initial": (MINIMAL + "initial a  # <-\n", "bad initial statement 'initial a'"),
+    "bad_state": (MINIMAL + "state -> a  # <-\n", "bad state statement 'state -> a'"),
+    "bad_submachine": (MINIMAL + "submachine s inner  # <-\n",
+                       "bad submachine statement 'submachine s inner'"),
+    "bad_choice": (MINIMAL + "choice c a b  # <-\n", "bad choice statement 'choice c a b'"),
+    "bad_exit": (MINIMAL + "exit done success  # <-\n", "bad exit statement 'exit done success'"),
+    "bad_final": (MINIMAL + "final 1x  # <-\n", "bad final statement 'final 1x'"),
+    "unknown_statement": (MINIMAL + "goto a  # <-\n", "unknown statement 'goto'"),
+    "multiple_initials": (MINIMAL + "initial -> b  # <-\n", "machine 'top' has multiple initials"),
+    "no_initial": ("[machine top entry]  # <-\nstate a\n", "machine 'top' has no initial"),
+    "reserved_word": (MINIMAL + "state on  # <-\n", "reserved word 'on' used as a name"),
+    "bad_identifier": (MINIMAL + "choice c : a | b-c  # <-\n", "bad identifier 'b-c'"),
+    "bad_arm": (MINIMAL + "state b -> a when go  # <-\n", "bad transition arm 'a when go'"),
+    "outside_section": ("state x  # <-\n" + MINIMAL, "statement outside any section"),
+    "bad_header": (MINIMAL + "[physics]  # <-\n", "bad section header '[physics]'"),
+    "duplicate_section": (MINIMAL + "[world]\ngrid = 8 8\n[world]  # <-\n",
+                          "duplicate [world] section"),
+    "duplicate_key": (MINIMAL + "[world]\ngrid = 8 8\ngrid = 4 4  # <-\n", "duplicate key 'grid'"),
+    "bad_weight_line": (MINIMAL + "[weights]\nnode = 0.5 0.5  # <-\n",
+                        "bad weight line 'node = 0.5 0.5'"),
+    "weight_arity": (MINIMAL + "[weights]\nn.o = 0.5  # <-\n",
+                     "weight line needs exactly two numbers"),
+    "duplicate_weight": (MINIMAL + "[weights]\nn.o = 0.5 0.5\nn.o = 0.1 0.1  # <-\n",
+                         "duplicate weight entry n.o"),
+}
+
+
+class TestStructureErrors:
+    @pytest.mark.parametrize("case", sorted(STRUCTURE_ERRORS))
+    def test_message_at_the_marked_line(self, case):
+        text, message = STRUCTURE_ERRORS[case]
+        line = next(n for n, t in enumerate(text.splitlines(), start=1) if "# <-" in t)
+        _, diags = parse_scenario_checked(text)
+        assert [d.line for d in errors(diags) if d.message == message] == [line], diags
 
 
 class TestSerialize:

@@ -12,7 +12,6 @@ from foragesim.sim import (
     OUTCOME_SURVIVED,
     SimConfig,
     TraceEvent,
-    apply_death_consequence,
     run_episode,
     run_monte_carlo,
     trace_lines,
@@ -176,7 +175,7 @@ class TestEpisode:
         for pos in ((12, 6), (10, 6), (6, 6), (0, 0)):
             episode.pose = RobotPose(pos)
             expected = intensity_at(scenario.world, pos) >= i_min
-            assert episode.ctx.guard("isSignalSufficient") == expected
+            assert episode.guard("isSignalSufficient") == expected
 
     def test_degenerate_entry_machine_just_idles_to_death(self):
         text = (
@@ -196,12 +195,6 @@ class TestDeathConsequence:
         result, _ = run_episode(cfg)
         assert result.outcome == OUTCOME_DIED
         assert result.final_weights == {}
-
-    def test_volatile_consequence_returns_empty_table(self):
-        table = WeightTable({("n", "a"): (0.8, 0.1)})
-        out = apply_death_consequence(table, MEMORY_VOLATILE)
-        assert out.entries == {}
-        assert table.entries  # the original object is simply abandoned
 
     def test_nonvolatile_death_persists_weights(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -225,9 +218,12 @@ class TestDeathConsequence:
 
     def test_nonvolatile_unwritable_path_surfaces_error(self, tmp_path):
         table = WeightTable({("n", "a"): (0.5, 0.5)})
-        bad = tmp_path / "missing_dir" / "w.csv"
+        cfg = SimConfig(
+            scenario=no_source_scenario(), seed=0, max_steps=400,
+            memory_mode=MEMORY_NONVOLATILE, weights_path=tmp_path / "missing_dir" / "w.csv",
+        )
         with pytest.raises(OSError):
-            apply_death_consequence(table, MEMORY_NONVOLATILE, bad)
+            run_episode(cfg, table=table)
         assert table.get("n", "a").w_pos == 0.5
 
 
@@ -275,6 +271,22 @@ class TestMonteCarlo:
         assert stats.results[0].first_choices["seek"] == "find_station"
         assert stats.results[1].first_choices["seek"] == "find_wireless_power"
         assert stats.results[1].outcome == OUTCOME_SURVIVED
+
+    def test_lives_reloaded_from_csv_match_lives_threaded_in_memory(self, builtin_name, tmp_path):
+        # the CSV keeps nine decimals; reloading it before each life must not
+        # change any life against the table threaded in memory
+        def config(path, seed=0):
+            return SimConfig(
+                scenario=builtin_scenario(builtin_name), seed=seed, max_steps=1500,
+                memory_mode=MEMORY_NONVOLATILE, weights_path=path,
+            )
+
+        def facts(r):
+            return r.outcome, r.lifetime, r.choices_made, r.first_choices, r.recharges
+
+        threaded = run_monte_carlo(config(tmp_path / "mc.csv"), 10).results
+        reloaded = [run_episode(config(tmp_path / "lives.csv", seed))[0] for seed in range(10)]
+        assert [facts(r) for r in reloaded] == [facts(r) for r in threaded]
 
     def test_volatile_lives_do_not_learn(self):
         cfg = SimConfig(scenario=builtin_scenario("learning_lab"), seed=1, max_steps=300)
