@@ -10,7 +10,7 @@ events with re-arm hysteresis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 SOURCE_NONE = "none"
 SOURCE_STATION = "station"
@@ -130,13 +130,20 @@ class EnergyProfile:
 
 
 def tick_discharge(state: EnergyState, active: set[str], profile: DischargeProfile) -> EnergyState:
-    """Drain one tick of activity: battery first, then the capacitor, floored at 0."""
+    """Drain one tick of activity: battery first, then the capacitor, floored at 0.
+
+    The returned state is not charging; `apply_charge` sets a source for the
+    ticks that charge.
+    """
     drain = profile.drain_for(active)
     from_battery = min(state.battery, drain)
     remainder = drain - from_battery
-    new_battery = state.battery - from_battery
-    new_capacitor = max(0.0, state.capacitor - remainder)
-    return replace(state, battery=new_battery, capacitor=new_capacitor)
+    return EnergyState(
+        state.battery - from_battery,
+        state.battery_capacity,
+        max(0.0, state.capacitor - remainder),
+        state.capacitor_capacity,
+    )
 
 
 def apply_charge(state: EnergyState, source: str, power: float) -> EnergyState:
@@ -157,11 +164,8 @@ def apply_charge(state: EnergyState, source: str, power: float) -> EnergyState:
     if source == SOURCE_WIRELESS:
         spill = power - to_battery
         new_capacitor = min(state.capacitor_capacity, state.capacitor + spill)
-    return replace(
-        state,
-        battery=new_battery,
-        capacitor=new_capacitor,
-        charging_source=source,
+    return EnergyState(
+        new_battery, state.battery_capacity, new_capacitor, state.capacitor_capacity, source
     )
 
 

@@ -315,7 +315,7 @@ _KV_RE = re.compile(
 _INITIAL_RE = re.compile(r"^->\s*([A-Za-z_][A-Za-z0-9_]*)$")
 _STATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:->\s*(.+))?$")
 _CHOICE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+)$")
-_FINAL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)$")
+_FINAL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)$")
 _SUBMACHINE_RE = re.compile(
     r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*(.+)$"
 )
@@ -525,8 +525,7 @@ def _parse_machine_stmt(
             diags.append(_error(lineno, f"bad final statement {line!r}"))
             return
         name = m.group(1)
-        if name in _RESERVED_WORDS:
-            diags.append(_error(lineno, f"reserved word {name!r} used as a name"))
+        if not _check_ident(name, lineno, diags):
             return
         builder.states.append(StateDef(name=name, kind=KIND_FINAL, line=lineno))
         return

@@ -202,10 +202,11 @@ class _Episode:
 
     `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`;
     the last two note what they did, and `_dispatch` turns the notes into
-    trace rows once the run to completion is over.
+    trace rows once the run to completion is over. Rows are built only when
+    the life has a `trace` list to append them to.
     """
 
-    def __init__(self, cfg: SimConfig, table: WeightTable):
+    def __init__(self, cfg: SimConfig, table: WeightTable, trace: list[TraceEvent] | None):
         self.cfg = cfg
         self.scenario = cfg.scenario
         self.world = cfg.scenario.world
@@ -218,7 +219,7 @@ class _Episode:
         self.vocabulary = self.scenario.event_vocabulary()
         self.watcher = ThresholdWatcher(self.profile.thresholds)
         self.queue: deque[str] = deque()
-        self.trace: list[TraceEvent] = []
+        self.trace = trace
         self.choices_made: Counter = Counter()
         self.first_choices: dict[str, str] = {}
         self.recharges = {SOURCE_STATION: 0, SOURCE_WIRELESS: 0}
@@ -269,11 +270,17 @@ class _Episode:
                 self.queue.append(event)
 
     def _dispatch(self, event: str) -> None:
-        """Dispatch one event and append its rows: transitions in firing order
-        (a choice row carries the weights it consulted), then the outcomes."""
         self.consulted.clear()
         self.outcomes.clear()
         records = dispatch(self.instance, event, self)
+        if self.trace is not None:
+            self._trace_dispatch(records)
+        if self.instance.status != STATUS_RUNNING:
+            self.instance = start_instance(self.scenario)
+
+    def _trace_dispatch(self, records) -> None:
+        """Append one dispatch's rows: transitions in firing order (a choice
+        row carries the weights it consulted), then the outcomes."""
         consulted = iter(self.consulted)
         for rec in records:
             if rec.note is not None:
@@ -298,8 +305,6 @@ class _Episode:
                 w_pos_before=before.w_pos, w_pos_after=after.w_pos,
                 w_neg_before=before.w_neg, w_neg_after=after.w_neg,
             ))
-        if self.instance.status != STATUS_RUNNING:
-            self.instance = start_instance(self.scenario)
 
     def _charging_source(self) -> str:
         leaf = self.instance.leaf_state_name()
@@ -342,8 +347,6 @@ class _Episode:
             elif source == SOURCE_WIRELESS:
                 power = coupling_efficiency(self.world, self.pose.pos) * self.world.beacon.tx_power
                 self.energy = apply_charge(self.energy, SOURCE_WIRELESS, power)
-            else:
-                self.energy = replace(self.energy, charging_source=SOURCE_NONE)
 
             self._enqueue(self.watcher.update(self.energy))
             if source != SOURCE_NONE:
@@ -361,17 +364,18 @@ class _Episode:
                 self.charge_ticks = 0
                 self.wait_sent = False
 
-            self.trace.append(
-                TraceEvent(
-                    step=step,
-                    state="/".join(self.instance.active_path()),
-                    battery=self.energy.battery,
-                    capacitor=self.energy.capacitor,
-                    mood=mood_of(self.energy, self.profile.thresholds),
-                    x=self.pose.pos[0],
-                    y=self.pose.pos[1],
+            if self.trace is not None:
+                self.trace.append(
+                    TraceEvent(
+                        step=step,
+                        state="/".join(self.instance.active_path()),
+                        battery=self.energy.battery,
+                        capacitor=self.energy.capacitor,
+                        mood=mood_of(self.energy, self.profile.thresholds),
+                        x=self.pose.pos[0],
+                        y=self.pose.pos[1],
+                    )
                 )
-            )
             if self.energy.depleted:
                 death_step = step
                 break
@@ -402,6 +406,19 @@ def _initial_table(cfg: SimConfig) -> WeightTable:
     return WeightTable(cfg.scenario.seed_weights)
 
 
+def _live(
+    cfg: SimConfig, table: WeightTable | None, trace: list[TraceEvent] | None
+) -> EpisodeResult:
+    """Run one life, appending its rows to `trace` unless that is None."""
+    episode = _Episode(cfg, _initial_table(cfg) if table is None else table, trace)
+    result = episode.run()
+    if cfg.memory_mode == MEMORY_NONVOLATILE:
+        save_weights(episode.table, cfg.weights_path)
+    elif result.outcome == OUTCOME_DIED:
+        result.final_weights = {}
+    return result
+
+
 def run_episode(
     cfg: SimConfig, table: WeightTable | None = None
 ) -> tuple[EpisodeResult, list[TraceEvent]]:
@@ -413,13 +430,8 @@ def run_episode(
     life, death or not; a volatile death erases it, so the result reports no
     final weights.
     """
-    episode = _Episode(cfg, _initial_table(cfg) if table is None else table)
-    result = episode.run()
-    if cfg.memory_mode == MEMORY_NONVOLATILE:
-        save_weights(episode.table, cfg.weights_path)
-    elif result.outcome == OUTCOME_DIED:
-        result.final_weights = {}
-    return result, episode.trace
+    trace: list[TraceEvent] = []
+    return _live(cfg, table, trace), trace
 
 
 def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
@@ -427,7 +439,7 @@ def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
 
     In nonvolatile mode the weight table threads through the whole batch
     (learning across lives); volatile lives each start from the scenario
-    seeds again.
+    seeds again. No trace is kept: a life builds no rows.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -436,9 +448,7 @@ def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
     if cfg.memory_mode == MEMORY_NONVOLATILE:
         table = _initial_table(cfg)
     for i in range(episodes):
-        epi_cfg = replace(cfg, seed=cfg.seed + i)
-        result, _ = run_episode(epi_cfg, table=table)
-        results.append(result)
+        results.append(_live(replace(cfg, seed=cfg.seed + i), table, None))
     survived = sum(1 for r in results if r.outcome == OUTCOME_SURVIVED)
     pooled: Counter = Counter()
     for r in results:

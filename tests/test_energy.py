@@ -12,6 +12,7 @@ from foragesim.energy import (
     MOOD_DISTRESSED,
     MOOD_NORMAL,
     MOOD_SEEKING,
+    SOURCE_NONE,
     SOURCE_STATION,
     SOURCE_WIRELESS,
     DischargeProfile,
@@ -58,8 +59,14 @@ class TestDischarge:
         assert out.battery == pytest.approx(99.4)  # idle + move
 
     def test_unknown_activity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unknown activities: \['warp'\]"):
             tick_discharge(state(), {"warp"}, RATES)
+
+    @pytest.mark.parametrize("source", [SOURCE_STATION, SOURCE_WIRELESS])
+    def test_discharge_clears_the_charging_source(self, source):
+        out = tick_discharge(state(battery=50.0, source=source), {"idle"}, RATES)
+        assert out.charging_source == SOURCE_NONE
+        assert out.battery == pytest.approx(49.9)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -112,6 +119,13 @@ class TestCharge:
         out = apply_charge(state(battery=99.0, capacitor=5.0), SOURCE_STATION, 5.0)
         assert out.battery == 100.0
         assert out.capacitor == 5.0
+
+    def test_charge_returns_a_new_state(self):
+        before = state(battery=50.0, capacitor=5.0)
+        out = apply_charge(before, SOURCE_WIRELESS, 60.0)
+        assert out is not before
+        assert (out.battery, out.capacitor, out.charging_source) == (100.0, 10.0, SOURCE_WIRELESS)
+        assert before == state(battery=50.0, capacitor=5.0)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

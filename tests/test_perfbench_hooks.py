@@ -1,0 +1,45 @@
+"""The per-layer benchmark's call-site spans still fit the simulator.
+
+`perfbench/spans.py` rebinds names in `foragesim.sim`; a refactor that drops
+or stops calling one of them breaks `perfbench/run.py --trace 1`. This test
+installs the spans as the benchmark does, without editing anything under
+`perfbench/`, and checks the counts the per-layer metrics are built from.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from foragesim import energy, sim
+from foragesim.scenarios import builtin_scenario
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    return spans
+
+
+def test_spans_count_ticks_and_trace_rows(spans):
+    original_trace_event = sim.TraceEvent
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        cfg = sim.SimConfig(scenario=builtin_scenario("station_only"), seed=0, max_steps=200)
+        stats = sim.run_monte_carlo(cfg, 2)
+        mc_ticks = sum(r.lifetime for r in stats.results)
+        assert mc_ticks > 0
+        assert tracer.calls["sim.trace_build"] == 0
+        assert tracer.calls["energy.discharge"] == mc_ticks
+
+        result, trace = sim.run_episode(cfg)
+        assert tracer.calls["sim.trace_build"] == len(trace) > 0
+        assert tracer.calls["energy.discharge"] == mc_ticks + result.lifetime
+    finally:
+        tracer.restore()
+    assert sim.TraceEvent is original_trace_event
+    assert sim.tick_discharge is energy.tick_discharge

@@ -146,6 +146,13 @@ class TestValidate:
             (9, "weight nowhere.a: 'nowhere' is not a choice node"),
         ]
 
+    def test_final_name_may_start_with_underscore(self):
+        text = "[machine top entry]\ninitial -> a\nstate a -> _done on go\nfinal _done\n"
+        scenario, diags = parse_scenario_checked(text)
+        assert diags == []
+        assert scenario.machine("top").state("_done").kind == "final"
+        assert parse_scenario(serialize_scenario(scenario)) == scenario
+
     def test_entry_machine_may_be_endless(self):
         # a machine with no exit and no final is a legal life loop
         scenario, diags = parse_scenario_checked(MINIMAL)
@@ -218,6 +225,7 @@ STRUCTURE_ERRORS = {
     "multiple_initials": (MINIMAL + "initial -> b  # <-\n", "machine 'top' has multiple initials"),
     "no_initial": ("[machine top entry]  # <-\nstate a\n", "machine 'top' has no initial"),
     "reserved_word": (MINIMAL + "state on  # <-\n", "reserved word 'on' used as a name"),
+    "reserved_final": (MINIMAL + "final on  # <-\n", "reserved word 'on' used as a name"),
     "bad_identifier": (MINIMAL + "choice c : a | b-c  # <-\n", "bad identifier 'b-c'"),
     "bad_arm": (MINIMAL + "state b -> a when go  # <-\n", "bad transition arm 'a when go'"),
     "outside_section": ("state x  # <-\n" + MINIMAL, "statement outside any section"),

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from foragesim import sim
 from foragesim.scenario import parse_scenario
-from foragesim.scenarios import builtin_scenario, builtin_scenario_text
+from foragesim.scenarios import BUILTIN_NAMES, builtin_scenario, builtin_scenario_text
 from foragesim.sim import (
     MEMORY_NONVOLATILE,
     MEMORY_VOLATILE,
@@ -170,7 +172,7 @@ class TestEpisode:
         from foragesim.world import RobotPose, intensity_at
 
         scenario = builtin_scenario("wireless_only")
-        episode = _Episode(SimConfig(scenario=scenario, seed=0, max_steps=10), WeightTable())
+        episode = _Episode(SimConfig(scenario=scenario, seed=0, max_steps=10), WeightTable(), None)
         i_min = scenario.world.beacon.i_min
         for pos in ((12, 6), (10, 6), (6, 6), (0, 0)):
             episode.pose = RobotPose(pos)
@@ -308,6 +310,64 @@ class TestMonteCarlo:
         assert lines[0] == "episode,outcome,lifetime,recharges_station,recharges_wireless"
         assert len(lines) == 4
         assert lines[1] == "1,died,220,0,0"
+
+
+TIED_DUAL_SOURCE = (
+    builtin_scenario_text("dual_source")
+    .replace("seek.find_wireless_power = 0.8 0.2", "seek.find_wireless_power = 0.5 0.5")
+    .replace("seek.find_station = 0.2 0.3", "seek.find_station = 0.5 0.5")
+    .replace("discover.poll_power_beacon = 0.75 0.4", "discover.poll_power_beacon = 0.5 0.5")
+    .replace("discover.engage_resonance = 0.8 0.7", "discover.engage_resonance = 0.5 0.5")
+)
+
+DIFFERENTIAL_SCENARIOS = {
+    **{name: (lambda name=name: builtin_scenario(name)) for name in BUILTIN_NAMES},
+    "dual_source_tied": lambda: parse_scenario(TIED_DUAL_SOURCE, name="dual_source_tied"),
+}
+
+
+class TestUntracedLives:
+    """`run_monte_carlo` keeps no trace; each of its lives must equal the
+    traced `run_episode` of the same seed, result for result."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
+    def test_volatile_lives_equal_traced_lives(self, name):
+        cfg = SimConfig(scenario=DIFFERENTIAL_SCENARIOS[name](), seed=3, max_steps=1500)
+        untraced = run_monte_carlo(cfg, 5).results
+        traced = [run_episode(replace(cfg, seed=cfg.seed + i))[0] for i in range(5)]
+        assert untraced == traced
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
+    def test_nonvolatile_lives_equal_traced_lives(self, name, tmp_path):
+        scenario = DIFFERENTIAL_SCENARIOS[name]()
+
+        def config(path, seed=3):
+            return SimConfig(scenario=scenario, seed=seed, max_steps=1500,
+                             memory_mode=MEMORY_NONVOLATILE, weights_path=path)
+
+        untraced = run_monte_carlo(config(tmp_path / "mc.csv"), 5).results
+        table = WeightTable(scenario.seed_weights)
+        traced = [run_episode(config(tmp_path / "traced.csv", 3 + i), table=table)[0]
+                  for i in range(5)]
+        assert untraced == traced
+
+    def test_tied_weights_reach_the_rng(self):
+        # without a draw every life would make the same first choices
+        cfg = SimConfig(scenario=DIFFERENTIAL_SCENARIOS["dual_source_tied"](), seed=3,
+                        max_steps=1500)
+        firsts = {tuple(sorted(r.first_choices.items())) for r in run_monte_carlo(cfg, 5).results}
+        assert len(firsts) > 1
+
+    def test_monte_carlo_builds_no_trace_rows(self, monkeypatch):
+        def refuse(**fields):
+            raise AssertionError("run_monte_carlo built a trace row")
+
+        monkeypatch.setattr(sim, "TraceEvent", refuse)
+        cfg = SimConfig(scenario=builtin_scenario("dual_source"), seed=0, max_steps=1500)
+        stats = run_monte_carlo(cfg, 2)
+        assert stats.episodes == 2
+        with pytest.raises(AssertionError):
+            run_episode(cfg)
 
 
 class TestConfig:
