@@ -794,6 +794,8 @@ def _validate(
         if colors.get(m.name, 0) == 0:
             visit(m.name, [])
 
+    _check_auto_cycles(machines, by_name, diags)
+
     for m in machines:
         if not m.is_entry and m.name not in referenced:
             diags.append(_warning(m.line, f"machine '{m.name}' is never used"))
@@ -810,6 +812,121 @@ def _validate(
             )
 
     return diags
+
+
+def _check_auto_cycles(
+    machines: tuple[MachineDef, ...], by_name: dict[str, MachineDef], diags: list[Diagnostic]
+) -> None:
+    """Report cycles among the moves a run-to-completion drain makes without
+    an event: `auto` arms, choice options, and a sub-machine that crosses an
+    exit as soon as it is entered, into the composite's arm for that exit.
+
+    A move is certain when it is a state's first `auto` arm and unguarded, or
+    the first arm for an exit its sub-machine always crosses at once, and
+    unguarded. A cycle of certain moves never settles; any other cycle
+    settles only if a guard or a choice breaks it. Each is a warning at the
+    line of the cycle's first arm; a drain that does turn forever raises
+    `MachineStuckError` when the scenario runs.
+    """
+    graphs: dict[str, dict[str, list[tuple[str, int, bool]]]] = {}
+    summaries: dict[str, tuple[set[str], str | None]] = {}
+
+    def graph(m: MachineDef) -> dict[str, list[tuple[str, int, bool]]]:
+        """Each state that has moves -> its moves (target, line, certain); a
+        target is a state, a final or `exit.X`."""
+        moves = graphs.get(m.name)
+        if moves is None:
+            moves = graphs[m.name] = {}
+            for st in m.states:
+                if st.kind == KIND_CHOICE:
+                    moves[st.name] = [(o, st.line, False) for o in st.options]
+                elif st.kind == KIND_COMPOSITE:
+                    crossed, certain_exit = summary(st.machine)
+                    if crossed:
+                        firsts: dict[str, TransitionDef] = {}
+                        moves[st.name] = [
+                            (tr.target, tr.line, tr.event == certain_exit
+                             and firsts.setdefault(tr.event, tr) is tr and tr.guard is None)
+                            for tr in st.transitions if tr.event in crossed
+                        ]
+                else:
+                    for tr in st.transitions:
+                        if tr.event == RESERVED_EVENT:
+                            autos = moves.setdefault(st.name, [])
+                            autos.append((tr.target, tr.line, not autos and tr.guard is None))
+        return moves
+
+    def certain_move(moves, state: str) -> str | None:
+        return next((t for t, _, certain in moves.get(state, ()) if certain), None)
+
+    def summary(name: str) -> tuple[set[str], str | None]:
+        """Exits machine `name` may cross at once from its initial, and the one it always crosses."""
+        if name not in summaries:
+            summaries[name] = (set(), None)  # stands in while a composition cycle recurses
+            m = by_name.get(name)
+            moves = {} if m is None else graph(m)
+            if any(t.startswith(EXIT_PREFIX) for ms in moves.values() for t, _, _ in ms):
+                crossed: set[str] = set()
+                seen, frontier = {m.initial}, [m.initial]
+                while frontier:
+                    for target, _, _ in moves.get(frontier.pop(), ()):
+                        if target.startswith(EXIT_PREFIX):
+                            crossed.add(target[len(EXIT_PREFIX):])
+                        elif target not in seen:
+                            seen.add(target)
+                            frontier.append(target)
+                certain_exit, state, walked = None, m.initial, set()
+                while state in moves and state not in walked:
+                    walked.add(state)
+                    state = certain_move(moves, state)
+                    if state is not None and state.startswith(EXIT_PREFIX):
+                        certain_exit = state[len(EXIT_PREFIX):]
+                summaries[name] = (crossed, certain_exit)
+        return summaries[name]
+
+    for m in machines:
+        moves = graph(m)
+        # a cycle needs a move back to a state declared no later than its own
+        order = {state: i for i, state in enumerate(moves)}
+        if all(order.get(t, i + 1) > i for i, ms in enumerate(moves.values()) for t, _, _ in ms):
+            continue
+
+        never_settles: set[str] = set()
+        done: set[str] = set()
+        for start in moves:
+            path: list[str] = []
+            state = start
+            while state in moves and state not in done and state not in path:
+                path.append(state)
+                state = certain_move(moves, state)
+            done.update(path)
+            if state in path:
+                cycle = path[path.index(state):]
+                never_settles.update(cycle)
+                line = min(ln for s in cycle for t, ln, certain in moves[s] if certain)
+                names = " -> ".join(cycle + [cycle[0]])
+                diags.append(_warning(line, f"unguarded auto cycle {names} never settles"))
+
+        reach: dict[str, set[str]] = {}
+        for start in moves:
+            seen, frontier = set(), [start]
+            while frontier:
+                for target, _, _ in moves[frontier.pop()]:
+                    if target in moves and target not in seen:
+                        seen.add(target)
+                        frontier.append(target)
+            reach[start] = seen
+        warned: set[str] = set()
+        for state in moves:
+            if state in warned or state not in reach[state]:
+                continue
+            loop = [s for s in moves if s in reach[state] and state in reach[s]]
+            warned.update(loop)
+            if never_settles.isdisjoint(loop):
+                line = min(ln for s in loop for t, ln, _ in moves[s] if t in loop)
+                diags.append(
+                    _warning(line, f"auto cycle through {', '.join(loop)} may never settle")
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,23 @@ charge-timer events for the next tick. The loop stops at the step horizon or
 when battery and capacitor are both flat. Everything downstream of the seed
 is deterministic, so identical configurations always produce byte-identical
 traces.
+
+Most of a life is spent waiting for hunger in a leaf with no behaviour, so
+the loop advances to the next event. A tick is quiet when, at its end, no
+event is queued, the leaf has no behaviour and no charging source, and the
+machine is quiescent (`MachineInstance.quiescent`: no pending choice and no
+`auto` arm enabled under the current guards). Each following tick then only
+drains idle power, and the loop runs it as that subtraction alone, with the
+same float operations as `tick_discharge`, so every level is bitwise equal.
+The advance stops before the first tick that would flip `powerLow` or
+`powerLower`, empty both stores, or be the last; that tick runs in full, so
+threshold events, death and the horizon each keep one code path. This is
+exact because guards are positive only and none can turn true inside the
+stretch: `isSignalSufficient` depends on the pose, which does not move;
+`batteryFull` can only turn false while the battery drains; the two hunger
+guards flip only where the stretch stops. The threshold watcher cannot
+re-arm while the battery falls, and the state path, pose and mood stay
+constant, so a traced life still gets one summary row per tick.
 """
 
 from __future__ import annotations
@@ -319,9 +336,12 @@ class _Episode:
 
     def run(self) -> EpisodeResult:
         self._enqueue(self.watcher.update(self.energy))
+        max_steps = self.cfg.max_steps
         death_step: int | None = None
+        step = 0
 
-        for step in range(1, self.cfg.max_steps + 1):
+        while step < max_steps:
+            step += 1
             self.step = step
             self.choice_fired = False
 
@@ -379,6 +399,46 @@ class _Episode:
             if self.energy.depleted:
                 death_step = step
                 break
+            if (
+                source != SOURCE_NONE
+                or self.queue
+                or self.instance.leaf_state_name() in BEHAVIORS
+                or not self.instance.quiescent(self)
+            ):
+                continue
+
+            # A quiet tick. Until the next event each tick only drains idle
+            # power: advance through those ticks with tick_discharge's float
+            # operations, and leave the tick that flips a hunger predicate,
+            # empties both stores or is the last one to the loop above.
+            energy, trace = self.energy, self.trace
+            capacity, battery, capacitor = energy.battery_capacity, energy.battery, energy.capacitor
+            low_frac, lower_frac = self.profile.thresholds.low_frac, self.profile.thresholds.lower_frac
+            low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
+            drain = self.profile.rates.drain_for(set())
+            if trace is not None:
+                # path, pose and mood (a function of the two predicates here)
+                # hold for the whole stretch
+                state = "/".join(self.instance.active_path())
+                mood = mood_of(energy, self.profile.thresholds)
+                x, y = self.pose.pos
+            while step + 1 < max_steps:
+                taken = min(battery, drain)
+                b = battery - taken
+                c = max(0.0, capacitor - (drain - taken))
+                if (
+                    (b / capacity < low_frac) != low
+                    or (b / capacity < lower_frac) != lower
+                    or (b <= 0.0 and c <= 0.0)
+                ):
+                    break
+                step += 1
+                battery, capacitor = b, c
+                if trace is not None:
+                    trace.append(TraceEvent(
+                        step=step, state=state, battery=b, capacitor=c, mood=mood, x=x, y=y,
+                    ))
+            self.energy = EnergyState(battery, capacity, capacitor, energy.capacitor_capacity)
 
         if death_step is not None:
             outcome = OUTCOME_DIED

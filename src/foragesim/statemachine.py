@@ -128,6 +128,16 @@ class MachineInstance:
     def leaf_state_name(self) -> str | None:
         return self.frames[-1].state if self.frames else None
 
+    def quiescent(self, ctx) -> bool:
+        """True when dispatching `auto` under `ctx` now would fire nothing:
+        the machine runs, no exit event or choice is pending, and no `auto`
+        arm of the innermost state is enabled."""
+        if self.status != STATUS_RUNNING or self.pending_events:
+            return False
+        f = self.frames[-1]
+        st = f.machine.state(f.state)
+        return st is not None and not f.choice_pending and self._enabled(st, AUTO, ctx) is None
+
     # -- construction -------------------------------------------------------
 
     def _start(self) -> None:

@@ -1,8 +1,17 @@
-"""Seeded generator of random valid scenarios for round-trip and fuzz tests.
+"""Seeded generator of random valid scenarios for round-trip, fuzz and
+simulator tests.
 
-Machines reference only later machines, so composition is acyclic; generated
-arms never use `auto`, so the drain loop cannot cycle. Numeric values stick
-to short decimals that the canonical serializer reproduces exactly.
+Machines reference only later machines, so composition is acyclic. Some
+states take the names the simulator binds behaviour and charging to, and
+some arms react to the events the simulator emits, so generated scenarios
+reach the whole tick loop. Arms may be `auto`, guarded or not. A guarded
+`auto` arm may point anywhere, so the drain can cycle while the guard holds
+(`validate` warns). An unguarded one points only forward, to a final or to
+an exit; and where a sub-machine may cross an exit through unguarded `auto`
+arms alone, the composite's arms point only forward too. So no cycle of
+unguarded `auto` arms exists and every scenario validates without errors.
+Numeric values stick to short decimals that the canonical serializer
+reproduces exactly.
 """
 
 import random
@@ -20,16 +29,34 @@ from foragesim.scenario import (
 from foragesim.world import BeaconSpec, StationSpec, WorldMap
 
 _EVENTS = ("go", "stop", "ping", "pong", "done", "fail", "retry")
-_GUARDS = (None, None, None, "powerLow", "batteryFull", "isSignalSufficient")
+# what the simulator feeds the machines: sensing, charging and hunger events
+_SIM_EVENTS = (
+    "located", "lost", "found", "no_signal", "waitTimer_expired", "power_low", "power_lower",
+)
+_SIM_STATES = (
+    "follow_ir_signal", "follow_track_path", "poll_power_beacon", "engage_resonance",
+    "navigate_proximity", "seek_intensity", "recharge", "charge",
+)
+_GUARDS = (None, None, None, "powerLow", "powerLower", "batteryFull", "isSignalSufficient")
 
 
 def _name(rng, prefix, i):
     return f"{prefix}{i}_{rng.randrange(1000)}"
 
 
-def _random_machine(rng, name, is_entry, later_machines):
+def _state_names(rng, n_states):
+    names = []
+    for i in range(n_states):
+        sim_names = [s for s in _SIM_STATES if s not in names]
+        names.append(rng.choice(sim_names) if rng.random() < 0.4 else _name(rng, "s", i))
+    return names
+
+
+def _random_machine(rng, name, is_entry, later_machines, instant_exit):
+    """One machine; `instant_exit` collects the names of machines that may
+    cross an exit through unguarded `auto` arms alone."""
     n_states = rng.randint(1, 5)
-    state_names = [_name(rng, "s", i) for i in range(n_states)]
+    state_names = _state_names(rng, n_states)
     exits = []
     if not is_entry or rng.random() < 0.5:
         n_exits = rng.randint(1, 2)
@@ -42,44 +69,48 @@ def _random_machine(rng, name, is_entry, later_machines):
     if final_name:
         targets.append(final_name)
 
+    exit_targets = [f"exit.{e}" for e, _ in exits]
+    sinks = ([final_name] if final_name else []) + exit_targets
     states = []
-    for sname in state_names:
+    for index, sname in enumerate(state_names):
+        forward = state_names[index + 1:] + sinks
         roll = rng.random()
-        if roll < 0.2 and len(state_names) >= 2:
-            options = rng.sample(state_names, k=min(len(state_names), rng.randint(2, 3)))
+        others = [n for n in state_names if n != sname]
+        if roll < 0.2 and len(others) >= 2:
+            options = rng.sample(others, k=min(len(others), rng.randint(2, 3)))
             states.append(StateDef(name=sname, kind=KIND_CHOICE, options=tuple(options)))
             continue
-        if roll < 0.35 and later_machines:
-            inner = rng.choice(later_machines)
+        inners = [m for m in later_machines if forward or m.name not in instant_exit]
+        if roll < 0.35 and inners:
+            inner = rng.choice(inners)
+            choices = forward if inner.name in instant_exit else targets + exit_targets
             arms = tuple(
-                TransitionDef(
-                    event=exit_name,
-                    target=rng.choice(targets),
-                    guard=None,
-                )
+                TransitionDef(event=exit_name, target=rng.choice(choices), guard=None)
                 for exit_name, _ in inner.exits
             )
+            if inner.name in instant_exit and any(a.target in exit_targets for a in arms):
+                instant_exit.add(name)
             states.append(
                 StateDef(name=sname, kind=KIND_COMPOSITE, machine=inner.name, transitions=arms)
             )
             continue
         arms = []
         for _ in range(rng.randint(0, 3)):
-            target = rng.choice(targets + [f"exit.{e}" for e, _ in exits])
-            arms.append(
-                TransitionDef(
-                    event=rng.choice(_EVENTS),
-                    target=target,
-                    guard=rng.choice(_GUARDS),
-                )
-            )
+            event = rng.choice(_EVENTS + _SIM_EVENTS + ("auto",) * 4)
+            guard = rng.choice(_GUARDS)
+            if event == "auto" and (guard is None or rng.random() < 0.5):
+                if not forward:
+                    continue
+                target = rng.choice(forward)
+                if guard is None and target in exit_targets:
+                    instant_exit.add(name)
+            else:
+                target = rng.choice(targets + exit_targets)
+            arms.append(TransitionDef(event=event, target=target, guard=guard))
         states.append(StateDef(name=sname, transitions=tuple(arms)))
 
     if final_name:
         states.append(StateDef(name=final_name, kind=KIND_FINAL))
-    if not exits and not final_name:
-        # entry machines may be endless, but give some a way out anyway
-        pass
 
     return MachineDef(
         name=name,
@@ -155,10 +186,11 @@ def random_scenario(seed):
     rng = random.Random(seed)
     n_machines = rng.randint(1, 4)
     machines = []
+    instant_exit = set()
     # build from the deepest machine up so composites only reference later names
     for i in reversed(range(1, n_machines)):
-        machines.insert(0, _random_machine(rng, _name(rng, "m", i), False, machines))
-    entry = _random_machine(rng, _name(rng, "top", 0), True, machines)
+        machines.insert(0, _random_machine(rng, _name(rng, "m", i), False, machines, instant_exit))
+    entry = _random_machine(rng, _name(rng, "top", 0), True, machines, instant_exit)
     machines.insert(0, entry)
 
     weights = {}

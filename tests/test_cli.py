@@ -14,6 +14,15 @@ initial -> a
 state a -> foo on go
 """
 
+# validates with a warning (the guard could break the cycle), but the battery
+# starts full, so the two states hand over to each other forever
+GUARDED_AUTO_CYCLE = """
+[machine top entry]
+initial -> a
+state a -> b on auto if batteryFull
+state b -> a on auto if batteryFull
+"""
+
 AUTO_CYCLE = """
 [machine top entry]
 initial -> a
@@ -27,6 +36,13 @@ class TestValidate:
         assert main(["validate", str(dual_source_path)]) == 0
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == ""
+
+    def test_unguarded_auto_cycle_warns_at_its_arm(self, scenario_file, capsys):
+        path = scenario_file(AUTO_CYCLE, "cycle.scn")
+        assert main(["validate", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err.endswith("cycle.scn:4:1: warning: unguarded auto cycle a -> b -> a never settles\n")
+        assert main(["run", str(path), "--steps", "5"]) == 4
 
     def test_bad_reference_exits_one_with_diagnostics(self, scenario_file, capsys):
         path = scenario_file(BROKEN, "broken.scn")
@@ -91,11 +107,12 @@ class TestRun:
 class TestStuckMachine:
     @pytest.mark.parametrize("verb", [["run"], ["mc", "--episodes", "2"]])
     def test_auto_cycle_exits_four_with_step_path_and_event(self, verb, scenario_file, capsys):
-        path = scenario_file(AUTO_CYCLE, "cycle.scn")
+        path = scenario_file(GUARDED_AUTO_CYCLE, "cycle.scn")
         assert main(["validate", str(path)]) == 0
+        assert "cycle.scn:4:1: warning: auto cycle through a, b" in capsys.readouterr().err
         assert main([verb[0], str(path), "--steps", "5", *verb[1:]]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("machine stuck at step 1 in top/a on event 'auto':")
+        assert err.splitlines()[-1].startswith("machine stuck at step 1 in top/a on event 'auto':")
         assert "Traceback" not in err
 
 

@@ -34,11 +34,13 @@ def test_spans_count_ticks_and_trace_rows(spans):
         mc_ticks = sum(r.lifetime for r in stats.results)
         assert mc_ticks > 0
         assert tracer.calls["sim.trace_build"] == 0
-        assert tracer.calls["energy.discharge"] == mc_ticks
+        # quiet ticks advance without tick_discharge; the rest still call it
+        mc_discharges = tracer.calls["energy.discharge"]
+        assert 0 < mc_discharges < mc_ticks
 
         result, trace = sim.run_episode(cfg)
         assert tracer.calls["sim.trace_build"] == len(trace) > 0
-        assert tracer.calls["energy.discharge"] == mc_ticks + result.lifetime
+        assert 0 < tracer.calls["energy.discharge"] - mc_discharges < result.lifetime
     finally:
         tracer.restore()
     assert sim.TraceEvent is original_trace_event

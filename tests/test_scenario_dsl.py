@@ -160,6 +160,73 @@ class TestValidate:
         assert errors(diags) == []
 
 
+# Each case is machine text in which the line marked `# <-` holds the arm at
+# which the cycle's warning must sit, and the warning's message.
+AUTO_CYCLES = {
+    "two_states": (
+        "[machine top entry]\ninitial -> a\nstate a -> b on auto  # <-\nstate b -> a on auto\n",
+        "unguarded auto cycle a -> b -> a never settles",
+    ),
+    "self_loop": (
+        "[machine top entry]\ninitial -> a\nstate a -> a on go, a on auto  # <-\n",
+        "unguarded auto cycle a -> a never settles",
+    ),
+    "through_exit": (
+        "[machine top entry]\ninitial -> s\nsubmachine s = inner -> s on x  # <-\n"
+        "[machine inner]\ninitial -> a\nstate a -> exit.x on auto\nexit x (success)\n",
+        "unguarded auto cycle s -> s never settles",
+    ),
+    "through_two_exits": (
+        "[machine top entry]\ninitial -> s\nsubmachine s = mid -> t on y  # <-\nstate t -> s on auto\n"
+        "[machine mid]\ninitial -> u\nsubmachine u = inner -> exit.y on x\nexit y (failure)\n"
+        "[machine inner]\ninitial -> a\nstate a -> exit.x on auto\nexit x (success)\n",
+        "unguarded auto cycle s -> t -> s never settles",
+    ),
+    "guarded": (
+        "[machine top entry]\ninitial -> a\nstate a -> b on auto if batteryFull  # <-\n"
+        "state b -> a on auto\n",
+        "auto cycle through a, b may never settle",
+    ),
+    "guarded_exit": (
+        "[machine top entry]\ninitial -> s\nsubmachine s = inner -> s on x  # <-\n"
+        "[machine inner]\ninitial -> a\nstate a -> exit.x on auto if powerLow\nexit x (success)\n",
+        "auto cycle through s may never settle",
+    ),
+    "choice": (
+        "[machine top entry]\ninitial -> c\nchoice c : a | b  # <-\nstate a -> c on auto\nstate b\n",
+        "auto cycle through c, a may never settle",
+    ),
+    # a guarded first arm takes precedence, so the unguarded one is not certain
+    "shadowed": (
+        "[machine top entry]\ninitial -> a\nstate a -> b on auto if powerLow, b on auto  # <-\n"
+        "state b -> a on auto\n",
+        "auto cycle through a, b may never settle",
+    ),
+}
+
+# no cycle: a chain that settles, and a sub-machine that exits on an event
+NO_AUTO_CYCLES = {
+    "chain": "[machine top entry]\ninitial -> a\nstate a -> b on auto\nstate b -> c on auto\n"
+             "state c -> a on go\n",
+    "exit_on_event": "[machine top entry]\ninitial -> s\nsubmachine s = inner -> s on x\n"
+                     "[machine inner]\ninitial -> a\nstate a -> exit.x on go\nexit x (success)\n",
+}
+
+
+class TestAutoCycles:
+    @pytest.mark.parametrize("case", sorted(AUTO_CYCLES))
+    def test_cycle_is_reported_at_its_arm(self, case):
+        text, message = AUTO_CYCLES[case]
+        marked = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.endswith("# <-"))
+        _, diags = parse_scenario_checked(text)
+        assert [(d.line, d.severity, d.message) for d in diags] == [(marked, "warning", message)]
+
+    @pytest.mark.parametrize("case", sorted(NO_AUTO_CYCLES))
+    def test_settling_drain_is_clean(self, case):
+        _, diags = parse_scenario_checked(NO_AUTO_CYCLES[case])
+        assert diags == []
+
+
 # Each case is [world]/[energy] text in which the line marked `# <-` is the
 # one at fault; every error must be reported at that line.
 KEY_ERRORS = {
