@@ -1,7 +1,8 @@
 """Command line: validate scenarios, run single episodes, run Monte Carlo batches.
 
 Exit codes: 0 success, 1 validation errors, 2 usage errors, 3 runtime I/O
-failures, 4 a state machine that cannot make progress (the message names the
+failures (including a malformed or non-UTF-8 weights file, named with its
+CSV line), 4 a state machine that cannot make progress (the message names the
 step, the active state path and the event). All randomness flows from --seed;
 a repeated invocation writes byte-identical outputs.
 """
@@ -23,6 +24,7 @@ from .sim import (
     write_trace_jsonl,
 )
 from .statemachine import MachineStuckError
+from .weights import WeightsFileError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -172,6 +174,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_STUCK
+    except WeightsFileError as exc:
+        print(f"{args.weights}: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_USAGE
 
 

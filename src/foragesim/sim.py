@@ -8,22 +8,40 @@ when battery and capacitor are both flat. Everything downstream of the seed
 is deterministic, so identical configurations always produce byte-identical
 traces.
 
-Most of a life is spent waiting for hunger in a leaf with no behaviour, so
-the loop advances to the next event. A tick is quiet when, at its end, no
-event is queued, the leaf has no behaviour and no charging source, and the
+Most of a life is spent waiting for hunger in a leaf with no behaviour, or
+charging in one, so the loop advances to the next event. A tick is quiet
+when, at its end, no event is queued, the leaf has no behaviour, and the
 machine is quiescent (`MachineInstance.quiescent`: no pending choice and no
 `auto` arm enabled under the current guards). Each following tick then only
-drains idle power, and the loop runs it as that subtraction alone, with the
-same float operations as `tick_discharge`, so every level is bitwise equal.
-The advance stops before the first tick that would flip `powerLow` or
-`powerLower`, empty both stores, or be the last; that tick runs in full, so
-threshold events, death and the horizon each keep one code path. This is
-exact because guards are positive only and none can turn true inside the
-stretch: `isSignalSufficient` depends on the pose, which does not move;
-`batteryFull` can only turn false while the battery drains; the two hunger
-guards flip only where the stretch stops. The threshold watcher cannot
-re-arm while the battery falls, and the state path, pose and mood stay
-constant, so a traced life still gets one summary row per tick.
+drains idle power and, in a `recharge`/`charge` leaf, charges at the same
+power (the station's rate, or the coupling at the pose, which does not
+move). The loop runs those ticks with the same float operations as
+`tick_discharge` and `apply_charge`, so every level is bitwise equal. It
+stops before the first tick that would flip `powerLow` or `powerLower`
+(falling, or rising: a watcher re-arm), turn `batteryFull` on, bring the
+charge count to `max_charge_ticks`, empty both stores, or be the last; that
+tick runs in full, so threshold and charge-timer events, death and the
+horizon each keep one code path. This is exact because guards are positive
+only, so only a guard turning on can enable an arm, and none turns on inside
+the stretch: `isSignalSufficient` depends on the pose alone, and
+`batteryFull` turns on and the hunger guards flip only at the ticks where
+the stretch stops (a battery falling from full turns `batteryFull` off,
+which enables nothing). After each update the watcher is armed exactly when
+the battery is at or above its threshold, so without a crossing it neither
+fires nor re-arms. Path, pose and mood stay constant, so a traced life
+still gets one summary row per tick.
+
+An untraced life takes an idle stretch in closed form (`_idle_jump`). Under
+IEEE 754 round-to-nearest, while the battery stays in one binade
+[2**e, 2**(e+1)) and pays the whole drain, every `battery - drain` rounds
+to `battery - delta` with the same delta, `drain` rounded to the binade's
+ulp, so n ticks leave exactly `battery - n*delta` and the capacitor as it
+was; a bisection on the same `b / capacity < frac` expressions finds the
+first tick that flips a hunger guard. Binade edges, drains of exactly half
+an odd number of ulps (whose rounding follows the battery's last bit), a
+battery below the drain (the capacitor path) and subnormal levels are
+stepped one tick at a time; a drain below half an ulp leaves the battery
+as it is and takes the whole stretch at once.
 """
 
 from __future__ import annotations
@@ -31,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -214,6 +233,59 @@ BEHAVIORS = {
 }
 
 
+def _idle_jump(
+    battery: float, drain: float, capacity: float, low_frac: float, lower_frac: float,
+    budget: int,
+) -> tuple[int, float]:
+    """Take up to `budget` idle ticks at once: (ticks taken, battery after them).
+
+    The battery is in [2**e, 2**(e+1)), whose ulp is u, and delta is `drain`
+    rounded to a multiple of u. Tick k leaves exactly `battery - k*delta`
+    when the exact `battery - (k-1)*delta - drain` is at least 2**e; of
+    those ticks, the ones before the first that would flip a hunger
+    predicate are taken (found by bisection), and the capacitor is left as
+    it is. Returns 0 ticks, for the caller to step one, where tick 1 is not
+    such a tick: at a binade edge, a drain of exactly half an odd number of
+    ulps, `battery < drain`, or a subnormal battery.
+    """
+    if budget <= 0 or not (sys.float_info.min <= battery < math.inf and 0.0 <= drain <= battery):
+        return 0, battery
+    mant, exp = math.frexp(battery)  # battery = mant * 2**exp, 0.5 <= mant < 1
+    m = int(math.ldexp(mant, 53)) - (1 << 52)  # battery - 2**e, in ulps
+    # drain in ulps; where this underflows the drain is far below half an ulp
+    # even of the binade below, so it leaves the battery as it is either way
+    d = math.ldexp(drain, 53 - exp)
+    q = math.floor(d)
+    rest = d - q
+    if rest == 0.5:
+        return 0, battery
+    if rest > 0.5:
+        q += 1
+    # tick k stays in the binade iff k*q + (d - q) <= m, with |d - q| < 1/2
+    if q == 0:  # delta == 0: the battery never moves, so nothing flips
+        return (budget, battery) if m > 0 or d == 0 else (0, battery)
+    n = min(budget, (m - (d > q)) // q)
+    if n <= 0:
+        return 0, battery
+    delta = math.ldexp(q, exp - 53)
+    low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
+
+    def flips(k: int) -> bool:
+        b = battery - k * delta
+        return (b / capacity < low_frac) != low or (b / capacity < lower_frac) != lower
+
+    if flips(n):
+        ok, bad = 0, n
+        while bad - ok > 1:
+            mid = (ok + bad) // 2
+            if flips(mid):
+                bad = mid
+            else:
+                ok = mid
+        n = ok
+    return n, battery - n * delta
+
+
 class _Episode:
     """One life, and the dispatch context its machine runs in.
 
@@ -323,14 +395,14 @@ class _Episode:
                 w_neg_before=before.w_neg, w_neg_after=after.w_neg,
             ))
 
-    def _charging_source(self) -> str:
-        leaf = self.instance.leaf_state_name()
-        source = CHARGING_STATES.get(leaf or "", SOURCE_NONE)
-        if source == SOURCE_STATION and self.world.station is None:
-            return SOURCE_NONE
-        if source == SOURCE_WIRELESS and self.world.beacon is None:
-            return SOURCE_NONE
-        return source
+    def _charging(self) -> tuple[str, float]:
+        """The leaf's charging source and the power it gives this tick."""
+        source = CHARGING_STATES.get(self.instance.leaf_state_name() or "", SOURCE_NONE)
+        if source == SOURCE_STATION and self.world.station is not None:
+            return source, self.world.station.charge_rate
+        if source == SOURCE_WIRELESS and self.world.beacon is not None:
+            return source, coupling_efficiency(self.world, self.pose.pos) * self.world.beacon.tx_power
+        return SOURCE_NONE, 0.0
 
     # -- main loop -----------------------------------------------------------
 
@@ -359,14 +431,9 @@ class _Episode:
                 activities.add("process")
 
             self.energy = tick_discharge(self.energy, activities, self.profile.rates)
-            source = self._charging_source()
-            if source == SOURCE_STATION:
-                self.energy = apply_charge(
-                    self.energy, SOURCE_STATION, self.world.station.charge_rate
-                )
-            elif source == SOURCE_WIRELESS:
-                power = coupling_efficiency(self.world, self.pose.pos) * self.world.beacon.tx_power
-                self.energy = apply_charge(self.energy, SOURCE_WIRELESS, power)
+            source, power = self._charging()
+            if source != SOURCE_NONE:
+                self.energy = apply_charge(self.energy, source, power)
 
             self._enqueue(self.watcher.update(self.energy))
             if source != SOURCE_NONE:
@@ -400,32 +467,53 @@ class _Episode:
                 death_step = step
                 break
             if (
-                source != SOURCE_NONE
-                or self.queue
+                self.queue
                 or self.instance.leaf_state_name() in BEHAVIORS
                 or not self.instance.quiescent(self)
             ):
                 continue
 
-            # A quiet tick. Until the next event each tick only drains idle
-            # power: advance through those ticks with tick_discharge's float
-            # operations, and leave the tick that flips a hunger predicate,
-            # empties both stores or is the last one to the loop above.
+            # A quiet tick. Until the next event each tick drains idle power
+            # and, in a charging leaf, then charges at the same power: advance
+            # through those ticks with tick_discharge's and apply_charge's
+            # float operations, and leave the tick that flips a guard or the
+            # watcher, sends the charge timer, empties both stores or is the
+            # last one to the loop above.
             energy, trace = self.energy, self.trace
             capacity, battery, capacitor = energy.battery_capacity, energy.battery, energy.capacitor
+            capacitor_capacity = energy.capacitor_capacity
             low_frac, lower_frac = self.profile.thresholds.low_frac, self.profile.thresholds.lower_frac
             low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
             drain = self.profile.rates.drain_for(set())
+            first, end = step, max_steps
+            limit = self.profile.max_charge_ticks
+            if source != SOURCE_NONE and 0 < limit and self.charge_ticks < limit:
+                # the tick whose count reaches max_charge_ticks runs in full
+                end = min(end, step + limit - self.charge_ticks)
             if trace is not None:
-                # path, pose and mood (a function of the two predicates here)
-                # hold for the whole stretch
+                # path, pose and mood (charging, or a function of the two
+                # predicates) hold for the whole stretch
                 state = "/".join(self.instance.active_path())
                 mood = mood_of(energy, self.profile.thresholds)
                 x, y = self.pose.pos
-            while step + 1 < max_steps:
+            while step + 1 < end:
+                if source == SOURCE_NONE and trace is None:
+                    n, battery = _idle_jump(
+                        battery, drain, capacity, low_frac, lower_frac, end - 1 - step
+                    )
+                    if n:
+                        step += n
+                        continue
                 taken = min(battery, drain)
                 b = battery - taken
                 c = max(0.0, capacitor - (drain - taken))
+                if source != SOURCE_NONE:
+                    to_battery = min(capacity - b, power)
+                    if source == SOURCE_WIRELESS:
+                        c = min(capacitor_capacity, c + (power - to_battery))
+                    b = b + to_battery
+                    if b >= capacity > battery:
+                        break
                 if (
                     (b / capacity < low_frac) != low
                     or (b / capacity < lower_frac) != lower
@@ -438,7 +526,9 @@ class _Episode:
                     trace.append(TraceEvent(
                         step=step, state=state, battery=b, capacitor=c, mood=mood, x=x, y=y,
                     ))
-            self.energy = EnergyState(battery, capacity, capacitor, energy.capacitor_capacity)
+            if source != SOURCE_NONE:
+                self.charge_ticks += step - first
+            self.energy = EnergyState(battery, capacity, capacitor, capacitor_capacity, source)
 
         if death_step is not None:
             outcome = OUTCOME_DIED

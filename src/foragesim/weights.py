@@ -11,6 +11,7 @@ outcome, so a miss halves the success weight.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import random
 import warnings
@@ -149,26 +150,29 @@ def load_weights(path: str | Path) -> WeightTable:
     if not path.exists():
         warnings.warn(f"weights file {path} not found; starting from a zero table")
         return table
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if tuple(row) != WEIGHTS_CSV_HEADER:
-                    raise WeightsFileError("bad header", lineno)
-                continue
-            if not row:
-                continue
-            if len(row) != 6:
-                raise WeightsFileError(f"expected 6 fields, got {len(row)}", lineno)
-            node, option = row[0], row[1]
-            try:
-                w_pos, w_neg = float(row[2]), float(row[3])
-                successes, failures = int(row[4]), int(row[5])
-            except ValueError as exc:
-                raise WeightsFileError(f"bad number: {exc}", lineno) from None
-            if not (0.0 <= w_pos <= 1.0 and 0.0 <= w_neg <= 1.0):
-                raise WeightsFileError("weight out of range", lineno)
-            if successes < 0 or failures < 0:
-                raise WeightsFileError("negative counter", lineno)
-            table.entries[(node, option)] = WeightEntry(w_pos, w_neg, successes, failures)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WeightsFileError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if lineno == 1:
+            if tuple(row) != WEIGHTS_CSV_HEADER:
+                raise WeightsFileError("bad header", lineno)
+            continue
+        if not row:
+            continue
+        if len(row) != 6:
+            raise WeightsFileError(f"expected 6 fields, got {len(row)}", lineno)
+        node, option = row[0], row[1]
+        try:
+            w_pos, w_neg = float(row[2]), float(row[3])
+            successes, failures = int(row[4]), int(row[5])
+        except ValueError as exc:
+            raise WeightsFileError(f"bad number: {exc}", lineno) from None
+        if not (0.0 <= w_pos <= 1.0 and 0.0 <= w_neg <= 1.0):
+            raise WeightsFileError("weight out of range", lineno)
+        if successes < 0 or failures < 0:
+            raise WeightsFileError("negative counter", lineno)
+        table.entries[(node, option)] = WeightEntry(w_pos, w_neg, successes, failures)
     return table

@@ -104,6 +104,33 @@ class TestRun:
         assert main(["run", str(dual_source_path), "--warp", "9"]) == 2
 
 
+class TestBadWeightsFile:
+    @pytest.mark.parametrize("verb", [["run"], ["mc", "--episodes", "2"]])
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b"node,option,w\n", "line 1: bad header", id="bad_header"),
+        pytest.param(
+            b"node,option,w_pos,w_neg,successes,failures\n"
+            b"pick,a,0.5,0.5,0,0\n"
+            b"pick,\xff,0.5,0.5,0,0\n",
+            "line 3: not UTF-8 text",
+            id="not_utf8",
+        ),
+    ])
+    def test_exits_three_naming_the_file_and_line(
+        self, verb, content, message, scenario_file, tmp_path, capsys
+    ):
+        path = scenario_file(builtin_scenario_text("learning_lab"), "lab.scn")
+        weights = tmp_path / "bad.csv"
+        weights.write_bytes(content)
+        code = main([
+            verb[0], str(path), "--steps", "50", "--memory", "nonvolatile",
+            "--weights", str(weights), *verb[1:],
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"{weights}: {message}\n"
+        assert weights.read_bytes() == content
+
+
 class TestStuckMachine:
     @pytest.mark.parametrize("verb", [["run"], ["mc", "--episodes", "2"]])
     def test_auto_cycle_exits_four_with_step_path_and_event(self, verb, scenario_file, capsys):

@@ -6,6 +6,7 @@ installs the spans as the benchmark does, without editing anything under
 `perfbench/`, and checks the counts the per-layer metrics are built from.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,23 +25,34 @@ def spans(monkeypatch):
     return spans
 
 
+def _charging_ticks(trace):
+    return sum(1 for row in trace if row.event is None and row.mood == "charging")
+
+
 def test_spans_count_ticks_and_trace_rows(spans):
+    cfg = sim.SimConfig(scenario=builtin_scenario("station_only"), seed=0, max_steps=3000)
+    # each mc life is the run_episode life of its seed, whose trace shows
+    # the ticks it charged on
+    charging = [_charging_ticks(sim.run_episode(replace(cfg, seed=s))[1]) for s in (0, 1)]
     original_trace_event = sim.TraceEvent
     tracer = spans.Tracer()
     spans.install(tracer)
     try:
-        cfg = sim.SimConfig(scenario=builtin_scenario("station_only"), seed=0, max_steps=200)
         stats = sim.run_monte_carlo(cfg, 2)
         mc_ticks = sum(r.lifetime for r in stats.results)
         assert mc_ticks > 0
         assert tracer.calls["sim.trace_build"] == 0
-        # quiet ticks advance without tick_discharge; the rest still call it
+        # quiet ticks advance without tick_discharge or apply_charge; the
+        # rest still call them
         mc_discharges = tracer.calls["energy.discharge"]
         assert 0 < mc_discharges < mc_ticks
+        mc_charges = tracer.calls["energy.charge"]
+        assert 0 < mc_charges < sum(charging)
 
         result, trace = sim.run_episode(cfg)
         assert tracer.calls["sim.trace_build"] == len(trace) > 0
         assert 0 < tracer.calls["energy.discharge"] - mc_discharges < result.lifetime
+        assert 0 < tracer.calls["energy.charge"] - mc_charges < charging[0] == _charging_ticks(trace)
     finally:
         tracer.restore()
     assert sim.TraceEvent is original_trace_event
