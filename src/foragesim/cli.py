@@ -1,6 +1,7 @@
 """Command line: validate scenarios, run single episodes, run Monte Carlo batches.
 
-Exit codes: 0 success, 1 validation errors, 2 usage errors, 3 runtime I/O
+Exit codes: 0 success, 1 validation errors (including a scenario file that is
+not UTF-8 text, named with its line), 2 usage errors, 3 runtime I/O
 failures (including a malformed or non-UTF-8 weights file, named with its
 CSV line), 4 a state machine that cannot make progress (the message names the
 step, the active state path and the event). All randomness flows from --seed;
@@ -13,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .scenario import ScenarioError, parse_scenario_checked
+from .scenario import Diagnostic, ScenarioError, parse_scenario_checked
 from .sim import (
     MEMORY_NONVOLATILE,
     MEMORY_VOLATILE,
@@ -70,11 +71,15 @@ def _load_scenario(path_text: str):
     """Returns (scenario, exit_code); scenario is None when exit_code != 0."""
     path = Path(path_text)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
-    scenario, diagnostics = parse_scenario_checked(text, name=path.stem)
+    try:
+        scenario, diagnostics = parse_scenario_checked(data.decode("utf-8"), name=path.stem)
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())  # as the parser counts
+        scenario, diagnostics = None, [Diagnostic("error", line, 1, "not UTF-8 text")]
     errors = [d for d in diagnostics if d.severity == "error"]
     for diag in diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)

@@ -27,6 +27,7 @@ completion trigger; guards come from the fixed built-in registry.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -47,7 +48,8 @@ KIND_FINAL = "final"
 TAG_SUCCESS = "success"
 TAG_FAILURE = "failure"
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_ID + "$")
 _NUMBER_RE = re.compile(r"-?\d+(?:\.(\d+))?$")
 
 _RESERVED_WORDS = frozenset(
@@ -237,7 +239,11 @@ def _parse_number(token: str, lineno: int, diags: list[Diagnostic]) -> float | N
     if frac is not None and len(frac) > 9:
         diags.append(_error(lineno, f"more than 9 fractional digits in {token!r}"))
         return None
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):  # too large for a double
+        diags.append(_error(lineno, f"bad number {token!r}"))
+        return None
+    return value
 
 
 def _check_ident(token: str, lineno: int, diags: list[Diagnostic]) -> bool:
@@ -251,9 +257,7 @@ def _check_ident(token: str, lineno: int, diags: list[Diagnostic]) -> bool:
 
 
 _ARM_RE = re.compile(
-    r"^(?P<target>exit\.[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*)"
-    r"\s+on\s+(?P<event>[A-Za-z_][A-Za-z0-9_]*)"
-    r"(?:\s+if\s+(?P<guard>[A-Za-z_][A-Za-z0-9_]*))?$"
+    rf"^(?P<target>exit\.{_ID}|{_ID})\s+on\s+(?P<event>{_ID})(?:\s+if\s+(?P<guard>{_ID}))?$"
 )
 
 
@@ -302,27 +306,25 @@ class _MachineBuilder:
         )
 
 
-_HEADER_MACHINE_RE = re.compile(
-    r"^\[\s*machine\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?P<entry>\s+entry)?\s*\]$"
-)
+_HEADER_MACHINE_RE = re.compile(rf"^\[\s*machine\s+(?P<name>{_ID})(?P<entry>\s+entry)?\s*\]$")
 _HEADER_PLAIN_RE = re.compile(r"^\[\s*(?P<name>world|energy|weights)\s*\]$")
-_EXIT_RE = re.compile(
-    r"^exit\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<tag>success|failure)\s*\)$"
-)
-_KV_RE = re.compile(
-    r"^(?P<key>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)\s*=\s*(?P<values>.+)$"
-)
-_INITIAL_RE = re.compile(r"^->\s*([A-Za-z_][A-Za-z0-9_]*)$")
-_STATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:->\s*(.+))?$")
-_CHOICE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+)$")
-_FINAL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)$")
-_SUBMACHINE_RE = re.compile(
-    r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*(.+)$"
-)
-_WLINE_RE = re.compile(
-    r"^(?P<node>[A-Za-z_][A-Za-z0-9_]*)\.(?P<option>[A-Za-z_][A-Za-z0-9_]*)"
-    r"\s*=\s*(?P<values>.+)$"
-)
+_KV_RE = re.compile(rf"^(?P<key>{_ID}(?:\.{_ID})*)\s*=\s*(?P<values>.+)$")
+_WLINE_RE = re.compile(rf"^(?P<node>{_ID})\.(?P<option>{_ID})\s*=\s*(?P<values>.+)$")
+
+# Every machine statement: word -> (pattern for the rest of the line, kind of
+# the state it declares; `initial` and `exit` declare none). The names a
+# statement binds are checked in the order name, ref, options.
+_STMTS = {
+    word: (re.compile(rest + "$"), kind)
+    for word, rest, kind in (
+        ("initial", rf"->\s*(?P<name>{_ID})", None),
+        ("state", rf"(?P<name>{_ID})\s*(?:->\s*(?P<arms>.+))?", KIND_SIMPLE),
+        ("submachine", rf"(?P<name>{_ID})\s*=\s*(?P<ref>{_ID})\s*->\s*(?P<arms>.+)", KIND_COMPOSITE),
+        ("choice", rf"(?P<name>{_ID})\s*:\s*(?P<options>.+)", KIND_CHOICE),
+        ("exit", rf"(?P<name>{_ID})\s*\(\s*(?P<tag>success|failure)\s*\)", None),
+        ("final", rf"(?P<name>{_ID})", KIND_FINAL),
+    )
+}
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioDef:
@@ -454,83 +456,32 @@ def _parse_machine_stmt(
     if builder is None:
         return
     word, _, rest = line.partition(" ")
-    rest = rest.strip()
-
+    if word not in _STMTS:
+        diags.append(_error(lineno, f"unknown statement {word!r}"))
+        return
+    pattern, kind = _STMTS[word]
+    m = pattern.match(rest.strip())
+    if m is None:
+        diags.append(_error(lineno, f"bad {word} statement {line!r}"))
+        return
+    if word == "initial" and builder.initial is not None:
+        diags.append(_error(lineno, f"machine '{builder.name}' has multiple initials"))
+        return
+    got = m.groupdict()
+    name, ref, arms = got["name"], got.get("ref"), got.get("arms")
+    options = tuple([o.strip() for o in got["options"].split("|")]) if "options" in got else ()
+    for n in (name, ref, *options):
+        if n is not None and not _check_ident(n, lineno, diags):
+            return
     if word == "initial":
-        m = _INITIAL_RE.match(rest)
-        if m is None:
-            diags.append(_error(lineno, f"bad initial statement {line!r}"))
-            return
-        if builder.initial is not None:
-            diags.append(_error(lineno, f"machine '{builder.name}' has multiple initials"))
-            return
-        if _check_ident(m.group(1), lineno, diags):
-            builder.initial = m.group(1)
-        return
-
-    if word == "state":
-        m = _STATE_RE.match(rest)
-        if m is None or not rest:
-            diags.append(_error(lineno, f"bad state statement {line!r}"))
-            return
-        name = m.group(1)
-        if not _check_ident(name, lineno, diags):
-            return
-        arms = _parse_arms(m.group(2), lineno, diags) if m.group(2) else ()
-        builder.states.append(StateDef(name=name, transitions=arms, line=lineno))
-        return
-
-    if word == "submachine":
-        m = _SUBMACHINE_RE.match(rest)
-        if m is None:
-            diags.append(_error(lineno, f"bad submachine statement {line!r}"))
-            return
-        name, ref = m.group(1), m.group(2)
-        if not (_check_ident(name, lineno, diags) and _check_ident(ref, lineno, diags)):
-            return
-        arms = _parse_arms(m.group(3), lineno, diags)
-        builder.states.append(
-            StateDef(name=name, kind=KIND_COMPOSITE, machine=ref, transitions=arms, line=lineno)
-        )
-        return
-
-    if word == "choice":
-        m = _CHOICE_RE.match(rest)
-        if m is None:
-            diags.append(_error(lineno, f"bad choice statement {line!r}"))
-            return
-        name = m.group(1)
-        if not _check_ident(name, lineno, diags):
-            return
-        options = [o.strip() for o in m.group(2).split("|")]
-        if any(not _check_ident(o, lineno, diags) for o in options):
-            return
-        builder.states.append(
-            StateDef(name=name, kind=KIND_CHOICE, options=tuple(options), line=lineno)
-        )
-        return
-
-    if word == "exit":
-        m = _EXIT_RE.match(line)
-        if m is None:
-            diags.append(_error(lineno, f"bad exit statement {line!r}"))
-            return
-        if _check_ident(m.group("name"), lineno, diags):
-            builder.exits.append((m.group("name"), m.group("tag")))
-        return
-
-    if word == "final":
-        m = _FINAL_RE.match(rest)
-        if m is None:
-            diags.append(_error(lineno, f"bad final statement {line!r}"))
-            return
-        name = m.group(1)
-        if not _check_ident(name, lineno, diags):
-            return
-        builder.states.append(StateDef(name=name, kind=KIND_FINAL, line=lineno))
-        return
-
-    diags.append(_error(lineno, f"unknown statement {word!r}"))
+        builder.initial = name
+    elif word == "exit":
+        builder.exits.append((name, got["tag"]))
+    else:
+        builder.states.append(StateDef(
+            name=name, kind=kind, machine=ref, options=options,
+            transitions=_parse_arms(arms, lineno, diags) if arms else (), line=lineno,
+        ))
 
 
 def _convert(key: str, values: list[float], lineno: int, diags: list[Diagnostic]):
@@ -638,6 +589,19 @@ def _sorted(diags: list[Diagnostic]) -> list[Diagnostic]:
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def _reach(start: str, nexts: dict[str, list[str]]) -> set[str]:
+    """The nodes reached from `start` in one or more steps; `nexts` maps a node
+    to the nodes one step on, and a node it does not hold ends a path."""
+    reached: set[str] = set()
+    frontier = [start]
+    while frontier:
+        for node in nexts.get(frontier.pop(), ()):
+            if node not in reached:
+                reached.add(node)
+                frontier.append(node)
+    return reached
 
 
 def _validate(
@@ -750,24 +714,14 @@ def _validate(
                             _error(tr.line, f"unresolved reference '{tr.target}'")
                         )
 
-        # reachability inside this machine
+        # reachability inside this machine; a `final` target is the first final state
         if m.state(m.initial) is not None:
-            reached = {m.initial}
-            frontier = [m.initial]
-            while frontier:
-                st = m.state(frontier.pop())
-                if st is None:
-                    continue
-                nexts: list[str] = list(st.options)
-                for tr in st.transitions:
-                    if tr.target == TARGET_FINAL:
-                        nexts.extend(finals[:1])
-                    elif not tr.target.startswith(EXIT_PREFIX):
-                        nexts.append(tr.target)
-                for nxt in nexts:
-                    if nxt in state_names and nxt not in reached:
-                        reached.add(nxt)
-                        frontier.append(nxt)
+            final = {TARGET_FINAL: finals[0]} if finals else {}
+            nexts = {  # in reverse, so that the first declaration of a name wins
+                st.name: [*st.options, *(final.get(tr.target, tr.target) for tr in st.transitions)]
+                for st in reversed(m.states)
+            }
+            reached = {m.initial} | _reach(m.initial, nexts)
             for st in m.states:
                 if st.name not in reached:
                     diags.append(_warning(st.line, f"unreachable state '{st.name}'"))
@@ -856,8 +810,13 @@ def _check_auto_cycles(
                             autos.append((tr.target, tr.line, not autos and tr.guard is None))
         return moves
 
-    def certain_move(moves, state: str) -> str | None:
-        return next((t for t, _, certain in moves.get(state, ()) if certain), None)
+    def certain_walk(moves, state: str | None, stop) -> tuple[list[str], str | None]:
+        """The states passed on certain moves from `state`, and the first one not passed."""
+        path: list[str] = []
+        while state in moves and state not in stop and state not in path:
+            path.append(state)
+            state = next((t for t, _, certain in moves[state] if certain), None)
+        return path, state
 
     def summary(name: str) -> tuple[set[str], str | None]:
         """Exits machine `name` may cross at once from its initial, and the one it always crosses."""
@@ -866,22 +825,12 @@ def _check_auto_cycles(
             m = by_name.get(name)
             moves = {} if m is None else graph(m)
             if any(t.startswith(EXIT_PREFIX) for ms in moves.values() for t, _, _ in ms):
-                crossed: set[str] = set()
-                seen, frontier = {m.initial}, [m.initial]
-                while frontier:
-                    for target, _, _ in moves.get(frontier.pop(), ()):
-                        if target.startswith(EXIT_PREFIX):
-                            crossed.add(target[len(EXIT_PREFIX):])
-                        elif target not in seen:
-                            seen.add(target)
-                            frontier.append(target)
-                certain_exit, state, walked = None, m.initial, set()
-                while state in moves and state not in walked:
-                    walked.add(state)
-                    state = certain_move(moves, state)
-                    if state is not None and state.startswith(EXIT_PREFIX):
-                        certain_exit = state[len(EXIT_PREFIX):]
-                summaries[name] = (crossed, certain_exit)
+                reached = _reach(m.initial, {s: [t for t, _, _ in ms] for s, ms in moves.items()})
+                _, end = certain_walk(moves, m.initial, ())
+                summaries[name] = (
+                    {t[len(EXIT_PREFIX):] for t in reached if t.startswith(EXIT_PREFIX)},
+                    end[len(EXIT_PREFIX):] if end is not None and end.startswith(EXIT_PREFIX) else None,
+                )
         return summaries[name]
 
     for m in machines:
@@ -894,11 +843,7 @@ def _check_auto_cycles(
         never_settles: set[str] = set()
         done: set[str] = set()
         for start in moves:
-            path: list[str] = []
-            state = start
-            while state in moves and state not in done and state not in path:
-                path.append(state)
-                state = certain_move(moves, state)
+            path, state = certain_walk(moves, start, done)
             done.update(path)
             if state in path:
                 cycle = path[path.index(state):]
@@ -907,15 +852,8 @@ def _check_auto_cycles(
                 names = " -> ".join(cycle + [cycle[0]])
                 diags.append(_warning(line, f"unguarded auto cycle {names} never settles"))
 
-        reach: dict[str, set[str]] = {}
-        for start in moves:
-            seen, frontier = set(), [start]
-            while frontier:
-                for target, _, _ in moves[frontier.pop()]:
-                    if target in moves and target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-            reach[start] = seen
+        nexts = {s: [t for t, _, _ in ms] for s, ms in moves.items()}
+        reach = {start: _reach(start, nexts) for start in moves}
         warned: set[str] = set()
         for state in moves:
             if state in warned or state not in reach[state]:

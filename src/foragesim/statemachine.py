@@ -12,7 +12,6 @@ tagged success or failure, through the context.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -81,10 +80,9 @@ class StaticContext:
     driving machines outside the simulator.
     """
 
-    def __init__(self, guards=None, chooser=None, rng=None, step: int = 0):
+    def __init__(self, guards=None, chooser=None, step: int = 0):
         self.guards = dict(guards or {})
         self._chooser = chooser
-        self._rng = rng or random.Random(0)
         self.step = step
         self.outcomes: list[PursuitOutcome] = []
 
@@ -173,20 +171,9 @@ class MachineInstance:
                 return tr
         return None
 
-    def _fire(self, tr: TransitionDef, trigger: str, ctx, records,
-              chosen: str | None = None) -> None:
+    def _enter(self, state: str, trigger: str, ctx, records, chosen: str | None = None) -> None:
         from_path = tuple(self.active_path())
-        f = self.frames[-1]
-        if tr.target.startswith(EXIT_PREFIX):
-            self._cross_exit(tr.target[len(EXIT_PREFIX):], trigger, from_path, ctx, records)
-            return
-        if tr.target == TARGET_FINAL:
-            finals = f.machine.final_state_names()
-            if not finals:
-                raise MachineStuckError(f"machine '{f.machine.name}' has no final state")
-            f.state = finals[0]
-        else:
-            f.state = tr.target
+        self.frames[-1].state = state
         self._descend()
         records.append(
             TransitionRecord(
@@ -198,8 +185,20 @@ class MachineInstance:
             )
         )
 
-    def _cross_exit(self, exit_name: str, trigger: str,
-                    from_path: tuple[str, ...], ctx, records) -> None:
+    def _fire(self, tr: TransitionDef, trigger: str, ctx, records) -> None:
+        if tr.target.startswith(EXIT_PREFIX):
+            self._cross_exit(tr.target[len(EXIT_PREFIX):], trigger, ctx, records)
+            return
+        target = tr.target
+        if target == TARGET_FINAL:
+            finals = self.frames[-1].machine.final_state_names()
+            if not finals:
+                raise MachineStuckError(f"machine '{self.frames[-1].machine.name}' has no final state")
+            target = finals[0]
+        self._enter(target, trigger, ctx, records)
+
+    def _cross_exit(self, exit_name: str, trigger: str, ctx, records) -> None:
+        from_path = tuple(self.active_path())
         frame = self.frames.pop()
         tag = frame.machine.exit_tag(exit_name)
         if tag is None:
@@ -265,18 +264,7 @@ class MachineInstance:
                         f"chooser returned {chosen!r}, not an option of '{st.name}'"
                     )
                 f.pursuits.append((st.name, chosen))
-                from_path = tuple(self.active_path())
-                f.state = chosen
-                self._descend()
-                records.append(
-                    TransitionRecord(
-                        step=ctx.step,
-                        from_path=from_path,
-                        to_path=tuple(self.active_path()),
-                        trigger=TRIGGER_CHOICE,
-                        chosen_option=chosen,
-                    )
-                )
+                self._enter(chosen, TRIGGER_CHOICE, ctx, records, chosen)
                 continue
             tr = self._enabled(st, AUTO, ctx)
             if tr is not None:

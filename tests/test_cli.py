@@ -131,6 +131,16 @@ class TestBadWeightsFile:
         assert weights.read_bytes() == content
 
 
+class TestNotUtf8Scenario:
+    @pytest.mark.parametrize("verb", [["validate"], ["run"], ["mc", "--episodes", "2"]])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_exits_one_at_the_line_of_the_first_bad_byte(self, verb, newline, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(newline.join([b"[machine top entry]", b"initial -> a", b"# \xff", b"state a", b""]))
+        assert main([verb[0], str(path), *verb[1:]]) == 1
+        assert capsys.readouterr().err == f"{path}:3:1: error: not UTF-8 text\n"
+
+
 class TestStuckMachine:
     @pytest.mark.parametrize("verb", [["run"], ["mc", "--episodes", "2"]])
     def test_auto_cycle_exits_four_with_step_path_and_event(self, verb, scenario_file, capsys):

@@ -20,6 +20,23 @@ state a
 """
 
 
+# Machine statements at the edges of the statement table, each appended to
+# MINIMAL -> every error it gives, in order; all of them at its line.
+STATEMENT_EDGES = {
+    "choice c : on | b-c": ["reserved word 'on' used as a name"],
+    "submachine on = if -> a on x": ["reserved word 'on' used as a name"],
+    "exit   done   (  success )": [],
+    "state": ["bad state statement 'state'"],
+    "initial -> on": ["machine 'top' has multiple initials"],
+    "state b -> a on go, on on go, c when": [
+        "bad transition arm 'c when'", "reserved word 'on' used as a name",
+    ],
+    "final done extra": ["bad final statement 'final done extra'"],
+}
+
+BIG = "9" * 400  # an integer literal too large for a double
+
+
 def errors(diags):
     return [d for d in diags if d.severity == "error"]
 
@@ -63,6 +80,13 @@ class TestParse:
         text = MINIMAL + "[energy]\nbattery_capacity = 1e3\n"
         _, diags = parse_scenario_checked(text)
         assert any("bad number" in d.message for d in errors(diags))
+
+    @pytest.mark.parametrize("stmt", sorted(STATEMENT_EDGES))
+    def test_statement_edge_cases(self, stmt):
+        text = MINIMAL + stmt + "\n"
+        _, diags = parse_scenario_checked(text)
+        assert [d.message for d in errors(diags)] == STATEMENT_EDGES[stmt]
+        assert {d.line for d in errors(diags)} <= {len(text.splitlines())}
 
     def test_more_than_nine_fraction_digits_rejected(self):
         text = MINIMAL + "[weights]\nnode.opt = 0.1234567891 0.1\n"
@@ -266,6 +290,10 @@ KEY_ERRORS = {
     "capacitor_initial_range": "[energy]\nrate.idle = 0.1\ncapacitor_initial = 11  # <-\n",
     "gain_min_range": "[energy]\nrate.idle = 0.1\ngain_min = 2  # <-\n",
     "threshold_order": "[energy]\nrate.idle = 0.1\nthreshold.low = 0.1  # <-\nthreshold.lower = 0.2\n",
+    # a number too large for a double is a bad number, whatever the key's shape
+    "cell_overflow": f"[world]\ngrid = {BIG} 8  # <-\n",
+    "int_overflow": f"[energy]\nrate.idle = 0.1\nmax_charge_ticks = {BIG}  # <-\n",
+    "num_overflow": f"[energy]\nrate.idle = 0.1\nbattery_capacity = {BIG}  # <-\n",
 }
 
 
@@ -306,6 +334,8 @@ STRUCTURE_ERRORS = {
                      "weight line needs exactly two numbers"),
     "duplicate_weight": (MINIMAL + "[weights]\nn.o = 0.5 0.5\nn.o = 0.1 0.1  # <-\n",
                          "duplicate weight entry n.o"),
+    "weight_overflow": (MINIMAL + f"[weights]\nn.o = {BIG} 0.5  # <-\n", f"bad number {BIG!r}"),
+    "negative_overflow": (MINIMAL + f"[energy]\ngain_min = -{BIG}  # <-\n", f"bad number '-{BIG}'"),
 }
 
 
@@ -351,7 +381,97 @@ class TestSerialize:
         assert a == b
 
 
+# Text built from the DSL's own words, so that fuzzing reaches the machine
+# statements, the validator and the auto-cycle check, plus [world]/[energy]/
+# [weights] lines whose numbers include integer literals too large for a
+# double. Half the texts are well formed (good names, declared targets,
+# finite numbers, statements in any order) and mostly accepted, so that they
+# go through the round trip; the other half draws bad names, stray words and
+# numbers that overflow.
+_GOOD = st.sampled_from(["a", "b", "c", "_f"])
+_NAMES = st.one_of(_GOOD, st.sampled_from(["on", "final", "if", "1x", "b-c", "powerLow"]))
+_WORDS = st.sampled_from([
+    "initial", "state", "choice", "submachine", "exit", "final", "->", ":", "|", "=", ",",
+    "on", "auto", "if", "exit.x", "(success)", "(failure)", "a", "b", "1x",
+])
+_GUARDS = st.sampled_from(["", "", " if powerLow", " if batteryFull", " if isSignalSufficient"])
+_BIG = st.integers(300, 400).map(lambda n: "9" * n)  # a double overflows past 308 digits
+_FINITE_BIG = st.integers(16, 308).map(lambda n: "9" * n)
+
+
+def _arms(names, events=st.sampled_from(["auto", "auto", "go", "x"]), guards=_GUARDS):
+    targets = st.one_of(names, st.sampled_from(["final", "exit.x"]))
+    return st.lists(st.builds("{} on {}{}".format, targets, events, guards), min_size=1, max_size=3)
+
+
+def _statements(names, arms):
+    return st.one_of(
+        st.builds("initial -> {}".format, names),
+        st.builds("state {}".format, names),
+        st.builds("state {} -> {}".format, names, arms.map(", ".join)),
+        st.builds("choice {} : {}".format, names, st.lists(names, min_size=1, max_size=3).map(" | ".join)),
+        st.builds("submachine {} = {} -> {}".format, names, st.sampled_from(["inner", "top", "ghost"]),
+                  arms.map(", ".join)),
+        st.builds("exit {} ({})".format, names, st.sampled_from(["success", "failure", "maybe"])),
+        st.builds("final {}".format, names),
+        st.lists(_WORDS, min_size=1, max_size=6).map(" ".join),
+    )
+
+
+@st.composite
+def _well_formed(draw) -> list[str]:
+    arms = _arms(st.sampled_from(["a", "b", "c", "s", "final"]))
+    body = [
+        "state a -> " + ", ".join(draw(arms)),
+        "state b" + draw(st.one_of(st.just(""), arms.map(lambda a: " -> " + ", ".join(a)))),
+        "choice c : a | " + draw(st.sampled_from(["b", "s", "_f"])),
+        "submachine s = inner -> " + ", ".join(draw(_arms(
+            st.sampled_from(["a", "b", "c"]), st.just("y"), st.sampled_from(["", " if powerLow"])))),
+        "final _f",
+        "exit x (success)",
+    ]
+    inner = "state a -> " + ", ".join(draw(_arms(st.just("exit.y"), guards=_GUARDS)))
+    num = st.one_of(st.integers(1, 30).map(str), _FINITE_BIG)
+    return [
+        "[machine top entry]", "initial -> a", *draw(st.permutations(body)),
+        "[machine inner]", "initial -> a", inner, "exit y (failure)",
+        "[world]", f"grid = {draw(num)} {draw(num)}", "robot.start = 0 0",
+        "[energy]", f"battery_capacity = {draw(num)}", f"max_charge_ticks = {draw(num)}",
+        f"rate.idle = {draw(st.sampled_from(['0', '0.25', '1', '12.5']))}",
+        "[weights]", f"c.a = {draw(st.sampled_from(['0', '0.5', '1']))} 0.25",
+    ]
+
+
+@st.composite
+def _garbled(draw) -> list[str]:
+    statements = _statements(_NAMES, _arms(_NAMES, st.sampled_from(["auto", "go", "on"]),
+                                           st.sampled_from(["", " if nope", " if on", " if powerLow"])))
+    number = st.one_of(st.integers(-2, 30).map(str), _BIG, st.just("-" + BIG), st.just("0." + BIG[:10]))
+    key_line = st.builds("{} = {}".format, st.sampled_from(
+        ["grid", "robot.start", "station.pos", "battery_capacity", "max_charge_ticks", "gain_min"]
+    ), st.lists(number, min_size=1, max_size=3).map(" ".join))
+    weight = st.builds("{}.{} = {} {}".format, _NAMES, _NAMES, number, number)
+    return [
+        "[machine top entry]", *draw(st.lists(statements, max_size=6)),
+        "[machine inner]", *draw(st.lists(statements, max_size=4)),
+        "[world]", *draw(st.lists(key_line, max_size=2)),
+        "[energy]", *draw(st.lists(key_line, max_size=2)),
+        "[weights]", *draw(st.lists(weight, max_size=2)),
+    ]
+
+
+dsl_texts = st.one_of(_well_formed(), _garbled()).map(lambda lines: "\n".join(lines) + "\n")
+
+
 class TestRobustness:
+    @settings(max_examples=250, deadline=None)
+    @given(dsl_texts)
+    def test_dsl_text_never_crashes_and_round_trips(self, text):
+        scenario, diags = parse_scenario_checked(text)
+        if scenario is not None and not errors(diags):
+            assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=400))
     def test_arbitrary_text_never_crashes(self, text):
