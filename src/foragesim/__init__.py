@@ -37,6 +37,7 @@ from .sim import (
     SurvivalStats,
     TraceEvent,
     run_episode,
+    run_life,
     run_monte_carlo,
     write_stats_csv,
     write_trace_jsonl,

@@ -5,7 +5,9 @@ not UTF-8 text, named with its line), 2 usage errors, 3 runtime I/O
 failures (including a malformed or non-UTF-8 weights file, named with its
 CSV line), 4 a state machine that cannot make progress (the message names the
 step, the active state path and the event). All randomness flows from --seed;
-a repeated invocation writes byte-identical outputs.
+a repeated invocation writes byte-identical outputs. `run --trace` streams
+the trace to disk as the life goes, so its memory does not grow with
+--steps; a run that fails leaves the trace file as it was.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from .sim import (
     MEMORY_NONVOLATILE,
     MEMORY_VOLATILE,
     SimConfig,
-    run_episode,
+    run_life,
     run_monte_carlo,
     write_stats_csv,
-    write_trace_jsonl,
 )
+
+# Not called here: the benchmark's call-site spans (perfbench/spans.py) rebind
+# these names in this module, so they stay importable from it.
+from .sim import run_episode, write_trace_jsonl  # noqa: F401
 from .statemachine import MachineStuckError
 from .weights import WeightsFileError
 
@@ -121,9 +126,7 @@ def _cmd_run(args) -> int:
     if cfg is None:
         return EXIT_USAGE
     try:
-        result, trace = run_episode(cfg)
-        if args.trace is not None:
-            write_trace_jsonl(trace, args.trace)
+        result = run_life(cfg, args.trace)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

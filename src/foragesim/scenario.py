@@ -455,12 +455,12 @@ def _parse_machine_stmt(
 ) -> None:
     if builder is None:
         return
-    word, _, rest = line.partition(" ")
+    word, *rest = line.split(maxsplit=1)  # any run of whitespace ends the word
     if word not in _STMTS:
         diags.append(_error(lineno, f"unknown statement {word!r}"))
         return
     pattern, kind = _STMTS[word]
-    m = pattern.match(rest.strip())
+    m = pattern.match(rest[0] if rest else "")
     if m is None:
         diags.append(_error(lineno, f"bad {word} statement {line!r}"))
         return

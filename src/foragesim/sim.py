@@ -42,16 +42,25 @@ an odd number of ulps (whose rounding follows the battery's last bit), a
 battery below the drain (the capacitor path) and subnormal levels are
 stepped one tick at a time; a drain below half an ulp leaves the battery
 as it is and takes the whole stretch at once.
+
+A traced life appends each row to a sink: `run_episode` keeps the rows in a
+list, and `run_life` writes each one to its file as a JSON line as soon as
+it is made, so its memory does not grow with the horizon; `run_monte_carlo`
+builds none. One formatter, `_line`, writes every trace line: an f-string
+per row kind, byte-identical to `json.dumps(row.to_dict())`, which it falls
+back to for any row whose values it cannot prove it writes the same way.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import weights as weights_mod
@@ -126,7 +135,7 @@ class SimConfig:
             raise ValueError("volatile memory must not set weights_path")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     step: int
     state: str
@@ -145,7 +154,11 @@ class TraceEvent:
 
     def to_dict(self) -> dict:
         """The set fields, in declaration order (the documented key order)."""
-        return {k: v for k, v in vars(self).items() if v is not None}
+        return {k: v for k, v in zip(TRACE_KEYS, _trace_fields(self)) if v is not None}
+
+
+TRACE_KEYS = tuple(f.name for f in fields(TraceEvent))
+_trace_fields = attrgetter(*TRACE_KEYS)
 
 
 @dataclass
@@ -292,10 +305,11 @@ class _Episode:
     `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`;
     the last two note what they did, and `_dispatch` turns the notes into
     trace rows once the run to completion is over. Rows are built only when
-    the life has a `trace` list to append them to.
+    the life has a `trace` sink (anything with `append`: a list, or a
+    `_JsonlWriter`) to append them to.
     """
 
-    def __init__(self, cfg: SimConfig, table: WeightTable, trace: list[TraceEvent] | None):
+    def __init__(self, cfg: SimConfig, table: WeightTable, trace):
         self.cfg = cfg
         self.scenario = cfg.scenario
         self.world = cfg.scenario.world
@@ -556,10 +570,8 @@ def _initial_table(cfg: SimConfig) -> WeightTable:
     return WeightTable(cfg.scenario.seed_weights)
 
 
-def _live(
-    cfg: SimConfig, table: WeightTable | None, trace: list[TraceEvent] | None
-) -> EpisodeResult:
-    """Run one life, appending its rows to `trace` unless that is None."""
+def _live(cfg: SimConfig, table: WeightTable | None, trace) -> EpisodeResult:
+    """Run one life, appending its rows to the `trace` sink unless that is None."""
     episode = _Episode(cfg, _initial_table(cfg) if table is None else table, trace)
     result = episode.run()
     if cfg.memory_mode == MEMORY_NONVOLATILE:
@@ -582,6 +594,31 @@ def run_episode(
     """
     trace: list[TraceEvent] = []
     return _live(cfg, table, trace), trace
+
+
+def run_life(cfg: SimConfig, trace_path: str | Path | None = None) -> EpisodeResult:
+    """Run one life as `run_episode` does, keeping its trace only on disk.
+
+    Without `trace_path` the life builds no trace rows. With it, each row is
+    written as a JSON line when it is made, so memory does not grow with
+    `max_steps`. The lines go to a temporary file beside `trace_path` that
+    replaces it when the life is over; a life that fails part way (a stuck
+    machine, an I/O error) leaves `trace_path` as it was and no temporary
+    file. The file holds what `write_trace_jsonl` writes for `run_episode`'s
+    trace, byte for byte.
+    """
+    if trace_path is None:
+        return _live(cfg, None, None)
+    path = Path(trace_path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w") as fh:
+            result = _live(cfg, None, _JsonlWriter(fh))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return result
 
 
 def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
@@ -624,12 +661,99 @@ def _shannon_bits(histogram: Counter) -> float:
     return entropy
 
 
-def trace_lines(trace: list[TraceEvent]) -> list[str]:
-    return [json.dumps(event.to_dict()) for event in trace]
+class _Quoted(dict):
+    """String -> its JSON text as `json.dumps` writes it, for recent strings.
+
+    A trace repeats a scenario's few names; the bound keeps arbitrary rows
+    from growing the cache for the life of the process.
+    """
+
+    def __missing__(self, text: str) -> str:
+        if len(self) >= 4096:
+            self.clear()
+        quoted = self[text] = json.dumps(text)
+        return quoted
 
 
-def write_trace_jsonl(trace: list[TraceEvent], path: str | Path) -> None:
-    Path(path).write_text("\n".join(trace_lines(trace)) + "\n")
+_QUOTED = _Quoted()
+
+
+def _finite(value) -> bool:
+    """A float whose JSON text is its `repr` (not inf or nan, not a subclass)."""
+    return type(value) is float and value - value == 0.0
+
+
+def _line(e: TraceEvent) -> str:
+    """`json.dumps(e.to_dict())`, by one f-string per row kind.
+
+    The kinds are the rows the simulator builds: tick (levels, mood and
+    pose), transition (an event alone), choice (the weights consulted) and
+    outcome (weights before and after). A kind's f-string is used only when
+    exactly its fields are set and each holds the type it was written for,
+    whose text is then the one `json` writes: `repr` of an `int` and of a
+    finite `float`, and `json.dumps` of a `str` (memoised). Any other row
+    goes through `json.dumps` itself.
+    """
+    q = _QUOTED
+    step, state, event = e.step, e.state, e.event
+    if type(step) is not int or type(state) is not str:
+        return json.dumps(e.to_dict())
+    if event is None:
+        b, c, mood, x, y = e.battery, e.capacitor, e.mood, e.x, e.y
+        if (
+            e.node is e.option is e.w_pos_before is e.w_pos_after is None
+            and e.w_neg_before is e.w_neg_after is None
+            and _finite(b) and _finite(c) and type(mood) is str
+            and type(x) is int and type(y) is int
+        ):
+            return (
+                f'{{"step": {step}, "state": {q[state]}, "battery": {b!r}, '
+                f'"capacitor": {c!r}, "mood": {q[mood]}, "x": {x}, "y": {y}}}'
+            )
+    elif type(event) is str and e.battery is e.capacitor is e.mood is e.x is e.y is None:
+        node, option = e.node, e.option
+        pos, neg, pos_after, neg_after = e.w_pos_before, e.w_neg_before, e.w_pos_after, e.w_neg_after
+        head = f'{{"step": {step}, "state": {q[state]}, "event": {q[event]}'
+        if node is option is pos is neg is pos_after is neg_after is None:
+            return head + "}"
+        if type(node) is str and type(option) is str and _finite(pos) and _finite(neg):
+            head += f', "node": {q[node]}, "option": {q[option]}, "w_pos_before": {pos!r}'
+            if pos_after is neg_after is None:
+                return f'{head}, "w_neg_before": {neg!r}}}'
+            if _finite(pos_after) and _finite(neg_after):
+                return (
+                    f'{head}, "w_pos_after": {pos_after!r}, "w_neg_before": {neg!r}, '
+                    f'"w_neg_after": {neg_after!r}}}'
+                )
+    return json.dumps(e.to_dict())
+
+
+def trace_lines(trace) -> list[str]:
+    """The trace's rows as JSON text, one string per row."""
+    return [_line(event) for event in trace]
+
+
+class _JsonlWriter:
+    """A trace sink that writes each row appended to it as one line of `fh`."""
+
+    def __init__(self, fh):
+        self._write = fh.write
+
+    def append(self, event: TraceEvent) -> None:
+        self._write(_line(event) + "\n")
+
+
+def write_trace_jsonl(trace, path: str | Path) -> None:
+    """Write the trace's rows to `path` as JSON lines, in order.
+
+    Each row is one `_line` (the text of `json.dumps(row.to_dict())`) and a
+    newline, written through the file's buffer as it is formatted; an empty
+    trace gives an empty file.
+    """
+    with open(path, "w") as fh:
+        sink = _JsonlWriter(fh)
+        for event in trace:
+            sink.append(event)
 
 
 def write_stats_csv(stats: SurvivalStats, path: str | Path) -> None:

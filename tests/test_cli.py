@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 
 import foragesim
+from foragesim import sim
 from foragesim.cli import main
-from foragesim.scenarios import builtin_scenario_text
+from foragesim.scenario import parse_scenario
+from foragesim.scenarios import BUILTIN_NAMES, builtin_scenario_text
+from foragesim.sim import SimConfig, run_episode, write_trace_jsonl
 
 BROKEN = """
 [machine top entry]
@@ -102,6 +105,46 @@ class TestRun:
 
     def test_unknown_flag_is_usage_error(self, dual_source_path):
         assert main(["run", str(dual_source_path), "--warp", "9"]) == 2
+
+
+class TestStreamedTrace:
+    """`run --trace` streams rows to disk; the file must be what the API writes."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_file_equals_run_episode_written_by_write_trace_jsonl(self, name, scenario_file, tmp_path):
+        path = scenario_file(builtin_scenario_text(name), f"{name}.scn")
+        assert main(["run", str(path), "--seed", "3", "--steps", "15000",
+                     "--trace", str(tmp_path / "cli.jsonl")]) == 0
+        cfg = SimConfig(scenario=parse_scenario(builtin_scenario_text(name), name=name),
+                        seed=3, max_steps=15000)
+        _, trace = run_episode(cfg)
+        write_trace_jsonl(trace, tmp_path / "api.jsonl")
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "api.jsonl").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["api.jsonl", "cli.jsonl", f"{name}.scn"]
+
+    def test_stuck_run_leaves_the_old_trace_and_no_temporary_file(self, scenario_file, tmp_path):
+        path = scenario_file(GUARDED_AUTO_CYCLE, "cycle.scn")
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("old\n")
+        assert main(["run", str(path), "--steps", "5", "--trace", str(trace)]) == 4
+        assert trace.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cycle.scn", "t.jsonl"]
+
+    def test_trace_onto_a_directory_is_io_error_and_leaves_no_temporary_file(
+        self, dual_source_path, tmp_path
+    ):
+        target = tmp_path / "out"
+        target.mkdir()
+        assert main(["run", str(dual_source_path), "--steps", "50", "--trace", str(target)]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dual_source.scn", "out"]
+
+    def test_run_without_trace_builds_no_trace_rows(self, dual_source_path, monkeypatch, capsys):
+        def refuse(**fields):
+            raise AssertionError("run built a trace row")
+
+        monkeypatch.setattr(sim, "TraceEvent", refuse)
+        assert main(["run", str(dual_source_path), "--steps", "1200"]) == 0
+        assert capsys.readouterr().out == "outcome=survived_to_horizon lifetime=1200\n"
 
 
 class TestBadWeightsFile:

@@ -88,6 +88,19 @@ class TestParse:
         assert [d.message for d in errors(diags)] == STATEMENT_EDGES[stmt]
         assert {d.line for d in errors(diags)} <= {len(text.splitlines())}
 
+    @pytest.mark.parametrize("word", ["initial", "state", "submachine", "choice", "exit", "final"])
+    @pytest.mark.parametrize("space", ["\t", " \t", "\t  "])
+    def test_any_whitespace_ends_the_statement_word(self, word, space):
+        # learning_lab has each of the six statements
+        text = builtin_scenario_text("learning_lab")
+        tabbed = "\n".join(
+            word + space + line[len(word) + 1:] if line.startswith(word + " ") else line
+            for line in text.splitlines()
+        )
+        assert tabbed != text
+        assert parse_scenario_checked(tabbed, name="lab") == parse_scenario_checked(text, name="lab")
+        assert parse_scenario_checked(text, name="lab")[1] == []
+
     def test_more_than_nine_fraction_digits_rejected(self):
         text = MINIMAL + "[weights]\nnode.opt = 0.1234567891 0.1\n"
         _, diags = parse_scenario_checked(text)

@@ -3,6 +3,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foragesim import sim
 from foragesim.scenario import parse_scenario
@@ -12,6 +14,7 @@ from foragesim.sim import (
     MEMORY_VOLATILE,
     OUTCOME_DIED,
     OUTCOME_SURVIVED,
+    TRACE_KEYS,
     SimConfig,
     TraceEvent,
     run_episode,
@@ -386,3 +389,93 @@ class TestConfig:
     def test_max_steps_must_be_positive(self):
         with pytest.raises(ValueError):
             SimConfig(scenario=no_source_scenario(), max_steps=0)
+
+
+# Values whose JSON text the row formatter must reproduce exactly.
+_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\x7f", "\n\t\r", "é", "\u2028", "😀",
+                     "\ud800", "top/seek", ""]),
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.2250738585072014e-308,
+                     1e-310, 1e16, 1e-7, 0.1 + 0.2, 1.7976931348623157e308]),
+)
+_INTS = st.one_of(st.integers(), st.sampled_from([-1, 0, 2**63, -(2**64), 10**30, -(10**40)]))
+# the fields each kind of row the simulator builds sets, besides step and state
+_ROW_KINDS = {
+    "tick": {"battery": _FLOATS, "capacitor": _FLOATS, "mood": _STRINGS, "x": _INTS, "y": _INTS},
+    "transition": {"event": _STRINGS},
+    "choice": {"event": _STRINGS, "node": _STRINGS, "option": _STRINGS,
+               "w_pos_before": _FLOATS, "w_neg_before": _FLOATS},
+    "outcome": {"event": _STRINGS, "node": _STRINGS, "option": _STRINGS,
+                "w_pos_before": _FLOATS, "w_pos_after": _FLOATS,
+                "w_neg_before": _FLOATS, "w_neg_after": _FLOATS},
+}
+_ANY = st.one_of(st.none(), _STRINGS, _FLOATS, _INTS, st.booleans())
+
+
+@st.composite
+def _trace_rows(draw):
+    kind = draw(st.sampled_from([*_ROW_KINDS, "any"]))
+    if kind == "any":  # any field set or not, to any value
+        return TraceEvent(**{key: draw(_ANY) for key in TRACE_KEYS})
+    fields = {"step": _INTS, "state": _STRINGS, **_ROW_KINDS[kind]}
+    row = {key: draw(strategy) for key, strategy in fields.items()}
+    if draw(st.booleans()):  # one field of another type: a bool for an int, an int for a float...
+        row[draw(st.sampled_from(sorted(fields)))] = draw(_ANY)
+    return TraceEvent(**row)
+
+
+class TestTraceFormat:
+    """`sim._line` formats rows itself; it must write what `json.dumps` writes."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_trace_rows())
+    def test_rows_format_as_json_dumps(self, row):
+        assert sim._line(row) == json.dumps(row.to_dict())
+
+    def test_every_combination_of_set_fields(self):
+        value = {
+            "event": "choice", "node": "seek", "option": "find_station",
+            "w_pos_before": 0.8, "w_pos_after": 0.85, "w_neg_before": 0.1, "w_neg_after": -0.0,
+            "battery": 12.5, "capacitor": 1e-310, "mood": "hungry", "x": 3, "y": -4,
+        }
+        optional = TRACE_KEYS[2:]
+        assert sorted(optional) == sorted(value)
+        for mask in range(1 << len(optional)):
+            row = TraceEvent(step=7, state="top/seek", **{
+                key: value[key] for bit, key in enumerate(optional) if mask >> bit & 1
+            })
+            assert sim._line(row) == json.dumps(row.to_dict()), row
+
+    def test_each_field_of_another_type(self):
+        rows = {
+            "tick": dict(battery=12.5, capacitor=0.0, mood="hungry", x=3, y=4),
+            "transition": dict(event="located"),
+            "choice": dict(event="choice", node="seek", option="a", w_pos_before=0.8,
+                           w_neg_before=0.1),
+            "outcome": dict(event="outcome_success", node="seek", option="a", w_pos_before=0.8,
+                            w_pos_after=0.9, w_neg_before=0.1, w_neg_after=0.05),
+        }
+        others = [None, True, False, 0, 1, 1.0, -0.0, math.nan, math.inf, "1", "true", 2**70]
+        for kind, fields in rows.items():
+            fields = dict(step=7, state="top/seek", **fields)
+            for key in fields:
+                for other in others:
+                    row = TraceEvent(**{**fields, key: other})
+                    assert sim._line(row) == json.dumps(row.to_dict()), (kind, key, other)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_simulator_rows_need_no_fallback(self, name, monkeypatch):
+        # every row the built-ins produce has one of the four kinds' shapes
+        def dumps(obj):
+            assert isinstance(obj, str), f"row formatted by json.dumps: {obj}"
+            return json.dumps(obj)
+
+        _, trace = run_episode(SimConfig(scenario=builtin_scenario(name), seed=0, max_steps=3000))
+        expected = [json.dumps(row.to_dict()) for row in trace]
+        monkeypatch.setattr(sim, "json", type("Json", (), {"dumps": staticmethod(dumps)}))
+        monkeypatch.setattr(sim, "_QUOTED", sim._Quoted())
+        assert trace_lines(trace) == expected
