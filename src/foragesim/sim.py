@@ -352,7 +352,7 @@ class _Episode:
             return self.energy.battery_frac < self.profile.thresholds.lower_frac
         raise ValueError(f"unknown guard '{name}'")
 
-    def choose(self, node: str, options: list[str]) -> str:
+    def choose(self, node: str, options: tuple[str, ...]) -> str:
         chosen = select_option(self.table, node, options, self.rng)
         self.choice_fired = True
         self.choices_made[(node, chosen)] += 1
@@ -363,7 +363,7 @@ class _Episode:
     def outcome(self, node: str, option: str, success: bool) -> None:
         before = self.table.get(node, option)
         after = record_outcome(self.table, node, option, success)
-        self.outcomes.append((self.instance.active_path(), node, option, success, before, after))
+        self.outcomes.append((self.instance.path, node, option, success, before, after))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -469,7 +469,7 @@ class _Episode:
                 self.trace.append(
                     TraceEvent(
                         step=step,
-                        state="/".join(self.instance.active_path()),
+                        state="/".join(self.instance.path),
                         battery=self.energy.battery,
                         capacitor=self.energy.capacitor,
                         mood=mood_of(self.energy, self.profile.thresholds),
@@ -507,7 +507,7 @@ class _Episode:
             if trace is not None:
                 # path, pose and mood (charging, or a function of the two
                 # predicates) hold for the whole stretch
-                state = "/".join(self.instance.active_path())
+                state = "/".join(self.instance.path)
                 mood = mood_of(energy, self.profile.thresholds)
                 x, y = self.pose.pos
             while step + 1 < end:

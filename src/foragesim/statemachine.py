@@ -8,12 +8,18 @@ choice nodes (resolved through the context exactly once per entry), then
 `auto` completion transitions. Crossing a machine exit concludes the
 pursuits opened by choice nodes along the way and reports their outcome,
 tagged success or failure, through the context.
+
+The active path (the machine's name, then each frame's state) is held as one
+tuple, set only where the frames change, and shared by every record and
+error that names it. Dispatch reports each transition as a `TransitionRecord`,
+a NamedTuple.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .scenario import (
     EXIT_PREFIX,
@@ -55,8 +61,7 @@ class MachineStuckError(RuntimeError):
     event: str | None = None
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     step: int
     from_path: tuple[str, ...]
     to_path: tuple[str, ...]
@@ -89,7 +94,7 @@ class StaticContext:
     def guard(self, name: str) -> bool:
         return bool(self.guards.get(name, False))
 
-    def choose(self, node: str, options: list[str]) -> str:
+    def choose(self, node: str, options: tuple[str, ...]) -> str:
         if self._chooser is not None:
             return self._chooser(node, options)
         return options[0]
@@ -98,7 +103,7 @@ class StaticContext:
         self.outcomes.append(PursuitOutcome(node, option, success))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     machine: MachineDef
     state: str
@@ -114,14 +119,13 @@ class MachineInstance:
         self.machine = machine
         self.status = STATUS_RUNNING
         self.frames: list[_Frame] = []
+        self.path: tuple[str, ...] = (machine.name,)
         self.pending_events: deque[str] = deque()
 
     # -- inspection ---------------------------------------------------------
 
     def active_path(self) -> list[str]:
-        if self.status == STATUS_EXITED:
-            return [self.machine.name]
-        return [self.machine.name] + [f.state for f in self.frames]
+        return list(self.path)
 
     def leaf_state_name(self) -> str | None:
         return self.frames[-1].state if self.frames else None
@@ -140,26 +144,35 @@ class MachineInstance:
 
     def _start(self) -> None:
         self.frames.append(_Frame(self.machine, self.machine.initial))
-        self._descend()
+        self._descend((self.machine.name, self.machine.initial))
 
-    def _descend(self) -> None:
-        """Push frames through composite initials; park at choice nodes."""
-        while True:
-            f = self.frames[-1]
-            st = f.machine.state(f.state)
-            if st is None:
-                raise MachineStuckError(f"undefined state '{f.state}'")
-            if st.kind == KIND_COMPOSITE:
-                inner = self.scenario.machine(st.machine)
-                if inner is None:
-                    raise MachineStuckError(f"undefined machine '{st.machine}'")
-                self.frames.append(_Frame(inner, inner.initial))
-                continue
-            if st.kind == KIND_CHOICE:
-                f.choice_pending = True
-            elif st.kind == KIND_FINAL and len(self.frames) == 1:
-                self.status = STATUS_FINALIZED
-            return
+    def _descend(self, path: tuple[str, ...]) -> None:
+        """Push frames through composite initials; park at choice nodes.
+
+        `path` is the active path of the frames as they stand; it grows with
+        each frame pushed and is the instance's `path` when this returns.
+        """
+        frames = self.frames
+        try:
+            while True:
+                f = frames[-1]
+                st = f.machine.state(f.state)
+                if st is None:
+                    raise MachineStuckError(f"undefined state '{f.state}'")
+                if st.kind == KIND_COMPOSITE:
+                    inner = self.scenario.machine(st.machine)
+                    if inner is None:
+                        raise MachineStuckError(f"undefined machine '{st.machine}'")
+                    frames.append(_Frame(inner, inner.initial))
+                    path += (inner.initial,)
+                    continue
+                if st.kind == KIND_CHOICE:
+                    f.choice_pending = True
+                elif st.kind == KIND_FINAL and len(frames) == 1:
+                    self.status = STATUS_FINALIZED
+                return
+        finally:
+            self.path = path
 
     # -- dispatch -----------------------------------------------------------
 
@@ -172,18 +185,10 @@ class MachineInstance:
         return None
 
     def _enter(self, state: str, trigger: str, ctx, records, chosen: str | None = None) -> None:
-        from_path = tuple(self.active_path())
+        from_path = self.path
         self.frames[-1].state = state
-        self._descend()
-        records.append(
-            TransitionRecord(
-                step=ctx.step,
-                from_path=from_path,
-                to_path=tuple(self.active_path()),
-                trigger=trigger,
-                chosen_option=chosen,
-            )
-        )
+        self._descend(from_path[:-1] + (state,))
+        records.append(TransitionRecord(ctx.step, from_path, self.path, trigger, chosen))
 
     def _fire(self, tr: TransitionDef, trigger: str, ctx, records) -> None:
         if tr.target.startswith(EXIT_PREFIX):
@@ -198,8 +203,9 @@ class MachineInstance:
         self._enter(target, trigger, ctx, records)
 
     def _cross_exit(self, exit_name: str, trigger: str, ctx, records) -> None:
-        from_path = tuple(self.active_path())
+        from_path = self.path
         frame = self.frames.pop()
+        self.path = from_path[:-1]
         tag = frame.machine.exit_tag(exit_name)
         if tag is None:
             raise MachineStuckError(
@@ -208,14 +214,7 @@ class MachineInstance:
         success = tag == TAG_SUCCESS
         for node, option in frame.pursuits:
             ctx.outcome(node, option, success)
-        records.append(
-            TransitionRecord(
-                step=ctx.step,
-                from_path=from_path,
-                to_path=from_path[:-1] + (exit_name,),
-                trigger=trigger,
-            )
-        )
+        records.append(TransitionRecord(ctx.step, from_path, self.path + (exit_name,), trigger))
         if not self.frames:
             self.status = STATUS_EXITED
             return
@@ -258,7 +257,7 @@ class MachineInstance:
             st = f.machine.state(f.state)
             if f.choice_pending:
                 f.choice_pending = False
-                chosen = ctx.choose(st.name, list(st.options))
+                chosen = ctx.choose(st.name, st.options)
                 if chosen not in st.options:
                     raise ValueError(
                         f"chooser returned {chosen!r}, not an option of '{st.name}'"
@@ -302,16 +301,9 @@ def dispatch(instance: MachineInstance, event: str, ctx=None) -> list[Transition
     if ctx is None:
         ctx = StaticContext()
     if instance.status != STATUS_RUNNING:
-        path = tuple(instance.active_path())
-        return [
-            TransitionRecord(
-                step=ctx.step,
-                from_path=path,
-                to_path=path,
-                trigger=event,
-                note=f"ignored: machine {instance.status}",
-            )
-        ]
+        path = instance.path
+        note = f"ignored: machine {instance.status}"
+        return [TransitionRecord(ctx.step, path, path, event, note=note)]
     if event != AUTO and event not in instance.scenario.event_vocabulary():
         raise UnknownEventError(f"unknown event '{event}'")
     records: list[TransitionRecord] = []
@@ -320,6 +312,6 @@ def dispatch(instance: MachineInstance, event: str, ctx=None) -> list[Transition
             instance._process_event(event, ctx, records)
         instance._drain(ctx, records)
     except MachineStuckError as exc:
-        exc.step, exc.path, exc.event = ctx.step, tuple(instance.active_path()), event
+        exc.step, exc.path, exc.event = ctx.step, instance.path, event
         raise
     return records

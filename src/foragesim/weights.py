@@ -15,7 +15,7 @@ import io
 import os
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 TOLERANCE = 0.1
@@ -41,6 +41,10 @@ class WeightEntry:
     failures: int = 0
 
 
+# what an absent key reads as; entries are frozen, so one instance serves all
+_ZERO = WeightEntry()
+
+
 @dataclass
 class WeightTable:
     """Mutable map of (node, option) -> WeightEntry; absent entries read as zeros."""
@@ -53,7 +57,7 @@ class WeightTable:
             self.set(node, option, WeightEntry(w_pos=w_pos, w_neg=w_neg))
 
     def get(self, node: str, option: str) -> WeightEntry:
-        return self.entries.get((node, option), WeightEntry())
+        return self.entries.get((node, option), _ZERO)
 
     def set(self, node: str, option: str, entry: WeightEntry) -> None:
         if not (0.0 <= entry.w_pos <= 1.0 and 0.0 <= entry.w_neg <= 1.0):
@@ -97,20 +101,14 @@ def record_outcome(table: WeightTable, node: str, option: str, success: bool) ->
     Failure: w_pos <- w_pos/2 and w_neg <- (w_neg + 1)/2.
     Both rules are contractions, so the [0, 1] clamp never has to act.
     """
-    entry = table.get(node, option)
+    e = table.get(node, option)
     if success:
-        updated = replace(
-            entry,
-            w_pos=_clamp01((entry.w_pos + 1.0) / 2.0),
-            w_neg=_clamp01(entry.w_neg / 2.0),
-            successes=entry.successes + 1,
+        updated = WeightEntry(
+            _clamp01((e.w_pos + 1.0) / 2.0), _clamp01(e.w_neg / 2.0), e.successes + 1, e.failures
         )
     else:
-        updated = replace(
-            entry,
-            w_pos=_clamp01(entry.w_pos / 2.0),
-            w_neg=_clamp01((entry.w_neg + 1.0) / 2.0),
-            failures=entry.failures + 1,
+        updated = WeightEntry(
+            _clamp01(e.w_pos / 2.0), _clamp01((e.w_neg + 1.0) / 2.0), e.successes, e.failures + 1
         )
     table.set(node, option, updated)
     return updated
@@ -144,7 +142,11 @@ def save_weights(table: WeightTable, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> WeightTable:
-    """Read a weights CSV; a missing file yields a fresh zero table with a warning."""
+    """Read a weights CSV; a missing file yields a fresh zero table with a warning.
+
+    A malformed row, or a second row for the same (node, option), raises
+    `WeightsFileError` at its line.
+    """
     path = Path(path)
     table = WeightTable()
     if not path.exists():
@@ -165,6 +167,8 @@ def load_weights(path: str | Path) -> WeightTable:
         if len(row) != 6:
             raise WeightsFileError(f"expected 6 fields, got {len(row)}", lineno)
         node, option = row[0], row[1]
+        if (node, option) in table.entries:
+            raise WeightsFileError(f"duplicate row for ({node}, {option})", lineno)
         try:
             w_pos, w_neg = float(row[2]), float(row[3])
             successes, failures = int(row[4]), int(row[5])

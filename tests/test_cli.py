@@ -158,6 +158,13 @@ class TestBadWeightsFile:
             "line 3: not UTF-8 text",
             id="not_utf8",
         ),
+        pytest.param(
+            b"node,option,w_pos,w_neg,successes,failures\n"
+            b"seek,find_station,0.5,0.5,0,0\n"
+            b"seek,find_station,0.25,0.5,0,1\n",
+            "line 3: duplicate row for (seek, find_station)",
+            id="duplicate_row",
+        ),
     ])
     def test_exits_three_naming_the_file_and_line(
         self, verb, content, message, scenario_file, tmp_path, capsys

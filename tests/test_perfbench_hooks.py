@@ -57,3 +57,23 @@ def test_spans_count_ticks_and_trace_rows(spans):
         tracer.restore()
     assert sim.TraceEvent is original_trace_event
     assert sim.tick_discharge is energy.tick_discharge
+
+
+def test_spans_count_every_transition_record(spans, tmp_path):
+    # on_dispatch counts the records without a note; a traced life turns
+    # each of them into one transition or choice row
+    cfg = sim.SimConfig(
+        scenario=builtin_scenario("learning_lab"), max_steps=2000,
+        memory_mode=sim.MEMORY_NONVOLATILE, weights_path=tmp_path / "w.csv",
+    )
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        traces = [sim.run_episode(replace(cfg, seed=s))[1] for s in range(4)]
+    finally:
+        tracer.restore()
+    events = [row.event for trace in traces for row in trace if row.event is not None]
+    outcomes = sum(1 for event in events if event.startswith("outcome_"))
+    assert events.count("choice") > 0 and outcomes > 0
+    assert tracer.calls["statemachine.dispatch"] > 0
+    assert tracer.counts["statemachine.transitions"] == len(events) - outcomes

@@ -1,19 +1,32 @@
+import inspect
 import random
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from foragesim import statemachine
 from foragesim.scenario import parse_scenario
 from foragesim.scenarios import builtin_scenario
 from foragesim.statemachine import (
     AUTO,
+    STATUS_EXITED,
     STATUS_FINALIZED,
     STATUS_RUNNING,
     MachineInstance,
+    MachineStuckError,
     StaticContext,
+    TransitionRecord,
     UnknownEventError,
     dispatch,
     start_instance,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from genscenarios import _GUARDS, random_scenario  # noqa: E402
 
 
 def ctx_choosing(*picks, guards=None):
@@ -205,3 +218,91 @@ class TestRunToCompletion:
                 path = inst.active_path()
                 assert len(path) >= 2
                 assert inst.leaf_state_name() == path[-1]
+
+
+class TestTransitionRecord:
+    def test_fields_and_defaults(self):
+        params = inspect.signature(TransitionRecord).parameters
+        assert list(params) == ["step", "from_path", "to_path", "trigger", "chosen_option", "note"]
+        assert {k: p.default for k, p in params.items() if p.default is not p.empty} == {
+            "chosen_option": None, "note": None,
+        }
+
+    def test_repr_names_every_field(self):
+        rec = TransitionRecord(3, ("top", "a"), ("top", "b"), "go")
+        assert repr(rec) == (
+            "TransitionRecord(step=3, from_path=('top', 'a'), to_path=('top', 'b'), "
+            "trigger='go', chosen_option=None, note=None)"
+        )
+        assert rec == TransitionRecord(
+            step=3, from_path=("top", "a"), to_path=("top", "b"), trigger="go"
+        )
+
+    def test_immutable(self):
+        rec = TransitionRecord(3, ("top", "a"), ("top", "b"), "go")
+        with pytest.raises(AttributeError):
+            rec.step = 4
+        with pytest.raises(AttributeError):
+            rec.note = "x"
+        assert hash(rec) == hash(TransitionRecord(3, ("top", "a"), ("top", "b"), "go"))
+
+
+def _rebuilt(inst):
+    """The active path as the frames spell it out."""
+    if inst.status == STATUS_EXITED:
+        return (inst.machine.name,)
+    return (inst.machine.name, *[f.state for f in inst.frames])
+
+
+class TestCachedPath:
+    """The one cached path tuple matches the frames wherever it is read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_seed=st.integers(0, 10**6), drive_seed=st.integers(0, 10**6))
+    def test_matches_the_frames_on_generated_machines(self, scenario_seed, drive_seed):
+        scenario = random_scenario(scenario_seed)
+        rng = random.Random(drive_seed)
+        events = sorted(scenario.event_vocabulary()) + [AUTO] * 3
+        guards = sorted({g for g in _GUARDS if g})
+        ctx = StaticContext(chooser=lambda node, options: rng.choice(options))
+        inst = start_instance(scenario)
+        assert inst.active_path() == list(_rebuilt(inst))
+
+        last = {}  # the rebuilt path and innermost machine as the last record left them
+        seen = []  # per record built: (rebuilt path before, after, machine before)
+
+        def mark():
+            last["path"] = _rebuilt(inst)
+            last["machine"] = inst.frames[-1].machine if inst.frames else None
+
+        def record(*args, **kwargs):
+            was, machine = last["path"], last["machine"]
+            mark()
+            seen.append((was, last["path"], machine))
+            return real_record(*args, **kwargs)
+
+        real_record = statemachine.TransitionRecord
+        with mock.patch.object(statemachine, "TransitionRecord", record):
+            for _ in range(rng.randint(1, 25)):
+                if inst.status != STATUS_RUNNING and rng.random() < 0.7:
+                    inst = start_instance(scenario)
+                ctx.guards = {g: rng.random() < 0.5 for g in guards}
+                seen.clear()
+                mark()
+                try:
+                    records = dispatch(inst, rng.choice(events), ctx)
+                except MachineStuckError as exc:
+                    assert exc.path == _rebuilt(inst)
+                    break
+                assert inst.active_path() == list(_rebuilt(inst))
+                assert len(records) == len(seen)
+                for rec, (was, now, machine) in zip(records, seen):
+                    assert rec.from_path == was
+                    if rec.note is not None:
+                        assert rec.to_path == was == now
+                    elif len(now) < len(was):
+                        # an exit crossing: the outer path, then the exit's name
+                        assert rec.to_path[:-1] == now
+                        assert machine.exit_tag(rec.to_path[-1]) is not None
+                    else:
+                        assert rec.to_path == now

@@ -1,5 +1,6 @@
 import csv
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ from foragesim.weights import (
     record_outcome,
     save_weights,
     select_option,
+    _clamp01,
 )
 
 SIGNAL_VS_TRACK = {
@@ -140,6 +142,60 @@ class TestRecord:
         assert abs(down.w_pos - w0 / 2**k) <= 1e-12
 
 
+_WEIGHT = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(0, 1074).map(lambda k: 0.5**k),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestDirectUpdate:
+    """record_outcome builds its entry directly; the result is what the
+    `dataclasses.replace` form of the update rules gives, bit for bit."""
+
+    @staticmethod
+    def _by_replace(entry, success):
+        if success:
+            return replace(
+                entry,
+                w_pos=_clamp01((entry.w_pos + 1.0) / 2.0),
+                w_neg=_clamp01(entry.w_neg / 2.0),
+                successes=entry.successes + 1,
+            )
+        return replace(
+            entry,
+            w_pos=_clamp01(entry.w_pos / 2.0),
+            w_neg=_clamp01((entry.w_neg + 1.0) / 2.0),
+            failures=entry.failures + 1,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        w_pos=_WEIGHT, w_neg=_WEIGHT,
+        successes=st.integers(0, 10**9), failures=st.integers(0, 10**9),
+        success=st.booleans(),
+    )
+    def test_bitwise_equal_to_the_replace_form(self, w_pos, w_neg, successes, failures, success):
+        entry = WeightEntry(w_pos, w_neg, successes, failures)
+        table = WeightTable()
+        table.set("n", "a", entry)
+        got = record_outcome(table, "n", "a", success)
+        want = self._by_replace(entry, success)
+        assert (got.w_pos.hex(), got.w_neg.hex()) == (want.w_pos.hex(), want.w_neg.hex())
+        assert (got.successes, got.failures) == (want.successes, want.failures)
+        assert table.get("n", "a") is got
+
+    def test_absent_keys_stay_zero_after_an_update(self):
+        table = WeightTable()
+        zero = table.get("n", "b")
+        record_outcome(table, "n", "a", success=True)
+        record_outcome(table, "n", "c", success=False)
+        assert zero == table.get("n", "b") == table.get("m", "x") == WeightEntry()
+        assert table.get("n", "a") == WeightEntry(0.5, 0.0, 1, 0)
+        with pytest.raises(FrozenInstanceError):
+            zero.w_pos = 1.0
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         table = WeightTable(SIGNAL_VS_TRACK)
@@ -199,6 +255,16 @@ class TestPersistence:
         )
         with pytest.raises(WeightsFileError, match="line 3"):
             load_weights(path)
+
+    def test_duplicate_row_reports_the_second_line(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text(
+            "node,option,w_pos,w_neg,successes,failures\n"
+            "seek,a,0.5,0.0,1,0\nseek,b,0.25,0.0,0,0\nseek,a,0.75,0.0,2,0\n"
+        )
+        with pytest.raises(WeightsFileError, match=r"^line 4: duplicate row for \(seek, a\)$") as err:
+            load_weights(path)
+        assert err.value.line == 4
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
