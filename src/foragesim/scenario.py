@@ -49,7 +49,7 @@ TAG_SUCCESS = "success"
 TAG_FAILURE = "failure"
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_IDENT_RE = re.compile(_ID + "$")
+IDENT_RE = re.compile(_ID + "$")  # a DSL name (node, option, state, ...)
 _NUMBER_RE = re.compile(r"-?\d+(?:\.(\d+))?$")
 
 _RESERVED_WORDS = frozenset(
@@ -225,11 +225,6 @@ class ScenarioDef:
 # parsing
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
-
-
 def _parse_number(token: str, lineno: int, diags: list[Diagnostic]) -> float | None:
     m = _NUMBER_RE.match(token)
     if m is None:
@@ -247,7 +242,7 @@ def _parse_number(token: str, lineno: int, diags: list[Diagnostic]) -> float | N
 
 
 def _check_ident(token: str, lineno: int, diags: list[Diagnostic]) -> bool:
-    if not _IDENT_RE.match(token):
+    if not IDENT_RE.match(token):
         diags.append(_error(lineno, f"bad identifier {token!r}"))
         return False
     if token in _RESERVED_WORDS:
@@ -283,33 +278,11 @@ def _parse_arms(text: str, lineno: int, diags: list[Diagnostic]) -> tuple[Transi
     return tuple(arms)
 
 
-class _MachineBuilder:
-    def __init__(self, name: str, is_entry: bool, line: int):
-        self.name = name
-        self.is_entry = is_entry
-        self.line = line
-        self.initial: str | None = None
-        self.states: list[StateDef] = []
-        self.exits: list[tuple[str, str]] = []
-
-    def build(self, diags: list[Diagnostic]) -> MachineDef | None:
-        if self.initial is None:
-            diags.append(_error(self.line, f"machine '{self.name}' has no initial"))
-            return None
-        return MachineDef(
-            name=self.name,
-            initial=self.initial,
-            states=tuple(self.states),
-            exits=tuple(self.exits),
-            is_entry=self.is_entry,
-            line=self.line,
-        )
-
-
-_HEADER_MACHINE_RE = re.compile(rf"^\[\s*machine\s+(?P<name>{_ID})(?P<entry>\s+entry)?\s*\]$")
-_HEADER_PLAIN_RE = re.compile(r"^\[\s*(?P<name>world|energy|weights)\s*\]$")
+_HEADER_RE = re.compile(
+    rf"^\[\s*(?:machine\s+(?P<machine>{_ID})(?P<entry>\s+entry)?|(?P<section>world|energy|weights))\s*\]$"
+)
+# a [weights] line is a key/value line whose key is `node.option`
 _KV_RE = re.compile(rf"^(?P<key>{_ID}(?:\.{_ID})*)\s*=\s*(?P<values>.+)$")
-_WLINE_RE = re.compile(rf"^(?P<node>{_ID})\.(?P<option>{_ID})\s*=\s*(?P<values>.+)$")
 
 # Every machine statement: word -> (pattern for the rest of the line, kind of
 # the state it declares; `initial` and `exit` declare none). The names a
@@ -341,43 +314,36 @@ def parse_scenario_checked(
 ) -> tuple[ScenarioDef | None, list[Diagnostic]]:
     """Parse DSL source, returning the scenario (if buildable) and all diagnostics."""
     diags: list[Diagnostic] = []
-    machines: list[_MachineBuilder] = []
+    machines: list[dict] = []  # each machine's MachineDef fields, as parsed
     # section -> key -> (value, or None when it was rejected; line)
     given: dict[str, dict[str, tuple[object, int]]] = {"world": {}, "energy": {}}
     weights: dict[tuple[str, str], tuple[float, float]] = {}
     weight_lines: dict[tuple[str, str], int] = {}
-    section: str | None = None  # "machine" | "world" | "energy" | "weights"
-    current: _MachineBuilder | None = None
+    # "machine" (the last of `machines`) | "world" | "energy" | "weights"
+    section: str | None = None
     seen_sections: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
 
         if line.startswith("["):
-            m = _HEADER_MACHINE_RE.match(line)
-            if m:
-                mname = m.group("name")
-                if _check_ident(mname, lineno, diags):
-                    current = _MachineBuilder(mname, m.group("entry") is not None, lineno)
-                    machines.append(current)
-                    section = "machine"
-                else:
-                    current = None
-                    section = None
-                continue
-            m = _HEADER_PLAIN_RE.match(line)
-            if m:
-                section = m.group("name")
+            m = _HEADER_RE.match(line)
+            section = None
+            if m is None:
+                diags.append(_error(lineno, f"bad section header {line!r}"))
+            elif m.group("section") is not None:
+                section = m.group("section")
                 if section in seen_sections:
                     diags.append(_error(lineno, f"duplicate [{section}] section"))
                 seen_sections.add(section)
-                current = None
-                continue
-            diags.append(_error(lineno, f"bad section header {line!r}"))
-            section = None
-            current = None
+            elif _check_ident(m.group("machine"), lineno, diags):
+                machines.append({
+                    "name": m.group("machine"), "initial": None, "states": [], "exits": [],
+                    "is_entry": m.group("entry") is not None, "line": lineno,
+                })
+                section = "machine"
             continue
 
         if section is None:
@@ -385,22 +351,20 @@ def parse_scenario_checked(
             continue
 
         if section == "machine":
-            _parse_machine_stmt(line, lineno, current, diags)
-        elif section in ("world", "energy"):
-            m = _KV_RE.match(line)
+            _parse_machine_stmt(line, lineno, machines[-1], diags)
+            continue
+        m = _KV_RE.match(line)
+        if section != "weights":
             if m is None:
                 diags.append(_error(lineno, f"bad key/value line {line!r}"))
                 continue
             key = m.group("key")
-            values: list[float] = []
-            ok = True
+            values: list[float | None] = []
             for tok in m.group("values").split():
-                v = _parse_number(tok, lineno, diags)
-                if v is None:
-                    ok = False
+                values.append(_parse_number(tok, lineno, diags))
+                if values[-1] is None:
                     break
-                values.append(v)
-            if not ok:
+            if None in values:
                 continue
             if key not in _KEYS or _KEYS[key][0] != section:
                 diags.append(_error(lineno, f"unknown {section} key {key!r}"))
@@ -409,9 +373,8 @@ def parse_scenario_checked(
                 diags.append(_error(lineno, f"duplicate key {key!r}"))
                 continue
             given[section][key] = (_convert(key, values, lineno, diags), lineno)
-        elif section == "weights":
-            m = _WLINE_RE.match(line)
-            if m is None:
+        else:
+            if m is None or m.group("key").count(".") != 1:
                 diags.append(_error(lineno, f"bad weight line {line!r}"))
                 continue
             toks = m.group("values").split()
@@ -421,40 +384,40 @@ def parse_scenario_checked(
             pair = [_parse_number(t, lineno, diags) for t in toks]
             if None in pair:
                 continue
-            node, option = m.group("node"), m.group("option")
-            key = (node, option)
+            key = tuple(m.group("key").split("."))
             if key in weights:
-                diags.append(_error(lineno, f"duplicate weight entry {node}.{option}"))
+                diags.append(_error(lineno, f"duplicate weight entry {m.group('key')}"))
                 continue
             weights[key] = (pair[0], pair[1])
             weight_lines[key] = lineno
 
-    built = [b.build(diags) for b in machines]
-    machine_defs = tuple(m for m in built if m is not None)
+    machine_defs = []
+    for machine in machines:
+        if machine["initial"] is None:
+            diags.append(_error(machine["line"], f"machine '{machine['name']}' has no initial"))
+        else:
+            machine.update(states=tuple(machine["states"]), exits=tuple(machine["exits"]))
+            machine_defs.append(MachineDef(**machine))
     world = _build_section("world", given["world"], diags)
     if world is not None:
         _check_world(world, given["world"], diags)
     energy = _build_section("energy", given["energy"], diags)
 
-    if any(m is None for m in built) or world is None or energy is None:
-        return None, _sorted(diags)
+    if len(machine_defs) < len(machines) or world is None or energy is None:
+        scenario = None
+    else:
+        scenario = ScenarioDef(
+            machines=tuple(machine_defs),
+            world=world,
+            energy_profile=energy,
+            seed_weights=weights,
+            name=name,
+        )
+        _validate(scenario, weight_lines, diags)
+    return scenario, sorted(diags, key=lambda d: (d.line, d.column, d.severity, d.message))
 
-    scenario = ScenarioDef(
-        machines=machine_defs,
-        world=world,
-        energy_profile=energy,
-        seed_weights=weights,
-        name=name,
-    )
-    diags.extend(_validate(scenario, weight_lines))
-    return scenario, _sorted(diags)
 
-
-def _parse_machine_stmt(
-    line: str, lineno: int, builder: _MachineBuilder | None, diags: list[Diagnostic]
-) -> None:
-    if builder is None:
-        return
+def _parse_machine_stmt(line: str, lineno: int, machine: dict, diags: list[Diagnostic]) -> None:
     word, *rest = line.split(maxsplit=1)  # any run of whitespace ends the word
     if word not in _STMTS:
         diags.append(_error(lineno, f"unknown statement {word!r}"))
@@ -464,8 +427,8 @@ def _parse_machine_stmt(
     if m is None:
         diags.append(_error(lineno, f"bad {word} statement {line!r}"))
         return
-    if word == "initial" and builder.initial is not None:
-        diags.append(_error(lineno, f"machine '{builder.name}' has multiple initials"))
+    if word == "initial" and machine["initial"] is not None:
+        diags.append(_error(lineno, f"machine '{machine['name']}' has multiple initials"))
         return
     got = m.groupdict()
     name, ref, arms = got["name"], got.get("ref"), got.get("arms")
@@ -474,11 +437,11 @@ def _parse_machine_stmt(
         if n is not None and not _check_ident(n, lineno, diags):
             return
     if word == "initial":
-        builder.initial = name
+        machine["initial"] = name
     elif word == "exit":
-        builder.exits.append((name, got["tag"]))
+        machine["exits"].append((name, got["tag"]))
     else:
-        builder.states.append(StateDef(
+        machine["states"].append(StateDef(
             name=name, kind=kind, machine=ref, options=options,
             transitions=_parse_arms(arms, lineno, diags) if arms else (), line=lineno,
         ))
@@ -583,10 +546,6 @@ def _check_world(world: WorldMap, rows: dict[str, tuple[object, int]], diags: li
             diags.append(_error(line, f"{key} cell {cell} is not on the track"))
 
 
-def _sorted(diags: list[Diagnostic]) -> list[Diagnostic]:
-    return sorted(diags, key=lambda d: (d.line, d.column, d.severity, d.message))
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -604,60 +563,71 @@ def _reach(start: str, nexts: dict[str, list[str]]) -> set[str]:
     return reached
 
 
+def _repeats(items, key) -> list:
+    """The items whose key an earlier item already has, in order."""
+    seen: set = set()
+    repeats = []
+    for item in items:
+        k = key(item)
+        if k in seen:
+            repeats.append(item)
+        seen.add(k)
+    return repeats
+
+
 def _validate(
-    scenario: ScenarioDef, weight_lines: dict[tuple[str, str], int]
-) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
+    scenario: ScenarioDef, weight_lines: dict[tuple[str, str], int], diags: list[Diagnostic]
+) -> None:
     machines = scenario.machines
 
     entries = [m for m in machines if m.is_entry]
     if not entries:
         diags.append(_error(1, "no entry machine declared"))
-    elif len(entries) > 1:
-        for m in entries[1:]:
-            diags.append(_error(m.line, f"multiple entry machines: '{m.name}'"))
+    for m in entries[1:]:
+        diags.append(_error(m.line, f"multiple entry machines: '{m.name}'"))
 
-    seen: dict[str, int] = {}
-    for m in machines:
-        if m.name in seen:
-            diags.append(_error(m.line, f"duplicate machine name '{m.name}'"))
-        seen[m.name] = m.line
+    for m in _repeats(machines, lambda m: m.name):
+        diags.append(_error(m.line, f"duplicate machine name '{m.name}'"))
 
     by_name = {m.name: m for m in machines}
     options_of: dict[str, set[str]] = {}  # choice node name -> its options, over all machines
-    referenced: set[str] = set()
 
     for m in machines:
-        state_names: dict[str, int] = {}
-        for st in m.states:
-            if st.name in state_names:
-                diags.append(_error(st.line, f"duplicate state name '{st.name}'"))
-            state_names[st.name] = st.line
-        exit_names: dict[str, int] = {}
-        for exit_name, _tag in m.exits:
-            if exit_name in exit_names:
-                diags.append(_error(m.line, f"duplicate exit name '{exit_name}'"))
-            if exit_name in state_names:
+        for st in _repeats(m.states, lambda st: st.name):
+            diags.append(_error(st.line, f"duplicate state name '{st.name}'"))
+        for exit_name, _ in _repeats(m.exits, lambda ex: ex[0]):
+            diags.append(_error(m.line, f"duplicate exit name '{exit_name}'"))
+        # what a name in this machine may refer to: its states, and `exit.X` for each exit
+        targets = {st.name for st in m.states} | {EXIT_PREFIX + name for name, _ in m.exits}
+        for exit_name, _ in m.exits:
+            if exit_name in targets:  # an exit name has no dot, so only a state's matches
                 diags.append(_error(m.line, f"exit '{exit_name}' clashes with a state name"))
-            exit_names[exit_name] = m.line
 
         finals = m.final_state_names()
-        if m.state(m.initial) is None:
+        if m.initial not in targets:
             diags.append(_error(m.line, f"unresolved reference '{m.initial}'"))
+        else:  # reachability inside this machine; a `final` target is the first final state
+            final = {TARGET_FINAL: finals[0]} if finals else {}
+            nexts = {  # in reverse, so that the first declaration of a name wins
+                st.name: [*st.options, *(final.get(tr.target, tr.target) for tr in st.transitions)]
+                for st in reversed(m.states)
+            }
+            reached = {m.initial} | _reach(m.initial, nexts)
+            for st in m.states:
+                if st.name not in reached:
+                    diags.append(_warning(st.line, f"unreachable state '{st.name}'"))
 
         for st in m.states:
             if st.kind == KIND_CHOICE:
                 options_of.setdefault(st.name, set()).update(st.options)
                 if len(st.options) < 2:
                     diags.append(_error(st.line, "choice requires >=2 options"))
-                dup = {o for o in st.options if st.options.count(o) > 1}
-                for o in sorted(dup):
+                for o in sorted(set(_repeats(st.options, str))):
                     diags.append(_error(st.line, f"duplicate choice option '{o}'"))
                 for o in st.options:
-                    if o not in state_names:
+                    if o not in targets:
                         diags.append(_error(st.line, f"unresolved reference '{o}'"))
             if st.kind == KIND_COMPOSITE:
-                referenced.add(st.machine)
                 inner = by_name.get(st.machine)
                 if inner is None:
                     diags.append(_error(st.line, f"unresolved reference '{st.machine}'"))
@@ -694,12 +664,7 @@ def _validate(
             for tr in st.transitions:
                 if tr.guard is not None and tr.guard not in GUARD_NAMES:
                     diags.append(_error(tr.line, f"unknown guard '{tr.guard}'"))
-                if tr.target.startswith(EXIT_PREFIX):
-                    if tr.target[len(EXIT_PREFIX):] not in exit_names:
-                        diags.append(
-                            _error(tr.line, f"unresolved reference '{tr.target}'")
-                        )
-                elif tr.target == TARGET_FINAL:
+                if tr.target == TARGET_FINAL:
                     if not finals:
                         diags.append(
                             _error(tr.line, f"machine '{m.name}' has no final state")
@@ -708,40 +673,21 @@ def _validate(
                         diags.append(
                             _error(tr.line, "ambiguous 'final' target; name the final state")
                         )
-                else:
-                    if tr.target not in state_names:
-                        diags.append(
-                            _error(tr.line, f"unresolved reference '{tr.target}'")
-                        )
-
-        # reachability inside this machine; a `final` target is the first final state
-        if m.state(m.initial) is not None:
-            final = {TARGET_FINAL: finals[0]} if finals else {}
-            nexts = {  # in reverse, so that the first declaration of a name wins
-                st.name: [*st.options, *(final.get(tr.target, tr.target) for tr in st.transitions)]
-                for st in reversed(m.states)
-            }
-            reached = {m.initial} | _reach(m.initial, nexts)
-            for st in m.states:
-                if st.name not in reached:
-                    diags.append(_warning(st.line, f"unreachable state '{st.name}'"))
+                elif tr.target not in targets:
+                    diags.append(_error(tr.line, f"unresolved reference '{tr.target}'"))
 
     # composition must be acyclic
     colors: dict[str, int] = {}
 
     def visit(name: str, stack: list[str]) -> None:
         colors[name] = 1
-        m = by_name.get(name)
-        if m is not None:
-            for st in m.states:
-                if st.kind == KIND_COMPOSITE and st.machine in by_name:
-                    if colors.get(st.machine, 0) == 1:
-                        cycle = " -> ".join(stack + [name, st.machine])
-                        diags.append(
-                            _error(st.line, f"machine composition cycle: {cycle}")
-                        )
-                    elif colors.get(st.machine, 0) == 0:
-                        visit(st.machine, stack + [name])
+        for st in by_name[name].states:
+            if st.kind == KIND_COMPOSITE and st.machine in by_name:
+                if colors.get(st.machine, 0) == 1:
+                    cycle = " -> ".join(stack + [name, st.machine])
+                    diags.append(_error(st.line, f"machine composition cycle: {cycle}"))
+                elif colors.get(st.machine, 0) == 0:
+                    visit(st.machine, stack + [name])
         colors[name] = 2
 
     for m in machines:
@@ -750,6 +696,7 @@ def _validate(
 
     _check_auto_cycles(machines, by_name, diags)
 
+    referenced = {st.machine for m in machines for st in m.states if st.kind == KIND_COMPOSITE}
     for m in machines:
         if not m.is_entry and m.name not in referenced:
             diags.append(_warning(m.line, f"machine '{m.name}' is never used"))
@@ -764,8 +711,6 @@ def _validate(
             diags.append(
                 _warning(line, f"weight {node}.{option}: '{option}' is not an option of '{node}'")
             )
-
-    return diags
 
 
 def _check_auto_cycles(
@@ -922,19 +867,17 @@ def serialize_scenario(scenario: ScenarioDef) -> str:
         lines.append(header)
         lines.append(f"initial -> {m.initial}")
         for st in m.states:
+            arms = ", ".join(_fmt_arm(tr) for tr in st.transitions)
             if st.kind == KIND_FINAL:
                 lines.append(f"final {st.name}")
             elif st.kind == KIND_CHOICE:
                 lines.append(f"choice {st.name} : " + " | ".join(st.options))
             elif st.kind == KIND_COMPOSITE:
-                arms = ", ".join(_fmt_arm(tr) for tr in st.transitions)
                 lines.append(f"submachine {st.name} = {st.machine} -> {arms}")
+            elif arms:
+                lines.append(f"state {st.name} -> {arms}")
             else:
-                if st.transitions:
-                    arms = ", ".join(_fmt_arm(tr) for tr in st.transitions)
-                    lines.append(f"state {st.name} -> {arms}")
-                else:
-                    lines.append(f"state {st.name}")
+                lines.append(f"state {st.name}")
         for exit_name, tag in m.exits:
             lines.append(f"exit {exit_name} ({tag})")
         lines.append("")
@@ -946,8 +889,7 @@ def serialize_scenario(scenario: ScenarioDef) -> str:
     if scenario.seed_weights:
         lines.append("")
         lines.append("[weights]")
-        for (node, option) in sorted(scenario.seed_weights):
-            w_pos, w_neg = scenario.seed_weights[(node, option)]
+        for (node, option), (w_pos, w_neg) in sorted(scenario.seed_weights.items()):
             lines.append(f"{node}.{option} = {_fmt_num(w_pos)} {_fmt_num(w_neg)}")
 
     return "\n".join(lines) + "\n"

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import sys
 from collections import Counter, deque
@@ -84,7 +83,7 @@ from .statemachine import (
     dispatch,
     start_instance,
 )
-from .weights import WeightTable, record_outcome, save_weights, select_option
+from .weights import WeightTable, record_outcome, replacing, save_weights, select_option
 from .world import (
     CUE_IR,
     CUE_TRACK,
@@ -609,16 +608,8 @@ def run_life(cfg: SimConfig, trace_path: str | Path | None = None) -> EpisodeRes
     """
     if trace_path is None:
         return _live(cfg, None, None)
-    path = Path(trace_path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("w") as fh:
-            result = _live(cfg, None, _JsonlWriter(fh))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return result
+    with replacing(trace_path) as fh:
+        return _live(cfg, None, _JsonlWriter(fh))
 
 
 def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:

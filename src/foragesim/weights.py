@@ -15,8 +15,13 @@ import io
 import os
 import random
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
+
+from .scenario import IDENT_RE
 
 TOLERANCE = 0.1
 # absorbs representation error when grid-valued weights differ by exactly 0.1
@@ -118,34 +123,44 @@ def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
-def save_weights(table: WeightTable, path: str | Path) -> None:
-    """Write the table as CSV, weights at nine decimal digits, sorted rows.
-
-    The rows go to a temporary file beside `path` that then replaces it, so a
-    write that fails part way leaves the previous file as it was.
-    """
+@contextmanager
+def replacing(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Write `path` crash-safely: yield a text file opened beside it as
+    `path.tmp`, which replaces `path` when the block ends. A block that fails
+    part way removes the temporary file and leaves `path` as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(WEIGHTS_CSV_HEADER)
-            for (node, option) in sorted(table.entries):
-                e = table.entries[(node, option)]
-                writer.writerow(
-                    [node, option, f"{e.w_pos:.9f}", f"{e.w_neg:.9f}", e.successes, e.failures]
-                )
+        with tmp.open("w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def save_weights(table: WeightTable, path: str | Path) -> None:
+    """Write the table as CSV, weights at nine decimal digits, sorted rows.
+
+    The write goes through `replacing`, so one that fails part way leaves
+    the previous file as it was.
+    """
+    with replacing(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(WEIGHTS_CSV_HEADER)
+        for (node, option) in sorted(table.entries):
+            e = table.entries[(node, option)]
+            writer.writerow(
+                [node, option, f"{e.w_pos:.9f}", f"{e.w_neg:.9f}", e.successes, e.failures]
+            )
+
+
 def load_weights(path: str | Path) -> WeightTable:
     """Read a weights CSV; a missing file yields a fresh zero table with a warning.
 
-    A malformed row, or a second row for the same (node, option), raises
-    `WeightsFileError` at its line.
+    A malformed row, a node or option that is not a DSL identifier, or a
+    second row for the same (node, option), raises `WeightsFileError` at the
+    file line on which the row starts.
     """
     path = Path(path)
     table = WeightTable()
@@ -157,7 +172,10 @@ def load_weights(path: str | Path) -> WeightTable:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise WeightsFileError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
-    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next_line = 1  # a quoted field may span lines, so a row starts after the last one read
+    for row in reader:
+        lineno, next_line = next_line, reader.line_num + 1
         if lineno == 1:
             if tuple(row) != WEIGHTS_CSV_HEADER:
                 raise WeightsFileError("bad header", lineno)
@@ -167,6 +185,9 @@ def load_weights(path: str | Path) -> WeightTable:
         if len(row) != 6:
             raise WeightsFileError(f"expected 6 fields, got {len(row)}", lineno)
         node, option = row[0], row[1]
+        for name in (node, option):
+            if not IDENT_RE.match(name):
+                raise WeightsFileError(f"bad name {name!r}", lineno)
         if (node, option) in table.entries:
             raise WeightsFileError(f"duplicate row for ({node}, {option})", lineno)
         try:

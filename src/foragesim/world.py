@@ -75,16 +75,12 @@ class CueReading:
     track_detected: bool = False
 
 
-def _dist(a: Cell, b: Cell) -> float:
-    return math.dist(a, b)
-
-
 def intensity_at(world: WorldMap, pos: Cell) -> float:
     """Beacon field strength at `pos`: tx_power * (d0 / (d0 + d))^2."""
     if world.beacon is None:
         return 0.0
     b = world.beacon
-    d = _dist(pos, b.pos)
+    d = math.dist(pos, b.pos)
     ratio = b.d0 / (b.d0 + d)
     return b.tx_power * ratio * ratio
 
@@ -94,7 +90,7 @@ def coupling_efficiency(world: WorldMap, pos: Cell) -> float:
     if world.beacon is None:
         return 0.0
     b = world.beacon
-    d = _dist(pos, b.pos)
+    d = math.dist(pos, b.pos)
     if d > b.resonance_radius:
         return 0.0
     return 1.0 / (1.0 + (d / b.resonance_radius) ** 2)
@@ -105,7 +101,7 @@ def poll_beacon(world: WorldMap, pose: RobotPose, gain: float) -> float | None:
     if world.beacon is None:
         return None
     b = world.beacon
-    if _dist(pose.pos, b.pos) > b.poll_radius * gain:
+    if math.dist(pose.pos, b.pos) > b.poll_radius * gain:
         return None
     return intensity_at(world, pose.pos)
 
@@ -122,10 +118,10 @@ def detect_station_cues(world: WorldMap, pose: RobotPose, gain: float) -> CueRea
     track_detected = False
     cells = st.track_cells()
     if cells:
-        nearest = min(cells, key=lambda c: (_dist(pose.pos, c), c))
-        track_detected = _dist(pose.pos, nearest) <= 1.0 * gain
+        nearest = min(cells, key=lambda c: (math.dist(pose.pos, c), c))
+        track_detected = math.dist(pose.pos, nearest) <= 1.0 * gain
     return CueReading(
-        ir_detected=_dist(pose.pos, st.pos) <= st.ir_radius * gain,
+        ir_detected=math.dist(pose.pos, st.pos) <= st.ir_radius * gain,
         track_detected=track_detected,
     )
 
@@ -133,12 +129,12 @@ def detect_station_cues(world: WorldMap, pose: RobotPose, gain: float) -> CueRea
 def _greedy_step(world: WorldMap, pos: Cell, goal: Cell) -> Cell:
     """One 4-neighbour step strictly reducing distance to `goal` (N,E,S,W ties)."""
     best = pos
-    best_d = _dist(pos, goal)
+    best_d = math.dist(pos, goal)
     for dx, dy in _STEPS:
         nxt = (pos[0] + dx, pos[1] + dy)
         if not world.in_grid(nxt):
             continue
-        d = _dist(nxt, goal)
+        d = math.dist(nxt, goal)
         if d < best_d:
             best, best_d = nxt, d
     return best
@@ -170,7 +166,7 @@ def step_follow(
             cells = st.track_cells()
             if not cells:
                 return pose, FOLLOW_LOST
-            target = min(cells, key=lambda c: (_dist(pose.pos, c), c))
+            target = min(cells, key=lambda c: (math.dist(pose.pos, c), c))
         nxt = _greedy_step(world, pose.pos, target)
     else:
         raise ValueError(f"unknown cue {cue!r}")

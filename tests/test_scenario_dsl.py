@@ -320,6 +320,9 @@ class TestKeyErrors:
         assert {d.line for d in errors(diags)} == {line}, diags
 
 
+# a sub-machine with one exit, for a case to append after the statement that uses it
+INNER = "[machine inner]\ninitial -> x\nstate x -> exit.done on go\nexit done (success)\n"
+
 # Each case is text in which the line marked `# <-` must carry the message.
 STRUCTURE_ERRORS = {
     "bad_initial": (MINIMAL + "initial a  # <-\n", "bad initial statement 'initial a'"),
@@ -349,16 +352,42 @@ STRUCTURE_ERRORS = {
                          "duplicate weight entry n.o"),
     "weight_overflow": (MINIMAL + f"[weights]\nn.o = {BIG} 0.5  # <-\n", f"bad number {BIG!r}"),
     "negative_overflow": (MINIMAL + f"[energy]\ngain_min = -{BIG}  # <-\n", f"bad number '-{BIG}'"),
+    "bad_key_value": (MINIMAL + "[world]\ngrid 8 8  # <-\n", "bad key/value line 'grid 8 8'"),
+    "multiple_entries": (MINIMAL + "[machine other entry]  # <-\ninitial -> a\nstate a\n",
+                         "multiple entry machines: 'other'"),
+    "duplicate_machine": (MINIMAL + "[machine top]  # <-\ninitial -> a\nstate a\n",
+                          "duplicate machine name 'top'"),
+    "duplicate_exit": ("[machine top entry]  # <-\ninitial -> a\nstate a\nexit d (success)\n"
+                       "exit d (failure)\n", "duplicate exit name 'd'"),
+    "exit_clashes": ("[machine top entry]  # <-\ninitial -> a\nstate a\nexit a (success)\n",
+                     "exit 'a' clashes with a state name"),
+    "duplicate_option": (MINIMAL + "choice c : a | b | a  # <-\nstate b\n",
+                         "duplicate choice option 'a'"),
+    "arm_not_an_exit": (MINIMAL + "submachine s = inner -> a on done, a on nope  # <-\n" + INNER,
+                        "arm event 'nope' is not an exit of machine 'inner'"),
+    "no_exit_declared": (MINIMAL + "submachine s = spare -> a on go  # <-\n"
+                         "[machine spare]\ninitial -> x\nstate x\n",
+                         "machine 'spare' is used as a sub-machine but declares no exit"),
+    "no_final_state": (MINIMAL + "state b -> final on go  # <-\n", "machine 'top' has no final state"),
+    "ambiguous_final": (MINIMAL + "state b -> final on go  # <-\nfinal f1\nfinal f2\n",
+                        "ambiguous 'final' target; name the final state"),
+    # a third field gives the severity when it is not "error"
+    "conditional_exit": (MINIMAL + "submachine s = inner -> a on done if powerLow  # <-\n" + INNER,
+                         "exit 'done' of machine 'inner' is handled only conditionally", "warning"),
+    "never_used": (MINIMAL + "[machine spare]  # <-\ninitial -> x\nstate x\n",
+                   "machine 'spare' is never used", "warning"),
 }
 
 
 class TestStructureErrors:
     @pytest.mark.parametrize("case", sorted(STRUCTURE_ERRORS))
     def test_message_at_the_marked_line(self, case):
-        text, message = STRUCTURE_ERRORS[case]
+        text, message, *rest = STRUCTURE_ERRORS[case]
+        severity = rest[0] if rest else "error"
         line = next(n for n, t in enumerate(text.splitlines(), start=1) if "# <-" in t)
         _, diags = parse_scenario_checked(text)
-        assert [d.line for d in errors(diags) if d.message == message] == [line], diags
+        found = [d.line for d in diags if d.severity == severity and d.message == message]
+        assert found == [line], diags
 
 
 class TestSerialize:

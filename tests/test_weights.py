@@ -266,6 +266,17 @@ class TestPersistence:
             load_weights(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("rows, message", [
+        ('"se\nek",a,0.5,0.5,0,0\n', r"^line 2: bad name 'se\\nek'$"),
+        # a quoted field spans lines 2-3 (`float` strips its newline); the bad row starts on line 4
+        ('seek,a,"0.5\n",0.5,0,0\nseek,b,2.0,0.5,0,0\n', r"^line 4: weight out of range$"),
+    ], ids=["name_spans_lines", "field_spans_lines"])
+    def test_errors_name_the_line_the_row_starts_on(self, tmp_path, rows, message):
+        path = tmp_path / "w.csv"
+        path.write_text("node,option,w_pos,w_neg,successes,failures\n" + rows)
+        with pytest.raises(WeightsFileError, match=message):
+            load_weights(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("nope\n")
