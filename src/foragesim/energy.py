@@ -10,6 +10,9 @@ events with re-arm hysteresis.
 
 from __future__ import annotations
 
+import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 SOURCE_NONE = "none"
@@ -167,6 +170,109 @@ def apply_charge(state: EnergyState, source: str, power: float) -> EnergyState:
     return EnergyState(
         new_battery, state.battery_capacity, new_capacitor, state.capacitor_capacity, source
     )
+
+
+def idle_jump(
+    battery: float, drain: float, capacity: float, low_frac: float, lower_frac: float,
+    budget: int,
+) -> tuple[int, float]:
+    """Take up to `budget` idle ticks at once: (ticks taken, battery after them).
+
+    The battery is in [2**e, 2**(e+1)), whose ulp is u, and delta is `drain`
+    rounded to a multiple of u. Under IEEE 754 round-to-nearest, tick k
+    leaves exactly `battery - k*delta` when the exact
+    `battery - (k-1)*delta - drain` is at least 2**e; of those ticks, the
+    ones before the first that would flip a hunger predicate are taken
+    (found by bisection), and the capacitor is left as it is. Returns 0
+    ticks, for the caller to step one, where tick 1 is not such a tick: at a
+    binade edge, a drain of exactly half an odd number of ulps (whose
+    rounding follows the battery's last bit), `battery < drain`, or a
+    subnormal battery.
+    """
+    if budget <= 0 or not (sys.float_info.min <= battery < math.inf and 0.0 <= drain <= battery):
+        return 0, battery
+    mant, exp = math.frexp(battery)  # battery = mant * 2**exp, 0.5 <= mant < 1
+    m = int(math.ldexp(mant, 53)) - (1 << 52)  # battery - 2**e, in ulps
+    # drain in ulps; where this underflows the drain is far below half an ulp
+    # even of the binade below, so it leaves the battery as it is either way
+    d = math.ldexp(drain, 53 - exp)
+    q = math.floor(d)
+    rest = d - q
+    if rest == 0.5:
+        return 0, battery
+    if rest > 0.5:
+        q += 1
+    # tick k stays in the binade iff k*q + (d - q) <= m, with |d - q| < 1/2
+    if q == 0:  # delta == 0: the battery never moves, so nothing flips
+        return (budget, battery) if m > 0 or d == 0 else (0, battery)
+    n = min(budget, (m - (d > q)) // q)
+    if n <= 0:
+        return 0, battery
+    delta = math.ldexp(q, exp - 53)
+    low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
+
+    def flips(k: int) -> bool:
+        b = battery - k * delta
+        return (b / capacity < low_frac) != low or (b / capacity < lower_frac) != lower
+
+    if flips(n):
+        n = bisect_left(range(1, n), True, key=flips)  # the ticks before the first flip
+    return n, battery - n * delta
+
+
+def advance_quiet(
+    state: EnergyState, profile: EnergyProfile, source: str, power: float, budget: int,
+    batteries: list[float] | None = None, capacitors: list[float] | None = None,
+) -> tuple[int, EnergyState]:
+    """Advance up to `budget` quiet ticks: (ticks taken, the state after them).
+
+    Each tick drains idle power and then, unless `source` is `SOURCE_NONE`,
+    charges `power` from `source`, with the float operations of
+    `tick_discharge` and `apply_charge` (an idle run in closed form, by
+    `idle_jump`). It stops before the first tick that would move the battery
+    fraction across a threshold, fill the battery, or empty both stores; the
+    `sim` module says why that is exact. With `batteries` and `capacitors`,
+    each tick's levels are appended to them.
+    """
+    capacity, capacitor_capacity = state.battery_capacity, state.capacitor_capacity
+    battery, capacitor = state.battery, state.capacitor
+    low_frac, lower_frac = profile.thresholds.low_frac, profile.thresholds.lower_frac
+    low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
+    drain = profile.rates.idle
+    n = 0
+    while n < budget:
+        if source == SOURCE_NONE:
+            k, after = idle_jump(battery, drain, capacity, low_frac, lower_frac, budget - n)
+            if k:
+                if batteries is not None:
+                    delta = (battery - after) / k  # exact, as battery - after is k*delta
+                    batteries += [battery - i * delta for i in range(1, k + 1)]
+                    capacitors += [capacitor] * k
+                n += k
+                battery = after
+                continue
+        taken = min(battery, drain)
+        b = battery - taken
+        c = max(0.0, capacitor - (drain - taken))
+        if source != SOURCE_NONE:
+            to_battery = min(capacity - b, power)
+            if source == SOURCE_WIRELESS:
+                c = min(capacitor_capacity, c + (power - to_battery))
+            b = b + to_battery
+            if b >= capacity > battery:
+                break
+        if (
+            (b / capacity < low_frac) != low
+            or (b / capacity < lower_frac) != lower
+            or (b <= 0.0 and c <= 0.0)
+        ):
+            break
+        n += 1
+        battery, capacitor = b, c
+        if batteries is not None:
+            batteries.append(b)
+            capacitors.append(c)
+    return n, EnergyState(battery, capacity, capacitor, capacitor_capacity, source)
 
 
 def mood_of(state: EnergyState, thresholds: Thresholds) -> str:

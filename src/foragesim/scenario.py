@@ -128,12 +128,12 @@ class Diagnostic:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-def _error(line: int, message: str, column: int = 1) -> Diagnostic:
-    return Diagnostic("error", line, column, message)
+def _error(line: int, message: str) -> Diagnostic:
+    return Diagnostic("error", line, 1, message)
 
 
-def _warning(line: int, message: str, column: int = 1) -> Diagnostic:
-    return Diagnostic("warning", line, column, message)
+def _warning(line: int, message: str) -> Diagnostic:
+    return Diagnostic("warning", line, 1, message)
 
 
 class ScenarioError(Exception):
@@ -414,7 +414,7 @@ def parse_scenario_checked(
             name=name,
         )
         _validate(scenario, weight_lines, diags)
-    return scenario, sorted(diags, key=lambda d: (d.line, d.column, d.severity, d.message))
+    return scenario, sorted(diags, key=lambda d: (d.line, d.severity, d.message))
 
 
 def _parse_machine_stmt(line: str, lineno: int, machine: dict, diags: list[Diagnostic]) -> None:

@@ -15,40 +15,29 @@ machine is quiescent (`MachineInstance.quiescent`: no pending choice and no
 `auto` arm enabled under the current guards). Each following tick then only
 drains idle power and, in a `recharge`/`charge` leaf, charges at the same
 power (the station's rate, or the coupling at the pose, which does not
-move). The loop runs those ticks with the same float operations as
-`tick_discharge` and `apply_charge`, so every level is bitwise equal. It
-stops before the first tick that would flip `powerLow` or `powerLower`
-(falling, or rising: a watcher re-arm), turn `batteryFull` on, bring the
-charge count to `max_charge_ticks`, empty both stores, or be the last; that
-tick runs in full, so threshold and charge-timer events, death and the
-horizon each keep one code path. This is exact because guards are positive
-only, so only a guard turning on can enable an arm, and none turns on inside
-the stretch: `isSignalSufficient` depends on the pose alone, and
+move). `energy.advance_quiet` takes those ticks, bitwise equal to
+`tick_discharge` and `apply_charge`. It stops before the first tick that
+would flip `powerLow` or `powerLower` (falling, or rising: a watcher
+re-arm), turn `batteryFull` on or empty both stores, and the loop stops it
+before the tick that brings the charge count to `max_charge_ticks` or is the
+last; that tick runs in full, so threshold and charge-timer events, death
+and the horizon each keep one code path. This is exact because guards are
+positive only, so only a guard turning on can enable an arm, and none turns
+on inside the stretch: `isSignalSufficient` depends on the pose alone, and
 `batteryFull` turns on and the hunger guards flip only at the ticks where
 the stretch stops (a battery falling from full turns `batteryFull` off,
 which enables nothing). After each update the watcher is armed exactly when
 the battery is at or above its threshold, so without a crossing it neither
-fires nor re-arms. Path, pose and mood stay constant, so a traced life
-still gets one summary row per tick.
+fires nor re-arms. Path, pose and mood stay constant over the stretch.
 
-An untraced life takes an idle stretch in closed form (`_idle_jump`). Under
-IEEE 754 round-to-nearest, while the battery stays in one binade
-[2**e, 2**(e+1)) and pays the whole drain, every `battery - drain` rounds
-to `battery - delta` with the same delta, `drain` rounded to the binade's
-ulp, so n ticks leave exactly `battery - n*delta` and the capacitor as it
-was; a bisection on the same `b / capacity < frac` expressions finds the
-first tick that flips a hunger guard. Binade edges, drains of exactly half
-an odd number of ulps (whose rounding follows the battery's last bit), a
-battery below the drain (the capacitor path) and subnormal levels are
-stepped one tick at a time; a drain below half an ulp leaves the battery
-as it is and takes the whole stretch at once.
-
-A traced life appends each row to a sink: `run_episode` keeps the rows in a
-list, and `run_life` writes each one to its file as a JSON line as soon as
-it is made, so its memory does not grow with the horizon; `run_monte_carlo`
-builds none. One formatter, `_line`, writes every trace line: an f-string
-per row kind, byte-identical to `json.dumps(row.to_dict())`, which it falls
-back to for any row whose values it cannot prove it writes the same way.
+A traced life hands each row to a sink (`append`) and each quiet stretch as
+one call (`stretch`: first step, path, mood, pose, and each tick's levels).
+`run_episode` keeps them in a `Trace`, which builds a stretch's rows only
+when they are read; `run_life` writes them to its file as they come, so its
+memory does not grow with the horizon; `run_monte_carlo` builds none.
+`_line` writes each row's line, and `_tick_text` a tick row's or a whole
+stretch's: f-strings byte-identical to `json.dumps(row.to_dict())`, which
+is used for any row whose values they cannot be proven to write the same way.
 """
 
 from __future__ import annotations
@@ -56,11 +45,13 @@ from __future__ import annotations
 import json
 import math
 import random
-import sys
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from itertools import count
+from operator import attrgetter, eq
 from pathlib import Path
+from typing import NamedTuple
 
 from . import weights as weights_mod
 from .energy import (
@@ -69,11 +60,13 @@ from .energy import (
     SOURCE_WIRELESS,
     EnergyState,
     ThresholdWatcher,
+    advance_quiet,
     apply_charge,
     mood_of,
     sensor_gain,
     tick_discharge,
 )
+from .energy import idle_jump as _idle_jump  # noqa: F401  (its name in the quiet-tick tests)
 from .scenario import ScenarioDef
 from .statemachine import (
     AUTO,
@@ -109,6 +102,10 @@ EVENT_LOCATED = "located"
 EVENT_LOST = "lost"
 EVENT_FOUND = "found"
 EVENT_NO_SIGNAL = "no_signal"
+
+# the most ticks one traced quiet stretch takes (the tick after it runs in full),
+# so that a streamed trace's memory does not grow with a long stretch
+STRETCH_ROWS = 1024
 
 # state name -> charging source while the robot sits in it
 CHARGING_STATES = {"recharge": SOURCE_STATION, "charge": SOURCE_WIRELESS}
@@ -245,67 +242,14 @@ BEHAVIORS = {
 }
 
 
-def _idle_jump(
-    battery: float, drain: float, capacity: float, low_frac: float, lower_frac: float,
-    budget: int,
-) -> tuple[int, float]:
-    """Take up to `budget` idle ticks at once: (ticks taken, battery after them).
-
-    The battery is in [2**e, 2**(e+1)), whose ulp is u, and delta is `drain`
-    rounded to a multiple of u. Tick k leaves exactly `battery - k*delta`
-    when the exact `battery - (k-1)*delta - drain` is at least 2**e; of
-    those ticks, the ones before the first that would flip a hunger
-    predicate are taken (found by bisection), and the capacitor is left as
-    it is. Returns 0 ticks, for the caller to step one, where tick 1 is not
-    such a tick: at a binade edge, a drain of exactly half an odd number of
-    ulps, `battery < drain`, or a subnormal battery.
-    """
-    if budget <= 0 or not (sys.float_info.min <= battery < math.inf and 0.0 <= drain <= battery):
-        return 0, battery
-    mant, exp = math.frexp(battery)  # battery = mant * 2**exp, 0.5 <= mant < 1
-    m = int(math.ldexp(mant, 53)) - (1 << 52)  # battery - 2**e, in ulps
-    # drain in ulps; where this underflows the drain is far below half an ulp
-    # even of the binade below, so it leaves the battery as it is either way
-    d = math.ldexp(drain, 53 - exp)
-    q = math.floor(d)
-    rest = d - q
-    if rest == 0.5:
-        return 0, battery
-    if rest > 0.5:
-        q += 1
-    # tick k stays in the binade iff k*q + (d - q) <= m, with |d - q| < 1/2
-    if q == 0:  # delta == 0: the battery never moves, so nothing flips
-        return (budget, battery) if m > 0 or d == 0 else (0, battery)
-    n = min(budget, (m - (d > q)) // q)
-    if n <= 0:
-        return 0, battery
-    delta = math.ldexp(q, exp - 53)
-    low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
-
-    def flips(k: int) -> bool:
-        b = battery - k * delta
-        return (b / capacity < low_frac) != low or (b / capacity < lower_frac) != lower
-
-    if flips(n):
-        ok, bad = 0, n
-        while bad - ok > 1:
-            mid = (ok + bad) // 2
-            if flips(mid):
-                bad = mid
-            else:
-                ok = mid
-        n = ok
-    return n, battery - n * delta
-
-
 class _Episode:
     """One life, and the dispatch context its machine runs in.
 
     `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`;
     the last two note what they did, and `_dispatch` turns the notes into
     trace rows once the run to completion is over. Rows are built only when
-    the life has a `trace` sink (anything with `append`: a list, or a
-    `_JsonlWriter`) to append them to.
+    the life has a `trace` sink (a `Trace` or a `_JsonlWriter`: `append`
+    takes a row, `stretch` a quiet stretch) to hand them to.
     """
 
     def __init__(self, cfg: SimConfig, table: WeightTable, trace):
@@ -486,62 +430,26 @@ class _Episode:
             ):
                 continue
 
-            # A quiet tick. Until the next event each tick drains idle power
-            # and, in a charging leaf, then charges at the same power: advance
-            # through those ticks with tick_discharge's and apply_charge's
-            # float operations, and leave the tick that flips a guard or the
-            # watcher, sends the charge timer, empties both stores or is the
-            # last one to the loop above.
-            energy, trace = self.energy, self.trace
-            capacity, battery, capacitor = energy.battery_capacity, energy.battery, energy.capacitor
-            capacitor_capacity = energy.capacitor_capacity
-            low_frac, lower_frac = self.profile.thresholds.low_frac, self.profile.thresholds.lower_frac
-            low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
-            drain = self.profile.rates.drain_for(set())
-            first, end = step, max_steps
+            # A quiet tick: advance to the next event, leaving the tick that
+            # sends the charge timer or is the last one to the loop above.
+            budget = max_steps - 1 - step
             limit = self.profile.max_charge_ticks
             if source != SOURCE_NONE and 0 < limit and self.charge_ticks < limit:
-                # the tick whose count reaches max_charge_ticks runs in full
-                end = min(end, step + limit - self.charge_ticks)
-            if trace is not None:
+                budget = min(budget, limit - 1 - self.charge_ticks)
+            if self.trace is None:
+                levels = (None, None)
+            else:
+                levels, budget = ([], []), min(budget, STRETCH_ROWS)
+            n, self.energy = advance_quiet(self.energy, self.profile, source, power, budget, *levels)
+            if n and self.trace is not None:
                 # path, pose and mood (charging, or a function of the two
                 # predicates) hold for the whole stretch
-                state = "/".join(self.instance.path)
-                mood = mood_of(energy, self.profile.thresholds)
-                x, y = self.pose.pos
-            while step + 1 < end:
-                if source == SOURCE_NONE and trace is None:
-                    n, battery = _idle_jump(
-                        battery, drain, capacity, low_frac, lower_frac, end - 1 - step
-                    )
-                    if n:
-                        step += n
-                        continue
-                taken = min(battery, drain)
-                b = battery - taken
-                c = max(0.0, capacitor - (drain - taken))
-                if source != SOURCE_NONE:
-                    to_battery = min(capacity - b, power)
-                    if source == SOURCE_WIRELESS:
-                        c = min(capacitor_capacity, c + (power - to_battery))
-                    b = b + to_battery
-                    if b >= capacity > battery:
-                        break
-                if (
-                    (b / capacity < low_frac) != low
-                    or (b / capacity < lower_frac) != lower
-                    or (b <= 0.0 and c <= 0.0)
-                ):
-                    break
-                step += 1
-                battery, capacitor = b, c
-                if trace is not None:
-                    trace.append(TraceEvent(
-                        step=step, state=state, battery=b, capacitor=c, mood=mood, x=x, y=y,
-                    ))
+                mood = mood_of(self.energy, self.profile.thresholds)
+                self.trace.stretch(step + 1, "/".join(self.instance.path), mood, *self.pose.pos,
+                                   *levels)
+            step += n
             if source != SOURCE_NONE:
-                self.charge_ticks += step - first
-            self.energy = EnergyState(battery, capacity, capacitor, capacitor_capacity, source)
+                self.charge_ticks += n
 
         if death_step is not None:
             outcome = OUTCOME_DIED
@@ -580,9 +488,7 @@ def _live(cfg: SimConfig, table: WeightTable | None, trace) -> EpisodeResult:
     return result
 
 
-def run_episode(
-    cfg: SimConfig, table: WeightTable | None = None
-) -> tuple[EpisodeResult, list[TraceEvent]]:
+def run_episode(cfg: SimConfig, table: WeightTable | None = None) -> tuple[EpisodeResult, Trace]:
     """Run one life and return its result plus the full trace.
 
     When `table` is omitted, volatile mode starts from the scenario's seed
@@ -591,7 +497,7 @@ def run_episode(
     life, death or not; a volatile death erases it, so the result reports no
     final weights.
     """
-    trace: list[TraceEvent] = []
+    trace = Trace()
     return _live(cfg, table, trace), trace
 
 
@@ -679,11 +585,11 @@ def _line(e: TraceEvent) -> str:
 
     The kinds are the rows the simulator builds: tick (levels, mood and
     pose), transition (an event alone), choice (the weights consulted) and
-    outcome (weights before and after). A kind's f-string is used only when
-    exactly its fields are set and each holds the type it was written for,
-    whose text is then the one `json` writes: `repr` of an `int` and of a
-    finite `float`, and `json.dumps` of a `str` (memoised). Any other row
-    goes through `json.dumps` itself.
+    outcome (weights before and after; a tick's f-string is `_tick_text`).
+    A kind's f-string is used only when exactly its fields are set and each
+    holds the type it was written for, whose text is then the one `json`
+    writes: `repr` of an `int` and of a finite `float`, and `json.dumps` of
+    a `str` (memoised). Any other row goes through `json.dumps` itself.
     """
     q = _QUOTED
     step, state, event = e.step, e.state, e.event
@@ -697,10 +603,7 @@ def _line(e: TraceEvent) -> str:
             and _finite(b) and _finite(c) and type(mood) is str
             and type(x) is int and type(y) is int
         ):
-            return (
-                f'{{"step": {step}, "state": {q[state]}, "battery": {b!r}, '
-                f'"capacitor": {c!r}, "mood": {q[mood]}, "x": {x}, "y": {y}}}'
-            )
+            return _tick_text(step, state, mood, x, y, (b,), (c,))[:-1]
     elif type(event) is str and e.battery is e.capacitor is e.mood is e.x is e.y is None:
         node, option = e.node, e.option
         pos, neg, pos_after, neg_after = e.w_pos_before, e.w_neg_before, e.w_pos_after, e.w_neg_after
@@ -719,13 +622,105 @@ def _line(e: TraceEvent) -> str:
     return json.dumps(e.to_dict())
 
 
+def _tick_text(first, state, mood, x, y, batteries, capacitors) -> str:
+    """The JSON line and newline of each tick row from step `first` on: the
+    one template for a tick row, for values of the types `_line` checks."""
+    mid = f', "state": {_QUOTED[state]}, "battery": '
+    end = f', "mood": {_QUOTED[mood]}, "x": {x}, "y": {y}}}\n'
+    return "".join([
+        f'{{"step": {s}{mid}{b!r}, "capacitor": {c!r}{end}'
+        for s, b, c in zip(count(first), batteries, capacitors)
+    ])
+
+
 def trace_lines(trace) -> list[str]:
     """The trace's rows as JSON text, one string per row."""
     return [_line(event) for event in trace]
 
 
+class _Stretch(NamedTuple):
+    """A quiet stretch: its first step, the path, mood and pose its rows
+    share, and one battery and one capacitor level per tick."""
+
+    first: int
+    state: str
+    mood: str
+    x: int
+    y: int
+    batteries: list[float]
+    capacitors: list[float]
+
+    def row(self, k: int) -> TraceEvent:
+        return TraceEvent(
+            self.first + k, self.state, battery=self.batteries[k], capacitor=self.capacitors[k],
+            mood=self.mood, x=self.x, y=self.y,
+        )
+
+    def text(self) -> str:
+        """`_line` of each row and a newline."""
+        first, state, mood, x, y, batteries, capacitors = self
+        if (
+            type(first) is int and type(state) is str and type(mood) is str
+            and type(x) is int and type(y) is int
+            and {*map(type, batteries), *map(type, capacitors)} <= {float}
+            and math.isfinite(sum(batteries) + sum(capacitors))  # as `_finite` asks
+        ):
+            return _tick_text(*self)
+        return "".join([_line(self.row(k)) + "\n" for k in range(len(batteries))])
+
+
+class Trace(Sequence):
+    """A life's trace: a read-only sequence of `TraceEvent` rows, in order.
+
+    It is the sink `run_episode` gives a life. An appended row is kept as it
+    is, and a quiet stretch as one record whose rows are built each time
+    they are read; `write_trace_jsonl` writes a stretch without them. A
+    slice gives a list of the rows.
+    """
+
+    def __init__(self) -> None:
+        self._items: list[TraceEvent | _Stretch] = []
+        self._len = 0
+
+    def append(self, row: TraceEvent) -> None:
+        self._items.append(row)
+        self._len += 1
+
+    def stretch(self, first, state, mood, x, y, batteries, capacitors) -> None:
+        self._items.append(_Stretch(first, state, mood, x, y, batteries, capacitors))
+        self._len += len(batteries)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for item in self._items:
+            if type(item) is _Stretch:
+                yield from map(item.row, range(len(item.batteries)))
+            else:
+                yield item
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i, start = range(self._len)[index], self._len  # IndexError past either end
+        for item in reversed(self._items):  # from the end, where rows are mostly read
+            stretch = type(item) is _Stretch
+            start -= len(item.batteries) if stretch else 1
+            if i >= start:
+                return item.row(i - start) if stretch else item
+
+    def __reversed__(self):
+        return reversed(list(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 class _JsonlWriter:
-    """A trace sink that writes each row appended to it as one line of `fh`."""
+    """A trace sink that writes each row, and each stretch, as JSON lines of `fh`."""
 
     def __init__(self, fh):
         self._write = fh.write
@@ -733,18 +728,22 @@ class _JsonlWriter:
     def append(self, event: TraceEvent) -> None:
         self._write(_line(event) + "\n")
 
+    def stretch(self, *fields) -> None:
+        """Write a quiet stretch, given as `Trace.stretch` takes it."""
+        self._write(_Stretch(*fields).text())
+
 
 def write_trace_jsonl(trace, path: str | Path) -> None:
     """Write the trace's rows to `path` as JSON lines, in order.
 
     Each row is one `_line` (the text of `json.dumps(row.to_dict())`) and a
-    newline, written through the file's buffer as it is formatted; an empty
-    trace gives an empty file.
+    newline; a `Trace`'s stretches are written by their template without
+    building their rows. An empty trace gives an empty file.
     """
     with open(path, "w") as fh:
-        sink = _JsonlWriter(fh)
-        for event in trace:
-            sink.append(event)
+        write = fh.write
+        for item in trace._items if isinstance(trace, Trace) else trace:
+            write(item.text() if type(item) is _Stretch else _line(item) + "\n")
 
 
 def write_stats_csv(stats: SurvivalStats, path: str | Path) -> None:

@@ -171,7 +171,8 @@ def load_weights(path: str | Path) -> WeightTable:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise WeightsFileError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+        # lines end at "\n", "\r\n" and a lone "\r", as for the reader below
+        raise WeightsFileError("not UTF-8 text", len((data[: exc.start] + b"?").splitlines())) from None
     reader = csv.reader(io.StringIO(text, newline=""))
     next_line = 1  # a quoted field may span lines, so a row starts after the last one read
     for row in reader:

@@ -50,11 +50,16 @@ def test_spans_count_ticks_and_trace_rows(spans):
         assert 0 < mc_charges < sum(charging)
 
         result, trace = sim.run_episode(cfg)
-        assert tracer.calls["sim.trace_build"] == len(trace) > 0
-        assert 0 < tracer.calls["energy.discharge"] - mc_discharges < result.lifetime
+        # read before anything iterates the trace, which builds its stretches' rows
+        built = tracer.calls["sim.trace_build"]
+        full_ticks = tracer.calls["energy.discharge"] - mc_discharges
+        assert 0 < full_ticks < result.lifetime
         assert 0 < tracer.calls["energy.charge"] - mc_charges < charging[0] == _charging_ticks(trace)
     finally:
         tracer.restore()
+    # the run builds a row for each transition, choice and outcome and for
+    # each full tick, and none for the ticks of a quiet stretch
+    assert built == sum(1 for row in trace if row.event is not None) + full_ticks < len(trace)
     assert sim.TraceEvent is original_trace_event
     assert sim.tick_discharge is energy.tick_discharge
 

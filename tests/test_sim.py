@@ -1,6 +1,9 @@
+import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from foragesim.sim import (
     trace_lines,
     write_stats_csv,
 )
+from foragesim.statemachine import MachineInstance
 from foragesim.weights import WeightTable, load_weights
 
 NO_SOURCE = """
@@ -479,3 +483,136 @@ class TestTraceFormat:
         monkeypatch.setattr(sim, "json", type("Json", (), {"dumps": staticmethod(dumps)}))
         monkeypatch.setattr(sim, "_QUOTED", sim._Quoted())
         assert trace_lines(trace) == expected
+
+
+# A stretch as the simulator hands it to a sink, with levels JSON writes as
+# their repr (±0.0, subnormal, huge) or not (inf, nan), and now and then a
+# field or a level of another type, which the template must leave to `_line`.
+_LEVELS = st.one_of(_FLOATS, st.sampled_from([0.0, -0.0, 5e-324, 1e308, 73.39999999999999]))
+
+
+@st.composite
+def _stretches(draw):
+    n = draw(st.integers(0, 6))
+    levels = st.lists(_LEVELS, min_size=n, max_size=n)
+    level = draw(_LEVELS)
+    fields = {
+        "first": _INTS, "state": _STRINGS, "mood": _STRINGS, "x": _INTS, "y": _INTS,
+        "batteries": levels,
+        # or one capacitor level for the whole stretch, as an idle stretch has
+        "capacitors": st.one_of(levels, st.just([level] * n)),
+    }
+    stretch = {key: draw(strategy) for key, strategy in fields.items()}
+    other = draw(st.sampled_from([None, *fields]))
+    if other in ("batteries", "capacitors"):
+        if n:
+            stretch[other][draw(st.integers(0, n - 1))] = draw(_ANY)
+    elif other == "first":  # the rows' steps count on from it
+        stretch[other] = draw(st.one_of(st.booleans(), _FLOATS))
+    elif other is not None:
+        stretch[other] = draw(_ANY)
+    return tuple(stretch.values())
+
+
+class TestStretchFormat:
+    """A quiet stretch is written from one template; its text must be `_line`
+    of each of its rows, and a `Trace` must read as those rows."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_stretches())
+    def test_stretch_lines_are_line_of_each_row(self, stretch):
+        trace = sim.Trace()
+        trace.stretch(*stretch)
+        rows = list(trace)
+        assert len(trace) == len(rows) == len(stretch[5])
+        written = io.StringIO()
+        sim._JsonlWriter(written).stretch(*stretch)
+        assert written.getvalue() == "".join(sim._line(row) + "\n" for row in rows)
+        assert written.getvalue() == "".join(json.dumps(row.to_dict()) + "\n" for row in rows)
+
+    def test_signed_zeros_keep_their_signs(self):
+        for capacitors in ([0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]):
+            text = sim._Stretch(1, "top/rest", "normal", 0, 0, [1.0, 0.5], capacitors).text()
+            written = [json.loads(line)["capacitor"] for line in text.splitlines()]
+            assert [math.copysign(1.0, c) for c in written] == [
+                math.copysign(1.0, c) for c in capacitors
+            ]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_trace_file_is_the_same_bytes_whole_row_by_row_and_streamed(
+        self, name, tmp_path, monkeypatch
+    ):
+        cfg = SimConfig(scenario=builtin_scenario(name), seed=0, max_steps=3000)
+        _, trace = run_episode(cfg)
+        sim.write_trace_jsonl(list(trace), tmp_path / "rows.jsonl")
+        sim.run_life(cfg, tmp_path / "life.jsonl")
+        # the stretches (where the life has any) are written by the template,
+        # and every other row by `_line`
+        lines, line = [], sim._line
+        monkeypatch.setattr(sim, "_line", lambda row: lines.append(row) or line(row))
+        sim.write_trace_jsonl(trace, tmp_path / "trace.jsonl")
+        stretches = [item for item in trace._items if type(item) is sim._Stretch]
+        assert len(lines) == len(trace._items) - len(stretches)
+        written = (tmp_path / "trace.jsonl").read_bytes()
+        assert written == (tmp_path / "rows.jsonl").read_bytes()
+        assert written == (tmp_path / "life.jsonl").read_bytes()
+
+
+class TestTraceSequence:
+    """`run_episode`'s `Trace` reads as the list of rows a tick-by-tick life builds."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        cfg = SimConfig(scenario=builtin_scenario("station_only"), seed=3, max_steps=2500)
+        _, trace = run_episode(cfg)
+        with mock.patch.object(MachineInstance, "quiescent", lambda self, ctx: False):
+            _, reference = run_episode(cfg)
+        return trace, reference
+
+    def test_stretches_are_kept_whole_only_when_ticks_are_quiet(self, traces):
+        trace, reference = traces
+        assert any(type(item) is sim._Stretch for item in trace._items)
+        assert all(type(item) is TraceEvent for item in reference._items)
+
+    def test_len_order_and_equality(self, traces):
+        trace, reference = traces
+        rows = list(trace)
+        assert isinstance(trace, Sequence)
+        assert len(trace) == len(rows) == len(reference) == len(list(reference))
+        assert [row.step for row in rows if row.event is None] == list(range(1, 2501))
+        assert [row.step for row in rows] == sorted(row.step for row in rows)
+        assert rows == list(reference)
+        assert trace == reference and reference == trace
+        assert trace == rows and rows == trace and trace == tuple(rows)
+        assert trace != rows[:-1] and trace != rows[1:] + rows[:1]
+        assert trace != [*rows[:-1], replace(rows[-1], battery=rows[-1].battery + 1.0)]
+        assert trace != "not rows" and trace != None  # noqa: E711
+
+    def test_a_long_quiet_stretch_is_handed_over_in_bounded_parts(self):
+        idle = parse_scenario(
+            "[machine top entry]\ninitial -> rest\nstate rest\n\n"
+            "[energy]\nbattery_capacity = 100000\n"
+        )
+        cfg = SimConfig(scenario=idle, max_steps=3 * sim.STRETCH_ROWS)
+        _, trace = run_episode(cfg)
+        sizes = [len(item.batteries) for item in trace._items if type(item) is sim._Stretch]
+        assert len(sizes) >= 3 and max(sizes) == sim.STRETCH_ROWS
+        with mock.patch.object(MachineInstance, "quiescent", lambda self, ctx: False):
+            assert trace == run_episode(cfg)[1]
+
+    def test_indexing(self, traces):
+        trace, reference = traces
+        rows = list(reference)
+        assert trace[-1] == rows[-1] and trace[-2] == rows[-2]
+        assert [trace[i] for i in range(len(rows))] == rows
+        assert [trace[-i] for i in range(1, len(rows) + 1)] == rows[::-1]
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                trace[index]
+
+    def test_slices_and_reversal_read_as_a_list_of_the_rows(self, traces):
+        trace, reference = traces
+        rows = list(reference)
+        assert trace[-10:] == rows[-10:] and trace[5:40:3] == rows[5:40:3] and trace[::-1] == rows[::-1]
+        assert type(trace[-10:]) is list
+        assert list(reversed(trace)) == rows[::-1]

@@ -277,6 +277,18 @@ class TestPersistence:
         with pytest.raises(WeightsFileError, match=message):
             load_weights(path)
 
+    @pytest.mark.parametrize("third, message", [
+        (b"seek,b,2.0,0.5,0,0", "line 3: weight out of range"),
+        (b"se\xffek,b,0.5,0.5,0,0", "line 3: not UTF-8 text"),
+    ], ids=["bad_weight", "bad_byte"])
+    def test_lone_cr_line_ends_number_lines_one_way(self, tmp_path, third, message):
+        # a lone "\r" ends a line for the csv reader and for the UTF-8 check alike
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"node,option,w_pos,w_neg,successes,failures\rseek,a,0.5,0.5,0,0\r"
+                         + third + b"\r")
+        with pytest.raises(WeightsFileError, match=f"^{message}$"):
+            load_weights(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("nope\n")
