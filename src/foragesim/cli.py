@@ -8,6 +8,10 @@ step, the active state path and the event). All randomness flows from --seed;
 a repeated invocation writes byte-identical outputs. `run --trace` streams
 the trace to disk as the life goes, so its memory does not grow with
 --steps; a run that fails leaves the trace file as it was.
+
+At start-up this module loads only the parser (`scenario`, which loads
+`energy` and `world`); `run` and `mc` import the simulator when they start,
+so `validate` never loads `sim`, `statemachine` or `weights`.
 """
 
 from __future__ import annotations
@@ -16,27 +20,25 @@ import argparse
 import sys
 from pathlib import Path
 
-from .scenario import Diagnostic, ScenarioError, parse_scenario_checked
-from .sim import (
-    MEMORY_NONVOLATILE,
-    MEMORY_VOLATILE,
-    SimConfig,
-    run_life,
-    run_monte_carlo,
-    write_stats_csv,
-)
-
-# Not called here: the benchmark's call-site spans (perfbench/spans.py) rebind
-# these names in this module, so they stay importable from it.
-from .sim import run_episode, write_trace_jsonl  # noqa: F401
-from .statemachine import MachineStuckError
-from .weights import WeightsFileError
+from .scenario import Diagnostic, parse_scenario_checked
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_STUCK = 4
+
+# sim's functions that callers look up on this module (perfbench/spans.py
+# rebinds them here); they resolve from `sim`, loading it on first use
+_SIM_NAMES = frozenset({"run_episode", "run_monte_carlo", "write_stats_csv", "write_trace_jsonl"})
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,10 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--steps", type=int, default=10_000)
-        p.add_argument(
-            "--memory", choices=[MEMORY_VOLATILE, MEMORY_NONVOLATILE],
-            default=MEMORY_VOLATILE,
-        )
+        p.add_argument("--memory", choices=["volatile", "nonvolatile"], default="volatile")
         p.add_argument("--weights", default=None, help="weights CSV (nonvolatile mode)")
 
     p_run = sub.add_parser("run", help="run a single episode")
@@ -83,7 +82,7 @@ def _load_scenario(path_text: str):
     try:
         scenario, diagnostics = parse_scenario_checked(data.decode("utf-8"), name=path.stem)
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())  # as the parser counts
+        line = len((data[: exc.start] + b"?").splitlines())  # as the parser counts lines
         scenario, diagnostics = None, [Diagnostic("error", line, 1, "not UTF-8 text")]
     errors = [d for d in diagnostics if d.severity == "error"]
     for diag in diagnostics:
@@ -93,15 +92,15 @@ def _load_scenario(path_text: str):
     return scenario, EXIT_OK
 
 
-def _make_config(scenario, args) -> SimConfig | None:
-    if args.memory == MEMORY_NONVOLATILE and args.weights is None:
+def _make_config(sim, scenario, args):
+    if args.memory == sim.MEMORY_NONVOLATILE and args.weights is None:
         print("--memory nonvolatile requires --weights", file=sys.stderr)
         return None
-    if args.memory == MEMORY_VOLATILE and args.weights is not None:
+    if args.memory == sim.MEMORY_VOLATILE and args.weights is not None:
         print("--weights only applies to --memory nonvolatile", file=sys.stderr)
         return None
     try:
-        return SimConfig(
+        return sim.SimConfig(
             scenario=scenario,
             seed=args.seed,
             memory_mode=args.memory,
@@ -113,68 +112,37 @@ def _make_config(scenario, args) -> SimConfig | None:
         return None
 
 
-def _cmd_validate(args) -> int:
-    _, code = _load_scenario(args.scenario)
-    return code
-
-
-def _cmd_run(args) -> int:
+def _simulate(args) -> int:
+    """`run` and `mc`: the simulator is imported here, not by `validate`."""
     scenario, code = _load_scenario(args.scenario)
     if scenario is None:
         return code
-    cfg = _make_config(scenario, args)
-    if cfg is None:
-        return EXIT_USAGE
-    try:
-        result = run_life(cfg, args.trace)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"outcome={result.outcome} lifetime={result.lifetime}")
-    return EXIT_OK
-
-
-def _cmd_mc(args) -> int:
-    scenario, code = _load_scenario(args.scenario)
-    if scenario is None:
-        return code
-    if args.episodes < 1:
+    if args.verb == "mc" and args.episodes < 1:
         print("--episodes must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    cfg = _make_config(scenario, args)
+    from . import sim
+    from .statemachine import MachineStuckError
+    from .weights import WeightsFileError
+
+    cfg = _make_config(sim, scenario, args)
     if cfg is None:
         return EXIT_USAGE
     try:
-        stats = run_monte_carlo(cfg, args.episodes)
-        if args.out is not None:
-            write_stats_csv(stats, args.out)
+        if args.verb == "run":
+            result = sim.run_life(cfg, args.trace)
+            summary = f"outcome={result.outcome} lifetime={result.lifetime}"
+        else:
+            stats = sim.run_monte_carlo(cfg, args.episodes)
+            if args.out is not None:
+                sim.write_stats_csv(stats, args.out)
+            summary = (
+                f"survival={stats.survival_fraction:.3f} "
+                f"mean_lifetime={stats.mean_lifetime:.1f} "
+                f"entropy={stats.behavioral_entropy:.3f}"
+            )
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(
-        f"survival={stats.survival_fraction:.3f} "
-        f"mean_lifetime={stats.mean_lifetime:.1f} "
-        f"entropy={stats.behavioral_entropy:.3f}"
-    )
-    return EXIT_OK
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        if args.verb == "validate":
-            return _cmd_validate(args)
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "mc":
-            return _cmd_mc(args)
-    except ScenarioError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
     except MachineStuckError as exc:
         print(
             f"machine stuck at step {exc.step} in {'/'.join(exc.path)} "
@@ -185,7 +153,19 @@ def main(argv: list[str] | None = None) -> int:
     except WeightsFileError as exc:
         print(f"{args.weights}: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_USAGE
+    print(summary)
+    return EXIT_OK
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code else EXIT_OK
+    if args.verb == "validate":
+        return _load_scenario(args.scenario)[1]
+    return _simulate(args)
 
 
 if __name__ == "__main__":

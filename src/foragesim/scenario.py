@@ -2,8 +2,9 @@
 
 A scenario bundles everything one experiment needs: the hierarchical state
 machines the robot runs, the grid world it moves in, its energy profile, and
-seed weights for the choice nodes. The format is line oriented; `#` starts a
-comment and sections open with a bracketed header:
+seed weights for the choice nodes. The format is line oriented (a line ends
+at LF, CR LF or a lone CR, and nowhere else); `#` starts a comment and
+sections open with a bracketed header:
 
     [machine top entry]
     initial -> seek_charge_source
@@ -323,7 +324,9 @@ def parse_scenario_checked(
     section: str | None = None
     seen_sections: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # not str.splitlines, which also ends a line at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue

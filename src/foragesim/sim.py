@@ -714,8 +714,8 @@ class Trace(Sequence):
         return reversed(list(self))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes, bytearray)):
+            return NotImplemented  # rows are never equal to text, as a list's are not
         return len(self) == len(other) and all(map(eq, self, other))
 
 

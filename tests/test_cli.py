@@ -186,7 +186,9 @@ class TestNotUtf8Scenario:
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_exits_one_at_the_line_of_the_first_bad_byte(self, verb, newline, tmp_path, capsys):
         path = tmp_path / "bad.scn"
-        path.write_bytes(newline.join([b"[machine top entry]", b"initial -> a", b"# \xff", b"state a", b""]))
+        # a form feed and a U+2028 before the bad byte end no line
+        lines = [b"[machine top entry]", b"initial -> a  # \x0c\xe2\x80\xa8", b"# \xff", b"state a", b""]
+        path.write_bytes(newline.join(lines))
         assert main([verb[0], str(path), *verb[1:]]) == 1
         assert capsys.readouterr().err == f"{path}:3:1: error: not UTF-8 text\n"
 

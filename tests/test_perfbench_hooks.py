@@ -82,3 +82,27 @@ def test_spans_count_every_transition_record(spans, tmp_path):
     assert events.count("choice") > 0 and outcomes > 0
     assert tracer.calls["statemachine.dispatch"] > 0
     assert tracer.counts["statemachine.transitions"] == len(events) - outcomes
+
+
+def test_spans_count_the_in_process_cli(spans, dual_source_path, capsys):
+    # cli resolves sim's functions from sim when they are looked up or called,
+    # so the spans on sim see the CLI's calls, and restore leaves both as they were
+    from foragesim import cli, scenario
+
+    names = ("run_episode", "run_monte_carlo", "write_trace_jsonl", "write_stats_csv")
+    originals = {name: getattr(sim, name) for name in names}
+    parse, main = scenario.parse_scenario_checked, cli.main
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        assert cli.main(["validate", str(dual_source_path)]) == 0
+        assert cli.main(["mc", str(dual_source_path), "--steps", "200", "--episodes", "2"]) == 0
+    finally:
+        tracer.restore()
+    assert capsys.readouterr().out.startswith("survival=")
+    assert tracer.calls["scenario.parse"] >= 1
+    assert tracer.calls["sim.mc"] == 1 and tracer.calls["cli.main"] == 2
+    for name in names:
+        assert getattr(cli, name) is getattr(sim, name) is originals[name]
+    assert cli.parse_scenario_checked is scenario.parse_scenario_checked is parse
+    assert cli.main is main

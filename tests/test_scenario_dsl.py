@@ -66,6 +66,22 @@ class TestParse:
         assert "unresolved reference 'foo'" in errs[0].message
         assert errs[0].line == text.splitlines().index("state b -> foo on go") + 1
 
+    @pytest.mark.parametrize("mark", ["\x0c", "\u2028"])
+    def test_only_cr_and_lf_end_a_line(self, mark):
+        # str.splitlines would end a line at each mark, putting the comment's
+        # tail outside the comment and every later line one further down
+        text = builtin_scenario_text("dual_source").replace("# Both", f"# Both{mark}top", 1)
+        assert parse_scenario_checked(text)[1] == []
+        broken = text + "state b -> foo on go\n"
+        assert [d.line for d in errors(parse_scenario_checked(broken)[1])] == [broken.count("\n")]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_end_a_line_as_lf_does(self, newline):
+        text = MINIMAL + "[oops]\n[world]\ngrid = 0 4\n"
+        diags = parse_scenario_checked(text)[1]
+        assert [d.line for d in errors(diags)] == [5, 7]
+        assert parse_scenario_checked(text.replace("\n", newline))[1] == diags
+
     def test_duplicate_names_rejected(self):
         text = MINIMAL + "state a\n"
         _, diags = parse_scenario_checked(text)

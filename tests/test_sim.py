@@ -588,6 +588,12 @@ class TestTraceSequence:
         assert trace != [*rows[:-1], replace(rows[-1], battery=rows[-1].battery + 1.0)]
         assert trace != "not rows" and trace != None  # noqa: E711
 
+    @pytest.mark.parametrize("text", ["", b"", bytearray()])
+    def test_an_empty_trace_is_not_empty_text(self, text):
+        # as `[] == ""` is False: text is a sequence, but not of rows
+        assert not sim.Trace() == text and not text == sim.Trace()
+        assert sim.Trace() != text and sim.Trace() == [] and sim.Trace() == ()
+
     def test_a_long_quiet_stretch_is_handed_over_in_bounded_parts(self):
         idle = parse_scenario(
             "[machine top entry]\ninitial -> rest\nstate rest\n\n"
