@@ -30,13 +30,14 @@ which enables nothing). After each update the watcher is armed exactly when
 the battery is at or above its threshold, so without a crossing it neither
 fires nor re-arms. Path, pose and mood stay constant over the stretch.
 
-A traced life hands each row to a sink (`append`) and each quiet stretch as
-one call (`stretch`: first step, path, mood, pose, and each tick's levels).
-`run_episode` keeps them in a `Trace`, which builds a stretch's rows only
-when they are read; `run_life` writes them to its file as they come, so its
-memory does not grow with the horizon; `run_monte_carlo` builds none.
-`_line` writes each row's line, and `_tick_text` a tick row's or a whole
-stretch's: f-strings byte-identical to `json.dumps(row.to_dict())`, which
+A traced life hands each row to a sink (`append`): a transition, choice or
+outcome row as a `TraceEvent`, and each tick as a record (`_Stretch`: first
+step, path, mood, pose, and each tick's levels) that also holds the quiet
+stretch after a full tick. `run_episode` keeps them in a `Trace`, which builds
+a record's rows only when they are read; `run_life` writes them to its file as
+they come, so its memory does not grow with the horizon; `run_monte_carlo`
+builds none. `_line` writes an event row's line, and `_Stretch.text` a
+record's lines: f-strings byte-identical to `json.dumps(row.to_dict())`, which
 is used for any row whose values they cannot be proven to write the same way.
 """
 
@@ -48,6 +49,7 @@ import random
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from itertools import count
 from operator import attrgetter, eq
 from pathlib import Path
@@ -66,7 +68,6 @@ from .energy import (
     sensor_gain,
     tick_discharge,
 )
-from .energy import idle_jump as _idle_jump  # noqa: F401  (its name in the quiet-tick tests)
 from .scenario import ScenarioDef
 from .statemachine import (
     AUTO,
@@ -103,8 +104,8 @@ EVENT_LOST = "lost"
 EVENT_FOUND = "found"
 EVENT_NO_SIGNAL = "no_signal"
 
-# the most ticks one traced quiet stretch takes (the tick after it runs in full),
-# so that a streamed trace's memory does not grow with a long stretch
+# the most rows one trace record holds (a full tick and the quiet stretch after
+# it), so that a streamed trace's memory does not grow with a long stretch
 STRETCH_ROWS = 1024
 
 # state name -> charging source while the robot sits in it
@@ -248,8 +249,8 @@ class _Episode:
     `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`;
     the last two note what they did, and `_dispatch` turns the notes into
     trace rows once the run to completion is over. Rows are built only when
-    the life has a `trace` sink (a `Trace` or a `_JsonlWriter`: `append`
-    takes a row, `stretch` a quiet stretch) to hand them to.
+    the life has a `trace` sink (a `Trace` or a `_JsonlWriter`, whose
+    `append` takes a row or a tick's record) to hand them to.
     """
 
     def __init__(self, cfg: SimConfig, table: WeightTable, trace):
@@ -366,7 +367,6 @@ class _Episode:
     def run(self) -> EpisodeResult:
         self._enqueue(self.watcher.update(self.energy))
         max_steps = self.cfg.max_steps
-        death_step: int | None = None
         step = 0
 
         while step < max_steps:
@@ -409,58 +409,43 @@ class _Episode:
                 self.wait_sent = False
 
             if self.trace is not None:
-                self.trace.append(
-                    TraceEvent(
-                        step=step,
-                        state="/".join(self.instance.path),
-                        battery=self.energy.battery,
-                        capacitor=self.energy.capacitor,
-                        mood=mood_of(self.energy, self.profile.thresholds),
-                        x=self.pose.pos[0],
-                        y=self.pose.pos[1],
-                    )
-                )
-            if self.energy.depleted:
-                death_step = step
-                break
-            if (
-                self.queue
+                # the tick's record; path, pose and mood (charging, or a
+                # function of the two predicates) hold for the stretch after it
+                record = _Stretch(step, "/".join(self.instance.path),
+                                  mood_of(self.energy, self.profile.thresholds), *self.pose.pos,
+                                  [self.energy.battery], [self.energy.capacitor])
+            dead = self.energy.depleted
+            if not (
+                dead
+                or self.queue
                 or self.instance.leaf_state_name() in BEHAVIORS
                 or not self.instance.quiescent(self)
             ):
-                continue
+                # A quiet tick: advance to the next event, leaving the tick that
+                # sends the charge timer or is the last one to the loop above.
+                budget = max_steps - 1 - step
+                limit = self.profile.max_charge_ticks
+                if source != SOURCE_NONE and 0 < limit and self.charge_ticks < limit:
+                    budget = min(budget, limit - 1 - self.charge_ticks)
+                if self.trace is None:
+                    levels = (None, None)
+                else:
+                    levels, budget = record[5:], min(budget, STRETCH_ROWS - 1)
+                n, self.energy = advance_quiet(self.energy, self.profile, source, power, budget,
+                                               *levels)
+                step += n
+                if source != SOURCE_NONE:
+                    self.charge_ticks += n
+            if self.trace is not None:
+                self.trace.append(record)
+            if dead:
+                break
 
-            # A quiet tick: advance to the next event, leaving the tick that
-            # sends the charge timer or is the last one to the loop above.
-            budget = max_steps - 1 - step
-            limit = self.profile.max_charge_ticks
-            if source != SOURCE_NONE and 0 < limit and self.charge_ticks < limit:
-                budget = min(budget, limit - 1 - self.charge_ticks)
-            if self.trace is None:
-                levels = (None, None)
-            else:
-                levels, budget = ([], []), min(budget, STRETCH_ROWS)
-            n, self.energy = advance_quiet(self.energy, self.profile, source, power, budget, *levels)
-            if n and self.trace is not None:
-                # path, pose and mood (charging, or a function of the two
-                # predicates) hold for the whole stretch
-                mood = mood_of(self.energy, self.profile.thresholds)
-                self.trace.stretch(step + 1, "/".join(self.instance.path), mood, *self.pose.pos,
-                                   *levels)
-            step += n
-            if source != SOURCE_NONE:
-                self.charge_ticks += n
-
-        if death_step is not None:
-            outcome = OUTCOME_DIED
-            lifetime = death_step
-        else:
-            outcome = OUTCOME_SURVIVED
-            lifetime = self.cfg.max_steps
-
+        # a life ends at its horizon or at a full tick that empties both stores
+        death_step = step if self.energy.depleted else None
         return EpisodeResult(
-            outcome=outcome,
-            lifetime=lifetime,
+            outcome=OUTCOME_SURVIVED if death_step is None else OUTCOME_DIED,
+            lifetime=step,
             death_step=death_step,
             choices_made=dict(self.choices_made),
             first_choices=dict(self.first_choices),
@@ -558,21 +543,10 @@ def _shannon_bits(histogram: Counter) -> float:
     return entropy
 
 
-class _Quoted(dict):
-    """String -> its JSON text as `json.dumps` writes it, for recent strings.
-
-    A trace repeats a scenario's few names; the bound keeps arbitrary rows
-    from growing the cache for the life of the process.
-    """
-
-    def __missing__(self, text: str) -> str:
-        if len(self) >= 4096:
-            self.clear()
-        quoted = self[text] = json.dumps(text)
-        return quoted
-
-
-_QUOTED = _Quoted()
+# a string's JSON text as `json.dumps` writes it: a trace repeats a scenario's
+# few names, and the bound keeps arbitrary rows from growing the cache for the
+# life of the process
+_quoted = lru_cache(maxsize=4096)(json.dumps)
 
 
 def _finite(value) -> bool:
@@ -581,37 +555,29 @@ def _finite(value) -> bool:
 
 
 def _line(e: TraceEvent) -> str:
-    """`json.dumps(e.to_dict())`, by one f-string per row kind.
+    """`json.dumps(e.to_dict())`, by one f-string per event row kind.
 
-    The kinds are the rows the simulator builds: tick (levels, mood and
-    pose), transition (an event alone), choice (the weights consulted) and
-    outcome (weights before and after; a tick's f-string is `_tick_text`).
-    A kind's f-string is used only when exactly its fields are set and each
-    holds the type it was written for, whose text is then the one `json`
-    writes: `repr` of an `int` and of a finite `float`, and `json.dumps` of
-    a `str` (memoised). Any other row goes through `json.dumps` itself.
+    The kinds are the event rows the simulator builds: transition (an event
+    alone), choice (the weights consulted) and outcome (weights before and
+    after); its tick rows are records, written by `_Stretch.text`. A kind's
+    f-string is used only when exactly its fields are set and each holds the
+    type it was written for, whose text is then the one `json` writes: `repr`
+    of an `int` and of a finite `float`, and `json.dumps` of a `str`
+    (memoised). Any other row goes through `json.dumps` itself.
     """
-    q = _QUOTED
+    q = _quoted
     step, state, event = e.step, e.state, e.event
-    if type(step) is not int or type(state) is not str:
-        return json.dumps(e.to_dict())
-    if event is None:
-        b, c, mood, x, y = e.battery, e.capacitor, e.mood, e.x, e.y
-        if (
-            e.node is e.option is e.w_pos_before is e.w_pos_after is None
-            and e.w_neg_before is e.w_neg_after is None
-            and _finite(b) and _finite(c) and type(mood) is str
-            and type(x) is int and type(y) is int
-        ):
-            return _tick_text(step, state, mood, x, y, (b,), (c,))[:-1]
-    elif type(event) is str and e.battery is e.capacitor is e.mood is e.x is e.y is None:
+    if (
+        type(step) is int and type(state) is str and type(event) is str
+        and e.battery is e.capacitor is e.mood is e.x is e.y is None
+    ):
         node, option = e.node, e.option
         pos, neg, pos_after, neg_after = e.w_pos_before, e.w_neg_before, e.w_pos_after, e.w_neg_after
-        head = f'{{"step": {step}, "state": {q[state]}, "event": {q[event]}'
+        head = f'{{"step": {step}, "state": {q(state)}, "event": {q(event)}'
         if node is option is pos is neg is pos_after is neg_after is None:
             return head + "}"
         if type(node) is str and type(option) is str and _finite(pos) and _finite(neg):
-            head += f', "node": {q[node]}, "option": {q[option]}, "w_pos_before": {pos!r}'
+            head += f', "node": {q(node)}, "option": {q(option)}, "w_pos_before": {pos!r}'
             if pos_after is neg_after is None:
                 return f'{head}, "w_neg_before": {neg!r}}}'
             if _finite(pos_after) and _finite(neg_after):
@@ -622,25 +588,10 @@ def _line(e: TraceEvent) -> str:
     return json.dumps(e.to_dict())
 
 
-def _tick_text(first, state, mood, x, y, batteries, capacitors) -> str:
-    """The JSON line and newline of each tick row from step `first` on: the
-    one template for a tick row, for values of the types `_line` checks."""
-    mid = f', "state": {_QUOTED[state]}, "battery": '
-    end = f', "mood": {_QUOTED[mood]}, "x": {x}, "y": {y}}}\n'
-    return "".join([
-        f'{{"step": {s}{mid}{b!r}, "capacitor": {c!r}{end}'
-        for s, b, c in zip(count(first), batteries, capacitors)
-    ])
-
-
-def trace_lines(trace) -> list[str]:
-    """The trace's rows as JSON text, one string per row."""
-    return [_line(event) for event in trace]
-
-
 class _Stretch(NamedTuple):
-    """A quiet stretch: its first step, the path, mood and pose its rows
-    share, and one battery and one capacitor level per tick."""
+    """A tick's record: its first step, the path, mood and pose its rows
+    share, and one battery and one capacitor level per tick (a full tick's,
+    then those of the quiet stretch after it)."""
 
     first: int
     state: str
@@ -657,38 +608,45 @@ class _Stretch(NamedTuple):
         )
 
     def text(self) -> str:
-        """`_line` of each row and a newline."""
+        """The JSON line and newline of each row: the one template for a tick
+        row, used when every value has the type it was written for."""
         first, state, mood, x, y, batteries, capacitors = self
-        if (
+        if not (
             type(first) is int and type(state) is str and type(mood) is str
             and type(x) is int and type(y) is int
             and {*map(type, batteries), *map(type, capacitors)} <= {float}
             and math.isfinite(sum(batteries) + sum(capacitors))  # as `_finite` asks
         ):
-            return _tick_text(*self)
-        return "".join([_line(self.row(k)) + "\n" for k in range(len(batteries))])
+            return "".join([json.dumps(self.row(k).to_dict()) + "\n" for k in range(len(batteries))])
+        mid = f', "state": {_quoted(state)}, "battery": '
+        end = f', "mood": {_quoted(mood)}, "x": {x}, "y": {y}}}\n'
+        return "".join([
+            f'{{"step": {s}{mid}{b!r}, "capacitor": {c!r}{end}'
+            for s, b, c in zip(count(first), batteries, capacitors)
+        ])
+
+
+def _text(item: TraceEvent | _Stretch) -> str:
+    """The JSON lines, each with its newline, of a row or a record."""
+    return item.text() if type(item) is _Stretch else _line(item) + "\n"
 
 
 class Trace(Sequence):
     """A life's trace: a read-only sequence of `TraceEvent` rows, in order.
 
     It is the sink `run_episode` gives a life. An appended row is kept as it
-    is, and a quiet stretch as one record whose rows are built each time
-    they are read; `write_trace_jsonl` writes a stretch without them. A
-    slice gives a list of the rows.
+    is, and a tick's record as it is too, its rows built each time they are
+    read; `write_trace_jsonl` writes a record without them. A slice gives a
+    list of the rows.
     """
 
     def __init__(self) -> None:
         self._items: list[TraceEvent | _Stretch] = []
         self._len = 0
 
-    def append(self, row: TraceEvent) -> None:
-        self._items.append(row)
-        self._len += 1
-
-    def stretch(self, first, state, mood, x, y, batteries, capacitors) -> None:
-        self._items.append(_Stretch(first, state, mood, x, y, batteries, capacitors))
-        self._len += len(batteries)
+    def append(self, item: TraceEvent | _Stretch) -> None:
+        self._items.append(item)
+        self._len += len(item.batteries) if type(item) is _Stretch else 1
 
     def __len__(self) -> int:
         return self._len
@@ -720,30 +678,25 @@ class Trace(Sequence):
 
 
 class _JsonlWriter:
-    """A trace sink that writes each row, and each stretch, as JSON lines of `fh`."""
+    """A trace sink that writes each row, and each record, as JSON lines of `fh`."""
 
     def __init__(self, fh):
         self._write = fh.write
 
-    def append(self, event: TraceEvent) -> None:
-        self._write(_line(event) + "\n")
-
-    def stretch(self, *fields) -> None:
-        """Write a quiet stretch, given as `Trace.stretch` takes it."""
-        self._write(_Stretch(*fields).text())
+    def append(self, item: TraceEvent | _Stretch) -> None:
+        self._write(_text(item))
 
 
 def write_trace_jsonl(trace, path: str | Path) -> None:
     """Write the trace's rows to `path` as JSON lines, in order.
 
-    Each row is one `_line` (the text of `json.dumps(row.to_dict())`) and a
-    newline; a `Trace`'s stretches are written by their template without
-    building their rows. An empty trace gives an empty file.
+    Each row is the text of `json.dumps(row.to_dict())` and a newline; a
+    `Trace`'s records are written by their template without building their
+    rows. An empty trace gives an empty file. The write goes through
+    `replacing`, so one that fails part way leaves `path` as it was.
     """
-    with open(path, "w") as fh:
-        write = fh.write
-        for item in trace._items if isinstance(trace, Trace) else trace:
-            write(item.text() if type(item) is _Stretch else _line(item) + "\n")
+    with replacing(path) as fh:
+        fh.writelines(map(_text, trace._items if isinstance(trace, Trace) else trace))
 
 
 def write_stats_csv(stats: SurvivalStats, path: str | Path) -> None:
@@ -753,4 +706,5 @@ def write_stats_csv(stats: SurvivalStats, path: str | Path) -> None:
             f"{i},{r.outcome},{r.lifetime},"
             f"{r.recharges.get(SOURCE_STATION, 0)},{r.recharges.get(SOURCE_WIRELESS, 0)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    with replacing(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -7,7 +7,7 @@ idle power, or drain it and charge at a constant power (see the
 no tick is quiet, so every tick takes the full path: that is the reference.
 Both must give equal results, trace rows and weights files, or raise the
 same `MachineStuckError`. An untraced idle stretch is taken in closed form by
-`sim._idle_jump`; its own reference is the stretch loop run one tick at a
+`energy.idle_jump`; its own reference is the stretch loop run one tick at a
 time.
 """
 
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foragesim import sim
+from foragesim import energy, sim
 from foragesim.scenario import parse_scenario, parse_scenario_checked, serialize_scenario
 from foragesim.sim import (
     MEMORY_NONVOLATILE,
@@ -379,7 +379,7 @@ def _jumping(battery, capacitor, drain, capacity, low_frac, lower_frac, budget):
     """The same stretch as an untraced life runs it: jump, else one tick."""
     n = 0
     while n < budget:
-        k, battery = sim._idle_jump(battery, drain, capacity, low_frac, lower_frac, budget - n)
+        k, battery = energy.idle_jump(battery, drain, capacity, low_frac, lower_frac, budget - n)
         if not k:
             k, battery, capacitor = _per_tick(
                 battery, capacitor, drain, capacity, low_frac, lower_frac, 1
@@ -399,7 +399,7 @@ def _assert_jump_exact(battery, capacitor, drain, capacity, low_frac, lower_frac
     args = (battery, capacitor, drain, capacity, low_frac, lower_frac, budget)
     assert _bits(_jumping(*args)) == _bits(_per_tick(*args))
     # one jump takes only ticks the loop takes, and lands where it lands
-    k, after = sim._idle_jump(battery, drain, capacity, low_frac, lower_frac, budget)
+    k, after = energy.idle_jump(battery, drain, capacity, low_frac, lower_frac, budget)
     assert _bits(_per_tick(battery, capacitor, drain, capacity, low_frac, lower_frac, k)) == (
         _bits((k, after, capacitor))
     )
@@ -439,7 +439,7 @@ def test_idle_jump_matches_the_tick_loop(
 
 
 def test_idle_jump_edges():
-    jump = sim._idle_jump
+    jump = energy.idle_jump
     assert jump(100.0, _TIE, 200.0, 0.3, 0.15, 900) == (0, 100.0)  # a tie steps
     assert jump(100.0, _U100 / 4, 200.0, 0.3, 0.15, 5000) == (5000, 100.0)  # delta 0
     assert jump(64.0, 0.3 * _U100, 200.0, 0.3, 0.15, 50) == (0, 64.0)  # rounds below

@@ -1,8 +1,10 @@
+import errno
 import io
 import json
 import math
 from collections.abc import Sequence
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,8 +24,8 @@ from foragesim.sim import (
     TraceEvent,
     run_episode,
     run_monte_carlo,
-    trace_lines,
     write_stats_csv,
+    write_trace_jsonl,
 )
 from foragesim.statemachine import MachineInstance
 from foragesim.weights import WeightTable, load_weights
@@ -103,21 +105,21 @@ class TestEpisode:
         assert last.mood == "dead"
         assert last.battery == 0.0 and last.capacitor == 0.0
 
-    def test_identical_configs_give_identical_traces(self):
+    def test_identical_configs_give_identical_traces(self, tmp_path):
         cfg = SimConfig(scenario=builtin_scenario("dual_source"), seed=5, max_steps=1200)
-        _, t1 = run_episode(cfg)
-        _, t2 = run_episode(cfg)
-        assert trace_lines(t1) == trace_lines(t2)
+        write_trace_jsonl(run_episode(cfg)[1], tmp_path / "1.jsonl")
+        write_trace_jsonl(run_episode(cfg)[1], tmp_path / "2.jsonl")
+        assert (tmp_path / "1.jsonl").read_bytes() == (tmp_path / "2.jsonl").read_bytes()
 
-    def test_trace_rows_use_the_documented_keys(self):
+    def test_trace_rows_use_the_documented_keys(self, tmp_path):
         cfg = SimConfig(scenario=builtin_scenario("dual_source"), seed=5, max_steps=800)
-        _, trace = run_episode(cfg)
+        sim.run_life(cfg, tmp_path / "life.jsonl")
         allowed = {
             "step", "state", "event", "node", "option",
             "w_pos_before", "w_pos_after", "w_neg_before", "w_neg_after",
             "battery", "capacitor", "mood", "x", "y",
         }
-        for line in trace_lines(trace):
+        for line in (tmp_path / "life.jsonl").read_text().splitlines():
             row = json.loads(line)
             assert set(row) <= allowed
             assert "step" in row and "state" in row
@@ -319,6 +321,49 @@ class TestMonteCarlo:
         assert lines[1] == "1,died,220,0,0"
 
 
+class _DiskFillsUp:
+    """A text file that takes `room` characters and then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if len(text) > self.room:
+            self.fh.write(text[:self.room])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("writer", ["stats", "trace"])
+def test_a_write_that_fails_part_way_leaves_the_old_file(writer, tmp_path, monkeypatch):
+    cfg = SimConfig(scenario=builtin_scenario("station_only"), seed=0, max_steps=300)
+    target = tmp_path / "out"
+    old = b"episode,outcome\r\n1,died\n"
+    target.write_bytes(old)
+    opened = Path.open
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "open", lambda *args, **kw: _DiskFillsUp(opened(*args, **kw), 40))
+        with pytest.raises(OSError, match="No space left"):
+            if writer == "stats":
+                write_stats_csv(run_monte_carlo(cfg, 3), target)
+            else:
+                write_trace_jsonl(run_episode(cfg)[1], target)
+    assert target.read_bytes() == old
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
 TIED_DUAL_SOURCE = (
     builtin_scenario_text("dual_source")
     .replace("seek.find_wireless_power = 0.8 0.2", "seek.find_wireless_power = 0.5 0.5")
@@ -472,22 +517,27 @@ class TestTraceFormat:
                     assert sim._line(row) == json.dumps(row.to_dict()), (kind, key, other)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_simulator_rows_need_no_fallback(self, name, monkeypatch):
-        # every row the built-ins produce has one of the four kinds' shapes
+    def test_simulator_rows_need_no_fallback(self, name, monkeypatch, tmp_path):
+        # every row the built-ins produce has one of the three event kinds'
+        # shapes or is a tick record's, so both writers write it by template
         def dumps(obj):
             assert isinstance(obj, str), f"row formatted by json.dumps: {obj}"
             return json.dumps(obj)
 
-        _, trace = run_episode(SimConfig(scenario=builtin_scenario(name), seed=0, max_steps=3000))
-        expected = [json.dumps(row.to_dict()) for row in trace]
+        cfg = SimConfig(scenario=builtin_scenario(name), seed=0, max_steps=3000)
+        _, trace = run_episode(cfg)
+        expected = "".join(json.dumps(row.to_dict()) + "\n" for row in trace)
         monkeypatch.setattr(sim, "json", type("Json", (), {"dumps": staticmethod(dumps)}))
-        monkeypatch.setattr(sim, "_QUOTED", sim._Quoted())
-        assert trace_lines(trace) == expected
+        sim._quoted.cache_clear()
+        write_trace_jsonl(trace, tmp_path / "trace.jsonl")
+        sim.run_life(cfg, tmp_path / "life.jsonl")
+        assert (tmp_path / "trace.jsonl").read_text() == expected
+        assert (tmp_path / "life.jsonl").read_text() == expected
 
 
-# A stretch as the simulator hands it to a sink, with levels JSON writes as
+# A tick record as the simulator hands it to a sink, with levels JSON writes as
 # their repr (±0.0, subnormal, huge) or not (inf, nan), and now and then a
-# field or a level of another type, which the template must leave to `_line`.
+# field or a level of another type, which the template must leave to `json.dumps`.
 _LEVELS = st.one_of(_FLOATS, st.sampled_from([0.0, -0.0, 5e-324, 1e308, 73.39999999999999]))
 
 
@@ -515,18 +565,18 @@ def _stretches(draw):
 
 
 class TestStretchFormat:
-    """A quiet stretch is written from one template; its text must be `_line`
+    """A tick's record is written from one template; its text must be `_line`
     of each of its rows, and a `Trace` must read as those rows."""
 
     @settings(max_examples=600, deadline=None)
     @given(_stretches())
     def test_stretch_lines_are_line_of_each_row(self, stretch):
         trace = sim.Trace()
-        trace.stretch(*stretch)
+        trace.append(sim._Stretch(*stretch))
         rows = list(trace)
         assert len(trace) == len(rows) == len(stretch[5])
         written = io.StringIO()
-        sim._JsonlWriter(written).stretch(*stretch)
+        sim._JsonlWriter(written).append(sim._Stretch(*stretch))
         assert written.getvalue() == "".join(sim._line(row) + "\n" for row in rows)
         assert written.getvalue() == "".join(json.dumps(row.to_dict()) + "\n" for row in rows)
 
@@ -546,8 +596,8 @@ class TestStretchFormat:
         _, trace = run_episode(cfg)
         sim.write_trace_jsonl(list(trace), tmp_path / "rows.jsonl")
         sim.run_life(cfg, tmp_path / "life.jsonl")
-        # the stretches (where the life has any) are written by the template,
-        # and every other row by `_line`
+        # the tick records are written by the template, and every event row by
+        # `_line`
         lines, line = [], sim._line
         monkeypatch.setattr(sim, "_line", lambda row: lines.append(row) or line(row))
         sim.write_trace_jsonl(trace, tmp_path / "trace.jsonl")
@@ -571,8 +621,34 @@ class TestTraceSequence:
 
     def test_stretches_are_kept_whole_only_when_ticks_are_quiet(self, traces):
         trace, reference = traces
-        assert any(type(item) is sim._Stretch for item in trace._items)
-        assert all(type(item) is TraceEvent for item in reference._items)
+        sizes = [len(item.batteries) for item in trace._items if type(item) is sim._Stretch]
+        assert max(sizes) > 1
+        assert {len(item.batteries) for item in reference._items if type(item) is sim._Stretch} == {1}
+
+    @pytest.mark.parametrize("life", ["run_episode", "run_life"])
+    def test_a_full_tick_and_its_quiet_stretch_reach_the_sink_as_one_append(
+        self, life, tmp_path, monkeypatch
+    ):
+        cfg = SimConfig(scenario=builtin_scenario("station_only"), seed=3, max_steps=2500)
+        tick_rows, records, full_ticks = [], [], []
+        row, discharge = sim.TraceEvent, sim.tick_discharge
+        with monkeypatch.context() as patched:
+            patched.setattr(sim, "TraceEvent", lambda *args, **kw: (
+                kw.get("event") is None and tick_rows.append(args) or row(*args, **kw)))
+            patched.setattr(sim, "tick_discharge", lambda *args: (
+                full_ticks.append(args) or discharge(*args)))
+            for sink in (sim.Trace, sim._JsonlWriter):
+                patched.setattr(sink, "append", lambda self, item, append=sink.append: (
+                    type(item) is sim._Stretch and records.append(item) or append(self, item)))
+            if life == "run_episode":
+                result, _ = run_episode(cfg)
+            else:
+                result = sim.run_life(cfg, tmp_path / "life.jsonl")
+        assert tick_rows == []
+        assert len(records) == len(full_ticks) < result.lifetime
+        steps = [step for r in records for step in range(r.first, r.first + len(r.batteries))]
+        assert steps == list(range(1, result.lifetime + 1))
+        assert max(len(r.batteries) for r in records) > 1
 
     def test_len_order_and_equality(self, traces):
         trace, reference = traces
