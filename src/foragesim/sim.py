@@ -30,6 +30,13 @@ which enables nothing). After each update the watcher is armed exactly when
 the battery is at or above its threshold, so without a crossing it neither
 fires nor re-arms. Path, pose and mood stay constant over the stretch.
 
+The seed reaches a life only through the rng that breaks an exact tie in
+`select_option`, and that rng is built at the first draw, so a life that
+never draws never seeds one. Volatile lives of a batch differ in nothing
+else, so they are one life up to their first draw: either all of them draw
+or none does. `run_monte_carlo` runs the first, and when it drew nothing
+the others are copies of its result.
+
 A traced life hands each row to a sink (`append`): a transition, choice or
 outcome row as a `TraceEvent`, and each tick as a record (`_Stretch`: first
 step, path, mood, pose, and each tick's levels) that also holds the quiet
@@ -248,7 +255,9 @@ class _Episode:
 
     `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`;
     the last two note what they did, and `_dispatch` turns the notes into
-    trace rows once the run to completion is over. Rows are built only when
+    trace rows once the run to completion is over. `choose` hands itself to
+    `select_option` as the rng: its `randrange` seeds `rng` at the first
+    draw, which stays None in a life that never draws. Rows are built only when
     the life has a `trace` sink (a `Trace` or a `_JsonlWriter`, whose
     `append` takes a row or a tick's record) to hand them to.
     """
@@ -259,7 +268,7 @@ class _Episode:
         self.world = cfg.scenario.world
         self.profile = cfg.scenario.energy_profile
         self.table = table
-        self.rng = random.Random(cfg.seed)
+        self.rng: random.Random | None = None
         self.energy: EnergyState = self.profile.initial_state()
         self.pose = RobotPose(pos=self.world.robot_start)
         self.instance: MachineInstance = start_instance(self.scenario)
@@ -296,8 +305,14 @@ class _Episode:
             return self.energy.battery_frac < self.profile.thresholds.lower_frac
         raise ValueError(f"unknown guard '{name}'")
 
+    def randrange(self, stop: int) -> int:
+        """The life's tie draw: `random.Random(cfg.seed)`, built at the first one."""
+        if self.rng is None:
+            self.rng = random.Random(self.cfg.seed)
+        return self.rng.randrange(stop)
+
     def choose(self, node: str, options: tuple[str, ...]) -> str:
-        chosen = select_option(self.table, node, options, self.rng)
+        chosen = select_option(self.table, node, options, self)
         self.choice_fired = True
         self.choices_made[(node, chosen)] += 1
         self.first_choices.setdefault(node, chosen)
@@ -462,15 +477,22 @@ def _initial_table(cfg: SimConfig) -> WeightTable:
     return WeightTable(cfg.scenario.seed_weights)
 
 
-def _live(cfg: SimConfig, table: WeightTable | None, trace) -> EpisodeResult:
-    """Run one life, appending its rows to the `trace` sink unless that is None."""
+def _live(cfg: SimConfig, table: WeightTable | None, trace) -> tuple[EpisodeResult, bool]:
+    """Run one life, appending its rows to the `trace` sink unless that is None;
+    also say whether it drew from its rng."""
     episode = _Episode(cfg, _initial_table(cfg) if table is None else table, trace)
     result = episode.run()
     if cfg.memory_mode == MEMORY_NONVOLATILE:
         save_weights(episode.table, cfg.weights_path)
     elif result.outcome == OUTCOME_DIED:
         result.final_weights = {}
-    return result
+    return result, episode.rng is not None
+
+
+def _copy(r: EpisodeResult) -> EpisodeResult:
+    """An equal result that shares no dict with `r`."""
+    return EpisodeResult(r.outcome, r.lifetime, r.death_step, dict(r.choices_made),
+                         dict(r.first_choices), dict(r.final_weights), dict(r.recharges))
 
 
 def run_episode(cfg: SimConfig, table: WeightTable | None = None) -> tuple[EpisodeResult, Trace]:
@@ -483,7 +505,7 @@ def run_episode(cfg: SimConfig, table: WeightTable | None = None) -> tuple[Episo
     final weights.
     """
     trace = Trace()
-    return _live(cfg, table, trace), trace
+    return _live(cfg, table, trace)[0], trace
 
 
 def run_life(cfg: SimConfig, trace_path: str | Path | None = None) -> EpisodeResult:
@@ -498,9 +520,9 @@ def run_life(cfg: SimConfig, trace_path: str | Path | None = None) -> EpisodeRes
     trace, byte for byte.
     """
     if trace_path is None:
-        return _live(cfg, None, None)
+        return _live(cfg, None, None)[0]
     with replacing(trace_path) as fh:
-        return _live(cfg, None, _JsonlWriter(fh))
+        return _live(cfg, None, _JsonlWriter(fh))[0]
 
 
 def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
@@ -509,15 +531,26 @@ def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
     In nonvolatile mode the weight table threads through the whole batch
     (learning across lives); volatile lives each start from the scenario
     seeds again. No trace is kept: a life builds no rows.
+
+    Volatile lives start from the same seed weights, energy, pose and
+    machine, and differ only in the seed of the rng that breaks exact ties
+    in `select_option`. So they follow one path up to their first draw:
+    either every life of the batch draws, or none does and every life is
+    the first. The batch runs its first life, and when that drew nothing
+    the other results are copies of it (each its own object, sharing no
+    dict), equal to what running them would give.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    results: list[EpisodeResult] = []
     table: WeightTable | None = None
     if cfg.memory_mode == MEMORY_NONVOLATILE:
         table = _initial_table(cfg)
-    for i in range(episodes):
-        results.append(_live(replace(cfg, seed=cfg.seed + i), table, None))
+    first, drew = _live(cfg, table, None)
+    if table is None and not drew:  # volatile, and no life draws: each is the first
+        rest = (_copy(first) for _ in range(1, episodes))
+    else:
+        rest = (_live(replace(cfg, seed=cfg.seed + i), table, None)[0] for i in range(1, episodes))
+    results = [first, *rest]
     survived = sum(1 for r in results if r.outcome == OUTCOME_SURVIVED)
     pooled: Counter = Counter()
     for r in results:
@@ -611,11 +644,17 @@ class _Stretch(NamedTuple):
         """The JSON line and newline of each row: the one template for a tick
         row, used when every value has the type it was written for."""
         first, state, mood, x, y, batteries, capacitors = self
+        # each level as `_finite` asks; most records are a full tick alone,
+        # whose two levels are checked without building a set of types
+        if len(batteries) == 1:
+            b, c = batteries[0], capacitors[0]
+            finite = type(b) is float is type(c) and b - b == 0.0 == c - c
+        else:
+            finite = ({*map(type, batteries), *map(type, capacitors)} <= {float}
+                      and math.isfinite(sum(batteries) + sum(capacitors)))
         if not (
             type(first) is int and type(state) is str and type(mood) is str
-            and type(x) is int and type(y) is int
-            and {*map(type, batteries), *map(type, capacitors)} <= {float}
-            and math.isfinite(sum(batteries) + sum(capacitors))  # as `_finite` asks
+            and type(x) is int and type(y) is int and finite
         ):
             return "".join([json.dumps(self.row(k).to_dict()) + "\n" for k in range(len(batteries))])
         mid = f', "state": {_quoted(state)}, "battery": '

@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import os
-import random
 import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import Protocol, TextIO
 
 from .scenario import IDENT_RE
 
@@ -73,17 +72,25 @@ class WeightTable:
         return dict(self.entries)
 
 
+class Rng(Protocol):
+    """What `select_option` draws from: a `random.Random`, or anything with its `randrange`."""
+
+    def randrange(self, stop: int, /) -> int: ...
+
+
 def select_option(
     table: WeightTable,
     node: str,
     options: list[str] | tuple[str, ...],
-    rng: random.Random,
+    rng: Rng,
 ) -> str:
     """Pick one option for `node` by the stored weights.
 
     Keeps every option whose success weight is within TOLERANCE of the best,
     then takes the lowest failure weight among them; an exact tie there is
-    broken uniformly at random with `rng`.
+    broken uniformly at random by `rng.randrange(len(tied))`. Nothing else of
+    `rng` is used, so it may be anything with `randrange`, and it is not
+    touched when there is no tie.
     """
     if not options:
         raise ValueError("empty option list")

@@ -10,6 +10,7 @@ from foragesim.cli import main
 from foragesim.scenario import parse_scenario
 from foragesim.scenarios import BUILTIN_NAMES, builtin_scenario_text
 from foragesim.sim import SimConfig, run_episode, write_trace_jsonl
+from foragesim.weights import load_weights
 
 BROKEN = """
 [machine top entry]
@@ -95,6 +96,28 @@ class TestRun:
         ])
         assert code == 0
         assert weights.read_text().startswith("node,option,w_pos")
+
+    def test_stale_temporary_weights_file_does_not_break_mc(self, dual_source_path, tmp_path):
+        # a save killed before its os.replace leaves `memory.csv.tmp` behind
+        weights = tmp_path / "memory.csv"
+        stale = tmp_path / "memory.csv.tmp"
+        stale.write_bytes(b"\x00\xffnode,option\r\n\"unterminated")
+        code = main([
+            "mc", str(dual_source_path), "--steps", "600", "--episodes", "3",
+            "--memory", "nonvolatile", "--weights", str(weights),
+        ])
+        assert code == 0
+        assert not stale.exists()
+        cfg = SimConfig(parse_scenario(dual_source_path.read_text()), max_steps=600,
+                        memory_mode=sim.MEMORY_NONVOLATILE, weights_path=tmp_path / "again.csv")
+        final = sim.run_monte_carlo(cfg, 3).results[-1].final_weights
+        assert weights.read_bytes() == cfg.weights_path.read_bytes()
+        loaded = load_weights(weights).entries
+        assert loaded.keys() == final.keys()
+        for key, entry in final.items():  # the CSV keeps nine decimal digits
+            assert loaded[key].w_pos == pytest.approx(entry.w_pos, abs=5e-10)
+            assert loaded[key].w_neg == pytest.approx(entry.w_neg, abs=5e-10)
+            assert (loaded[key].successes, loaded[key].failures) == (entry.successes, entry.failures)
 
     def test_unwritable_trace_is_io_error(self, dual_source_path, tmp_path):
         code = main([

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import math
+import random
 from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foragesim import sim
-from foragesim.scenario import parse_scenario
+from foragesim.scenario import KIND_CHOICE, parse_scenario
 from foragesim.scenarios import BUILTIN_NAMES, builtin_scenario, builtin_scenario_text
 from foragesim.sim import (
     MEMORY_NONVOLATILE,
@@ -27,8 +28,9 @@ from foragesim.sim import (
     write_stats_csv,
     write_trace_jsonl,
 )
-from foragesim.statemachine import MachineInstance
+from foragesim.statemachine import MachineInstance, MachineStuckError
 from foragesim.weights import WeightTable, load_weights
+from genscenarios import random_scenario
 
 NO_SOURCE = """
 [machine top entry]
@@ -420,6 +422,125 @@ class TestUntracedLives:
         assert stats.episodes == 2
         with pytest.raises(AssertionError):
             run_episode(cfg)
+
+
+def _tied(scenario):
+    """`scenario` with one seed weight for every option of every choice node,
+    so each choice is an exact tie that the rng breaks."""
+    weights = {
+        (state.name, option): (0.5, 0.5)
+        for machine in scenario.machines for state in machine.states
+        if state.kind == KIND_CHOICE for option in state.options
+    }
+    return replace(scenario, seed_weights=weights)
+
+
+def _building(call, *args):
+    """`call(*args)` (or the stuck error it raises) and the `_Episode`s it built."""
+    built = []
+
+    class Counted(sim._Episode):
+        def __init__(self, *episode_args):
+            super().__init__(*episode_args)
+            built.append(self)
+
+    with mock.patch.object(sim, "_Episode", Counted):
+        try:
+            return call(*args), built
+        except MachineStuckError as exc:
+            return ("stuck", exc.step, exc.path, exc.event), built
+
+
+def _every_life_runs(cfg, n):
+    """`run_monte_carlo(cfg, n)` with each life reporting a draw, so none is reused."""
+    live = sim._live
+    with mock.patch.object(sim, "_live", lambda *args: (live(*args)[0], True)):
+        return run_monte_carlo(cfg, n)
+
+
+def _check_reuse(cfg, n, tmp_path):
+    """A volatile batch equals the batch that runs every life, and each life
+    the `run_episode` life of its seed; it builds one life when that one drew
+    nothing. Returns whether the lives drew."""
+    stats, built = _building(run_monte_carlo, cfg, n)
+    lives = [_building(run_episode, replace(cfg, seed=cfg.seed + i)) for i in range(n)]
+    drew = [episode.rng is not None for _, episodes in lives for episode in episodes]
+    assert drew in ([True] * n, [False] * n)  # every life draws, or none does
+    # a batch stops at its first stuck life
+    stuck = [out[0] == "stuck" for out, _ in lives]
+    ran = stuck.index(True) + 1 if True in stuck else n
+    assert [episode.rng is not None for episode in built] == drew[:len(built)]
+    assert len(built) == (ran if drew[0] else 1)
+    every, _ = _building(_every_life_runs, cfg, n)
+    assert stats == every
+    if isinstance(stats, tuple):
+        assert stats == lives[ran - 1][0]
+        return drew[0]
+    assert stats.results == [result for (result, _), _ in lives]
+    write_stats_csv(stats, tmp_path / "reused.csv")
+    write_stats_csv(every, tmp_path / "every.csv")
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "every.csv").read_bytes()
+    # each result is its own object, and so is each of its dicts
+    for attr in (None, "choices_made", "first_choices", "final_weights", "recharges"):
+        objects = [r if attr is None else getattr(r, attr) for r in stats.results]
+        assert len(set(map(id, objects))) == n, attr
+    return drew[0]
+
+
+class TestReusedLives:
+    """A volatile batch whose first life draws nothing from the rng reports
+    that life for every episode (see `run_monte_carlo`); its results and stats
+    must be those of running every life."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
+    def test_batch_equals_every_life_run(self, name, seed, tmp_path):
+        cfg = SimConfig(scenario=DIFFERENTIAL_SCENARIOS[name](), seed=seed, max_steps=1500)
+        # no built-in ties, so none of them draws
+        assert _check_reuse(cfg, 5, tmp_path) == (name == "dual_source_tied")
+
+    def test_generated_scenarios_tied_and_untied(self, tmp_path):
+        seen = set()
+
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        @given(
+            scenario_seed=st.integers(0, 10_000),
+            sim_seed=st.integers(0, 50),
+            tied=st.booleans(),
+        )
+        def check(scenario_seed, sim_seed, tied):
+            scenario = random_scenario(scenario_seed)
+            cfg = SimConfig(_tied(scenario) if tied else scenario, seed=sim_seed, max_steps=300)
+            seen.add((tied, _check_reuse(cfg, 4, tmp_path)))
+
+        check()
+        assert {(False, False), (True, True)} <= seen
+
+    def test_nonvolatile_batches_run_every_life(self, builtin_name, tmp_path):
+        cfg = SimConfig(scenario=builtin_scenario(builtin_name), max_steps=1500,
+                        memory_mode=MEMORY_NONVOLATILE, weights_path=tmp_path / "w.csv")
+        stats, built = _building(run_monte_carlo, cfg, 4)
+        assert len(built) == 4 == len(stats.results)
+
+    def test_an_untied_life_seeds_no_rng(self, builtin_name, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("a life seeded an rng")
+
+        monkeypatch.setattr(random, "Random", refuse)
+        cfg = SimConfig(scenario=builtin_scenario(builtin_name), seed=2, max_steps=3000)
+        run_episode(cfg)
+        sim.run_life(cfg, tmp_path / "life.jsonl")
+        assert len(run_monte_carlo(cfg, 3).results) == 3
+
+    def test_a_tied_life_seeds_its_rng(self, monkeypatch):
+        seeded, seeding = [], random.Random
+        monkeypatch.setattr(random, "Random", lambda seed: seeded.append(seed) or seeding(seed))
+        cfg = SimConfig(scenario=DIFFERENTIAL_SCENARIOS["dual_source_tied"](), seed=3,
+                        max_steps=1500)
+        run_episode(cfg)
+        assert seeded == [3]
+        run_monte_carlo(cfg, 3)
+        assert seeded == [3, 3, 4, 5]
 
 
 class TestConfig:

@@ -235,6 +235,17 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_stale_temporary_file_does_not_break_the_next_save(self, tmp_path):
+        # a save killed before its os.replace leaves `w.csv.tmp` with any bytes
+        path = tmp_path / "w.csv"
+        save_weights(WeightTable(SIGNAL_VS_TRACK), path)
+        (tmp_path / "w.csv.tmp").write_bytes(b"node,opt\xff\x00\r\ngarbage")
+        table = WeightTable(SIGNAL_VS_TRACK)
+        record_outcome(table, "decision_flow", "follow_track_path", success=True)
+        save_weights(table, path)
+        assert load_weights(path) == table
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_missing_file_warns_and_zeroes(self, tmp_path):
         with pytest.warns(UserWarning, match="zero table"):
             table = load_weights(tmp_path / "absent.csv")
