@@ -4,8 +4,8 @@ The robot runs off a battery that drains with activity and, once the battery
 is flat, off a short-term capacitor reserve that only wireless charging can
 fill. Battery level also sets the sensor gain, so a hungry robot senses less
 far. Moods summarise the energy situation for the control layer, and the
-threshold watcher turns downward battery crossings into edge-triggered
-events with re-arm hysteresis.
+threshold watcher turns each downward battery crossing into one
+edge-triggered event.
 """
 
 from __future__ import annotations
@@ -305,29 +305,22 @@ def sensor_gain(state: EnergyState, gain_min: float) -> float:
 class ThresholdWatcher:
     """Edge-triggered battery threshold events.
 
-    Each threshold fires exactly once per downward crossing and re-arms only
-    after the battery fraction rises back to or above it.
+    Each threshold fires once per downward crossing: when the battery fraction
+    falls below it from at or above it at the previous update (the first
+    update counts as a fall from above).
     """
 
     def __init__(self, thresholds: Thresholds):
         self._thresholds = thresholds
-        self._armed_low = True
-        self._armed_lower = True
+        self._last = math.inf
 
     def update(self, state: EnergyState) -> list[str]:
         frac = state.battery_frac
-        fired: list[str] = []
+        last, self._last = self._last, frac
         th = self._thresholds
-        if self._armed_low:
-            if frac < th.low_frac:
-                fired.append(EVENT_POWER_LOW)
-                self._armed_low = False
-        elif frac >= th.low_frac:
-            self._armed_low = True
-        if self._armed_lower:
-            if frac < th.lower_frac:
-                fired.append(EVENT_POWER_LOWER)
-                self._armed_lower = False
-        elif frac >= th.lower_frac:
-            self._armed_lower = True
+        fired: list[str] = []
+        if frac < th.low_frac <= last:
+            fired.append(EVENT_POWER_LOW)
+        if frac < th.lower_frac <= last:
+            fired.append(EVENT_POWER_LOWER)
         return fired

@@ -65,9 +65,8 @@ _RESERVED_WORDS = frozenset(
 #   key -> (section, group, field, shape, bound)
 # group "" fills the section's own object (WorldMap, EnergyProfile); any other
 # group is the nested object held in the field of that name. A tuple field
-# takes a cell apart (grid is a size, not a position). Shapes: num (one
-# number), int (one integer), cell (two integers), cells (an even, non-empty
-# list of integers). A bound applies to every number of the value.
+# takes a cell apart (grid is a size, not a position). A shape is a row of
+# `_SHAPES`, and a bound applies to every number of the value.
 _KEYS: dict[str, tuple[str, str, str | tuple[str, str], str, str | None]] = {
     "grid": ("world", "", ("width", "height"), "cell", ">0"),
     "robot.start": ("world", "", "robot_start", "cell", None),
@@ -110,11 +109,33 @@ _REQUIRED = {
     and f.default is MISSING and f.default_factory is MISSING
 }
 
-_SHAPE_TEXT = {
-    "num": "exactly one number",
-    "int": "exactly one integer",
-    "cell": "two integer coordinates",
-    "cells": "an even list of integer coordinates",
+
+def _fmt_num(v: float) -> str:
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    text = f"{v:.9f}".rstrip("0").rstrip(".")
+    return text if text else "0"
+
+
+def _fmt_cell(cell) -> str:
+    return f"{cell[0]} {cell[1]}"
+
+
+# Every value shape -> (what its numbers must be; its reader, from the numbers
+# to the value or None when they do not fit, where `x % 1 == 0` says x is
+# integral; its writer, empty for no cells; the grid cells a value names)
+_SHAPES = {
+    "num": ("exactly one number", lambda v: v[0] if len(v) == 1 else None, _fmt_num, lambda _: ()),
+    "int": ("exactly one integer", lambda v: int(v[0]) if len(v) == 1 and v[0] % 1 == 0 else None,
+            str, lambda _: ()),
+    "cell": ("two integer coordinates",
+             lambda v: (int(v[0]), int(v[1])) if len(v) == 2 and v[0] % 1 == v[1] % 1 == 0 else None,
+             _fmt_cell, lambda cell: (cell,)),
+    "cells": ("an even list of integer coordinates",
+              lambda v: tuple(zip(map(int, v[::2]), map(int, v[1::2])))
+              if len(v) % 2 == 0 and all(x % 1 == 0 for x in v) else None,
+              lambda cells: " ".join(map(_fmt_cell, sorted(cells) if isinstance(cells, frozenset) else cells)),
+              lambda cells: cells),
 }
 
 
@@ -235,7 +256,7 @@ def _parse_number(token: str, lineno: int, diags: list[Diagnostic]) -> float | N
     if frac is not None and len(frac) > 9:
         diags.append(_error(lineno, f"more than 9 fractional digits in {token!r}"))
         return None
-    value = float(token)
+    value = float(token) + 0.0  # `+ 0.0` reads -0 as 0.0
     if not math.isfinite(value):  # too large for a double
         diags.append(_error(lineno, f"bad number {token!r}"))
         return None
@@ -453,17 +474,10 @@ def _parse_machine_stmt(line: str, lineno: int, machine: dict, diags: list[Diagn
 def _convert(key: str, values: list[float], lineno: int, diags: list[Diagnostic]):
     """Read a key's numbers by its shape and check its bound; None after an error."""
     _, _, _, shape, bound = _KEYS[key]
-    ints = values if shape == "num" else [int(v) for v in values]
-    if shape == "num" and len(values) == 1:
-        value = values[0]
-    elif shape == "int" and len(ints) == 1 and ints == values:
-        value = ints[0]
-    elif shape == "cell" and len(ints) == 2 and ints == values:
-        value = (ints[0], ints[1])
-    elif shape == "cells" and len(ints) % 2 == 0 and ints == values:
-        value = tuple(zip(ints[::2], ints[1::2]))
-    else:
-        diags.append(_error(lineno, f"{key} needs {_SHAPE_TEXT[shape]}"))
+    needs, read, _, _ = _SHAPES[shape]
+    value = read(values)
+    if value is None:
+        diags.append(_error(lineno, f"{key} needs {needs}"))
         return None
     if bound == ">0" and min(values) <= 0:
         diags.append(_error(lineno, f"{key} must be positive"))
@@ -528,9 +542,9 @@ def _check_world(world: WorldMap, rows: dict[str, tuple[object, int]], diags: li
     for key, (value, line) in rows.items():
         _, group, name, shape, _ = _KEYS[key]
         where[group, name] = key, line
-        if isinstance(name, tuple) or shape not in ("cell", "cells"):
+        if isinstance(name, tuple):  # a size, not a position
             continue
-        for cell in (value,) if shape == "cell" else value:
+        for cell in _SHAPES[shape][3](value):
             if not world.in_grid(cell):
                 diags.append(_error(line, f"{key} cell {cell} is outside the grid"))
     st = world.station
@@ -819,17 +833,6 @@ def _check_auto_cycles(
 # serialization
 
 
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    text = f"{v:.9f}".rstrip("0").rstrip(".")
-    return text if text else "0"
-
-
-def _fmt_cell(cell) -> str:
-    return f"{cell[0]} {cell[1]}"
-
-
 def _fmt_arm(tr: TransitionDef) -> str:
     arm = f"{tr.target} on {tr.event}"
     if tr.guard is not None:
@@ -850,15 +853,9 @@ def _section_lines(section: str, obj) -> list[str]:
             value = tuple(getattr(target, n) for n in name)
         else:
             value = getattr(target, name)
-        if shape == "num":
-            lines.append(f"{key} = {_fmt_num(value)}")
-        elif shape == "int":
-            lines.append(f"{key} = {value}")
-        elif shape == "cell":
-            lines.append(f"{key} = {_fmt_cell(value)}")
-        elif value:
-            cells = sorted(value) if isinstance(value, frozenset) else value
-            lines.append(f"{key} = " + " ".join(_fmt_cell(c) for c in cells))
+        text = _SHAPES[shape][2](value)
+        if text:
+            lines.append(f"{key} = {text}")
     return lines
 
 

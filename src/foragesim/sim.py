@@ -11,11 +11,11 @@ traces.
 Most of a life is spent waiting for hunger in a leaf with no behaviour, or
 charging in one, so the loop advances to the next event. A tick is quiet
 when, at its end, no event is queued, the leaf has no behaviour, and the
-machine is quiescent (`MachineInstance.quiescent`: no pending choice and no
-`auto` arm enabled under the current guards). Each following tick then only
-drains idle power and, in a `recharge`/`charge` leaf, charges at the same
-power (the station's rate, or the coupling at the pose, which does not
-move). `energy.advance_quiet` takes those ticks, bitwise equal to
+machine is quiescent (`MachineInstance.quiescent`: not resting on a choice
+node, and no `auto` arm enabled under the current guards). Each following
+tick then only drains idle power and, in a `recharge`/`charge` leaf, charges
+at the same power (the station's rate, or the coupling at the pose, which
+does not move). `energy.advance_quiet` takes those ticks, bitwise equal to
 `tick_discharge` and `apply_charge`. It stops before the first tick that
 would flip `powerLow` or `powerLower` (falling, or rising: a watcher
 re-arm), turn `batteryFull` on or empty both stores, and the loop stops it
@@ -26,9 +26,9 @@ positive only, so only a guard turning on can enable an arm, and none turns
 on inside the stretch: `isSignalSufficient` depends on the pose alone, and
 `batteryFull` turns on and the hunger guards flip only at the ticks where
 the stretch stops (a battery falling from full turns `batteryFull` off,
-which enables nothing). After each update the watcher is armed exactly when
-the battery is at or above its threshold, so without a crossing it neither
-fires nor re-arms. Path, pose and mood stay constant over the stretch.
+which enables nothing). The watcher fires a threshold only when the fraction
+falls below it from at or above it at the previous update, so without a
+crossing it fires nothing. Path, pose and mood stay constant over the stretch.
 
 The seed reaches a life only through the rng that breaks an exact tie in
 `select_option`, and that rng is built at the first draw, so a life that
@@ -186,7 +186,7 @@ class SurvivalStats:
 
 
 # A behaviour returns the tick's (pose, activities, events); the activity set is
-# the loop's to extend.
+# the loop's to extend, with `move` when the pose moved.
 _FOLLOW_EVENTS = {FOLLOW_ARRIVED: (EVENT_LOCATED,), FOLLOW_LOST: (EVENT_LOST,)}
 
 
@@ -198,8 +198,6 @@ def _behave_follow(cue: str):
         if not (cues.ir_detected if cue == CUE_IR else cues.track_detected):
             return ep.pose, acts, (EVENT_LOST,)
         new_pose, status = step_follow(ep.world, ep.pose, cue, gain)
-        if new_pose.pos != ep.pose.pos:
-            acts.add("move")
         return new_pose, acts, _FOLLOW_EVENTS.get(status, ())
 
     return run
@@ -213,10 +211,7 @@ def _behave_poll(ep: "_Episode"):
     beacon = ep.world.beacon
     if math.dist(ep.pose.pos, beacon.pos) <= beacon.resonance_radius:
         return ep.pose, acts, (EVENT_FOUND,)
-    new_pose = step_seek_intensity(ep.world, ep.pose)
-    if new_pose.pos != ep.pose.pos:
-        acts.add("move")
-    return new_pose, acts, ()
+    return step_seek_intensity(ep.world, ep.pose), acts, ()
 
 
 def _behave_engage(ep: "_Episode"):
@@ -226,13 +221,8 @@ def _behave_engage(ep: "_Episode"):
 
 
 def _behave_navigate(ep: "_Episode"):
-    acts = {"sense", "process"}
-    if ep.signal_sufficient():
-        return ep.pose, acts, ()
-    new_pose = step_seek_intensity(ep.world, ep.pose)
-    if new_pose.pos != ep.pose.pos:
-        acts.add("move")
-    return new_pose, acts, ()
+    pose = ep.pose if ep.signal_sufficient() else step_seek_intensity(ep.world, ep.pose)
+    return pose, {"sense", "process"}, ()
 
 
 def _behave_idle(ep: "_Episode"):
@@ -394,7 +384,10 @@ class _Episode:
             self._dispatch(AUTO)
 
             behavior = BEHAVIORS.get(self.instance.leaf_state_name() or "", _behave_idle)
-            self.pose, activities, events = behavior(self)
+            pose, activities, events = behavior(self)
+            if pose.pos != self.pose.pos:
+                activities.add("move")
+            self.pose = pose
             self._enqueue(events)
             while self.queue:
                 self._dispatch(self.queue.popleft())

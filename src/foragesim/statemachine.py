@@ -3,9 +3,10 @@
 An instance keeps a stack of frames, one per nesting level; entering a
 composite state pushes the referenced machine and descends through its
 initial. Dispatching an event processes it at the innermost active state,
-then drains until quiescent: pending exit notifications first, then parked
-choice nodes (resolved through the context exactly once per entry), then
-`auto` completion transitions. Crossing a machine exit concludes the
+then drains until quiescent: pending exit notifications first, then a choice
+node the innermost frame rests on (resolved through the context once per
+entry: a choice node has no arms, so a frame leaves one only by its choice),
+then `auto` completion transitions. Crossing a machine exit concludes the
 pursuits opened by choice nodes along the way and reports their outcome,
 tagged success or failure, through the context.
 
@@ -107,7 +108,6 @@ class StaticContext:
 class _Frame:
     machine: MachineDef
     state: str
-    choice_pending: bool = False
     pursuits: list[tuple[str, str]] = field(default_factory=list)
 
 
@@ -132,13 +132,13 @@ class MachineInstance:
 
     def quiescent(self, ctx) -> bool:
         """True when dispatching `auto` under `ctx` now would fire nothing:
-        the machine runs, no exit event or choice is pending, and no `auto`
-        arm of the innermost state is enabled."""
+        the machine runs, no exit event is pending, the innermost state is not
+        a choice node, and none of its `auto` arms is enabled."""
         if self.status != STATUS_RUNNING or self.pending_events:
             return False
         f = self.frames[-1]
         st = f.machine.state(f.state)
-        return st is not None and not f.choice_pending and self._enabled(st, AUTO, ctx) is None
+        return st is not None and st.kind != KIND_CHOICE and self._enabled(st, AUTO, ctx) is None
 
     # -- construction -------------------------------------------------------
 
@@ -147,7 +147,7 @@ class MachineInstance:
         self._descend((self.machine.name, self.machine.initial))
 
     def _descend(self, path: tuple[str, ...]) -> None:
-        """Push frames through composite initials; park at choice nodes.
+        """Push frames through composite initials; rest at a choice node.
 
         `path` is the active path of the frames as they stand; it grows with
         each frame pushed and is the instance's `path` when this returns.
@@ -166,9 +166,7 @@ class MachineInstance:
                     frames.append(_Frame(inner, inner.initial))
                     path += (inner.initial,)
                     continue
-                if st.kind == KIND_CHOICE:
-                    f.choice_pending = True
-                elif st.kind == KIND_FINAL and len(frames) == 1:
+                if st.kind == KIND_FINAL and len(frames) == 1:
                     self.status = STATUS_FINALIZED
                 return
         finally:
@@ -255,8 +253,7 @@ class MachineInstance:
                 continue
             f = self.frames[-1]
             st = f.machine.state(f.state)
-            if f.choice_pending:
-                f.choice_pending = False
+            if st.kind == KIND_CHOICE:
                 chosen = ctx.choose(st.name, st.options)
                 if chosen not in st.options:
                     raise ValueError(

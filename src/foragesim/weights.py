@@ -111,7 +111,7 @@ def record_outcome(table: WeightTable, node: str, option: str, success: bool) ->
 
     Success: w_pos <- (w_pos + 1)/2 and w_neg <- w_neg/2.
     Failure: w_pos <- w_pos/2 and w_neg <- (w_neg + 1)/2.
-    Both rules are contractions, so the [0, 1] clamp never has to act.
+    Both rules map [0, 1] into itself; the clamp turns a -0.0 into 0.0.
     """
     e = table.get(node, option)
     if success:
@@ -199,7 +199,7 @@ def load_weights(path: str | Path) -> WeightTable:
         if (node, option) in table.entries:
             raise WeightsFileError(f"duplicate row for ({node}, {option})", lineno)
         try:
-            w_pos, w_neg = float(row[2]), float(row[3])
+            w_pos, w_neg = float(row[2]) + 0.0, float(row[3]) + 0.0  # `+ 0.0` reads -0 as 0.0
             successes, failures = int(row[4]), int(row[5])
         except ValueError as exc:
             raise WeightsFileError(f"bad number: {exc}", lineno) from None

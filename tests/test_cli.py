@@ -145,6 +145,19 @@ class TestStreamedTrace:
         assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "api.jsonl").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["api.jsonl", "cli.jsonl", f"{name}.scn"]
 
+    def test_minus_zero_weight_writes_the_trace_of_zero(self, scenario_file, tmp_path):
+        # equal scenarios: a choice row must not carry the -0.0 it was given
+        text = builtin_scenario_text("learning_lab")
+        seed_line = "seek.find_wireless_power = 0.2 0.1\n"
+        assert seed_line in text
+        traces = []
+        for weight in ("0", "-0"):
+            path = scenario_file(text.replace(seed_line, f"seek.find_wireless_power = 0.2 {weight}\n"))
+            traces.append(tmp_path / f"{weight}.jsonl")
+            assert main(["run", str(path), "--seed", "0", "--trace", str(traces[-1])]) == 0
+        assert traces[0].read_bytes() == traces[1].read_bytes()
+        assert b"-0.0" not in traces[1].read_bytes()
+
     def test_stuck_run_leaves_the_old_trace_and_no_temporary_file(self, scenario_file, tmp_path):
         path = scenario_file(GUARDED_AUTO_CYCLE, "cycle.scn")
         trace = tmp_path / "t.jsonl"

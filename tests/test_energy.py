@@ -179,6 +179,42 @@ class TestThresholdWatcher:
         assert w.update(state(battery=10.0)) == [EVENT_POWER_LOW, EVENT_POWER_LOWER]
 
 
+class _TwoFlagWatcher:
+    """The watcher as it was first written: one armed flag per threshold."""
+
+    def __init__(self, thresholds):
+        self.th = thresholds
+        self.armed = {EVENT_POWER_LOW: True, EVENT_POWER_LOWER: True}
+
+    def update(self, state):
+        frac, fired = state.battery_frac, []
+        for event, level in ((EVENT_POWER_LOW, self.th.low_frac), (EVENT_POWER_LOWER, self.th.lower_frac)):
+            if self.armed[event]:
+                if frac < level:
+                    fired.append(event)
+                    self.armed[event] = False
+            elif frac >= level:
+                self.armed[event] = True
+        return fired
+
+
+class TestWatcherAgainstTwoFlags:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_events(self, data):
+        lower = data.draw(st.floats(0.01, 0.49))
+        th = Thresholds(low_frac=data.draw(st.floats(lower, 0.99).filter(lambda v: v > lower)),
+                        lower_frac=lower)
+        # levels at, just below and just above each threshold, and anywhere
+        near = [f(level) for level in (th.low_frac, th.lower_frac)
+                for f in (lambda v: v, lambda v: math.nextafter(v, 0), lambda v: math.nextafter(v, 1))]
+        fracs = data.draw(st.lists(st.one_of(st.sampled_from(near), st.floats(0.0, 1.0)), max_size=40))
+        watcher, reference = ThresholdWatcher(th), _TwoFlagWatcher(th)
+        for frac in fracs:  # a capacity of 1 makes the battery its own fraction
+            s = state(battery=frac, b_cap=1.0)
+            assert watcher.update(s) == reference.update(s), frac
+
+
 class TestProfile:
     def test_initial_levels_default_to_capacity(self):
         p = EnergyProfile(battery_capacity=42.0, capacitor_capacity=7.0)

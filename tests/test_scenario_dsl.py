@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -387,6 +389,18 @@ STRUCTURE_ERRORS = {
     "no_final_state": (MINIMAL + "state b -> final on go  # <-\n", "machine 'top' has no final state"),
     "ambiguous_final": (MINIMAL + "state b -> final on go  # <-\nfinal f1\nfinal f2\n",
                         "ambiguous 'final' target; name the final state"),
+    # a value of the wrong shape, or out of its bound, at its key's line
+    "num_shape": (MINIMAL + "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.ir_radius = 2 3  # <-\n",
+                  "station.ir_radius needs exactly one number"),
+    "int_shape": (MINIMAL + "[energy]\nrate.idle = 0.1\nmax_charge_ticks = 2.5  # <-\n",
+                  "max_charge_ticks needs exactly one integer"),
+    "cell_shape": (MINIMAL + "[world]\ngrid = 8 8\nrobot.start = 1  # <-\n",
+                   "robot.start needs two integer coordinates"),
+    "cells_shape": (MINIMAL + "[world]\ngrid = 8 8\nstation.pos = 1 1\nstation.track = 1 2 1  # <-\n",
+                    "station.track needs an even list of integer coordinates"),
+    "positive": (MINIMAL + "[world]\nrobot.start = 1 1\ngrid = 8 0  # <-\n", "grid must be positive"),
+    "non_negative": (MINIMAL + "[energy]\nbattery_capacity = 50\nrate.idle = -0.1  # <-\n",
+                     "rate.idle must be non-negative"),
     # a third field gives the severity when it is not "error"
     "conditional_exit": (MINIMAL + "submachine s = inner -> a on done if powerLow  # <-\n" + INNER,
                          "exit 'done' of machine 'inner' is handled only conditionally", "warning"),
@@ -404,6 +418,15 @@ class TestStructureErrors:
         _, diags = parse_scenario_checked(text)
         found = [d.line for d in diags if d.severity == severity and d.message == message]
         assert found == [line], diags
+
+
+class TestNegativeZero:
+    def test_minus_zero_reads_as_zero(self):
+        text = MINIMAL + "[energy]\nrate.move = -0\n[weights]\nn.o = -0 -0.000\n"
+        s = parse_scenario(text)
+        values = [s.energy_profile.rates.move, *s.seed_weights["n", "o"]]
+        assert [math.copysign(1.0, v) for v in values] == [1.0, 1.0, 1.0]
+        assert s == parse_scenario(text.replace("-0", "0"))
 
 
 class TestSerialize:

@@ -180,6 +180,51 @@ class TestDispatch:
         assert records[0].from_path == records[0].to_path == ("top", "a")
 
 
+# a choice that lists itself: choosing it enters the choice again
+SELF_CHOICE = """
+[machine top entry]
+initial -> s
+submachine s = inner -> s on done
+
+[machine inner]
+initial -> c
+choice c : c | a
+state a -> exit.done on go
+exit done (success)
+"""
+
+
+class TestSelfListedChoice:
+    def test_reparks_on_every_entry(self):
+        inst = start_instance(parse_scenario(SELF_CHOICE))
+        picks = ["c", "c", "a", "c", "a"]
+        asked = []
+
+        def chooser(node, options):
+            asked.append((node, options))
+            return picks.pop(0)
+
+        ctx = StaticContext(chooser=chooser)
+        assert not inst.quiescent(ctx)  # resting on the choice
+        got = []
+        for event in (AUTO, "go", AUTO):
+            got.append([tuple(r) for r in dispatch(inst, event, ctx)])
+            assert inst.quiescent(ctx)
+        c, a = ("top", "s", "c"), ("top", "s", "a")
+        # the records the frame-flag implementation gave for this script
+        assert got == [
+            [(0, c, c, "choice", "c", None), (0, c, c, "choice", "c", None),
+             (0, c, a, "choice", "a", None)],
+            [(0, a, ("top", "s", "done"), "go", None, None), (0, ("top", "s"), c, "done", None, None),
+             (0, c, c, "choice", "c", None), (0, c, a, "choice", "a", None)],
+            [],
+        ]
+        assert asked == [("c", ("c", "a"))] * 5
+        assert [(o.node, o.option, o.success) for o in ctx.outcomes] == [
+            ("c", "c", True), ("c", "c", True), ("c", "a", True),
+        ]
+
+
 class TestRunToCompletion:
     def test_second_drain_fires_nothing(self):
         s = builtin_scenario("dual_source")

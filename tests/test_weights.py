@@ -1,4 +1,5 @@
 import csv
+import math
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -299,6 +300,12 @@ class TestPersistence:
                          + third + b"\r")
         with pytest.raises(WeightsFileError, match=f"^{message}$"):
             load_weights(path)
+
+    def test_negative_zero_loads_as_zero(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("node,option,w_pos,w_neg,successes,failures\nseek,a,-0.000000000,-0,0,0\n")
+        entry = load_weights(path).get("seek", "a")
+        assert (math.copysign(1.0, entry.w_pos), math.copysign(1.0, entry.w_neg)) == (1.0, 1.0)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
