@@ -51,7 +51,7 @@ TAG_FAILURE = "failure"
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT_RE = re.compile(_ID + "$")  # a DSL name (node, option, state, ...)
-_NUMBER_RE = re.compile(r"-?\d+(?:\.(\d+))?$")
+_NUMBER_RE = re.compile(r"-?\d+(?:\.(\d+))?")
 
 _RESERVED_WORDS = frozenset(
     {
@@ -247,20 +247,25 @@ class ScenarioDef:
 # parsing
 
 
-def _parse_number(token: str, lineno: int, diags: list[Diagnostic]) -> float | None:
-    m = _NUMBER_RE.match(token)
-    if m is None:
-        diags.append(_error(lineno, f"bad number {token!r}"))
-        return None
-    frac = m.group(1)
-    if frac is not None and len(frac) > 9:
-        diags.append(_error(lineno, f"more than 9 fractional digits in {token!r}"))
-        return None
-    value = float(token) + 0.0  # `+ 0.0` reads -0 as 0.0
-    if not math.isfinite(value):  # too large for a double
-        diags.append(_error(lineno, f"bad number {token!r}"))
-        return None
+def read_number(token: str) -> float:
+    """The value of a DSL number, the one reader of numbers in a `.scn` and a
+    weights CSV: a plain decimal, at most nine fractional digits, finite as a
+    double; `-0` reads as 0.0. Anything else raises `ValueError`."""
+    m = _NUMBER_RE.fullmatch(token)
+    if m is not None and len(m.group(1) or "") > 9:
+        raise ValueError(f"more than 9 fractional digits in {token!r}")
+    value = float(token) + 0.0 if m is not None else math.inf  # `+ 0.0` reads -0 as 0.0
+    if not math.isfinite(value):  # not a number, or too large for a double
+        raise ValueError(f"bad number {token!r}")
     return value
+
+
+def _parse_number(token: str, lineno: int, diags: list[Diagnostic]) -> float | None:
+    try:
+        return read_number(token)
+    except ValueError as exc:
+        diags.append(_error(lineno, str(exc)))
+        return None
 
 
 def _check_ident(token: str, lineno: int, diags: list[Diagnostic]) -> bool:

@@ -33,9 +33,11 @@ crossing it fires nothing. Path, pose and mood stay constant over the stretch.
 The seed reaches a life only through the rng that breaks an exact tie in
 `select_option`, and that rng is built at the first draw, so a life that
 never draws never seeds one. Volatile lives of a batch differ in nothing
-else, so they are one life up to their first draw: either all of them draw
-or none does. `run_monte_carlo` runs the first, and when it drew nothing
-the others are copies of its result.
+else, so a volatile life is a function of the values its draws return: two
+lives whose draws return the same values take the same path. The life
+records each draw as `(stop, value)`, and `run_monte_carlo` keeps the
+sequences of the lives it ran in a trie; a life whose seed replays a known
+sequence to its end is a copy of that life's result, and is not run.
 
 A traced life hands each row to a sink (`append`): a transition, choice or
 outcome row as a `TraceEvent`, and each tick as a record (`_Stretch`: first
@@ -247,9 +249,10 @@ class _Episode:
     the last two note what they did, and `_dispatch` turns the notes into
     trace rows once the run to completion is over. `choose` hands itself to
     `select_option` as the rng: its `randrange` seeds `rng` at the first
-    draw, which stays None in a life that never draws. Rows are built only when
-    the life has a `trace` sink (a `Trace` or a `_JsonlWriter`, whose
-    `append` takes a row or a tick's record) to hand them to.
+    draw, which stays None in a life that never draws, and notes each draw
+    in `draws` as `(stop, value)`. Rows are built only when the life has a
+    `trace` sink (a `Trace` or a `_JsonlWriter`, whose `append` takes a row
+    or a tick's record) to hand them to.
     """
 
     def __init__(self, cfg: SimConfig, table: WeightTable, trace):
@@ -259,6 +262,7 @@ class _Episode:
         self.profile = cfg.scenario.energy_profile
         self.table = table
         self.rng: random.Random | None = None
+        self.draws: list[tuple[int, int]] = []
         self.energy: EnergyState = self.profile.initial_state()
         self.pose = RobotPose(pos=self.world.robot_start)
         self.instance: MachineInstance = start_instance(self.scenario)
@@ -299,7 +303,9 @@ class _Episode:
         """The life's tie draw: `random.Random(cfg.seed)`, built at the first one."""
         if self.rng is None:
             self.rng = random.Random(self.cfg.seed)
-        return self.rng.randrange(stop)
+        value = self.rng.randrange(stop)
+        self.draws.append((stop, value))
+        return value
 
     def choose(self, node: str, options: tuple[str, ...]) -> str:
         chosen = select_option(self.table, node, options, self)
@@ -470,16 +476,16 @@ def _initial_table(cfg: SimConfig) -> WeightTable:
     return WeightTable(cfg.scenario.seed_weights)
 
 
-def _live(cfg: SimConfig, table: WeightTable | None, trace) -> tuple[EpisodeResult, bool]:
+def _live(cfg: SimConfig, table: WeightTable | None, trace) -> tuple[EpisodeResult, list]:
     """Run one life, appending its rows to the `trace` sink unless that is None;
-    also say whether it drew from its rng."""
+    also return its draws, each as `(stop, value)`."""
     episode = _Episode(cfg, _initial_table(cfg) if table is None else table, trace)
     result = episode.run()
     if cfg.memory_mode == MEMORY_NONVOLATILE:
         save_weights(episode.table, cfg.weights_path)
     elif result.outcome == OUTCOME_DIED:
         result.final_weights = {}
-    return result, episode.rng is not None
+    return result, episode.draws
 
 
 def _copy(r: EpisodeResult) -> EpisodeResult:
@@ -527,23 +533,22 @@ def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
 
     Volatile lives start from the same seed weights, energy, pose and
     machine, and differ only in the seed of the rng that breaks exact ties
-    in `select_option`. So they follow one path up to their first draw:
-    either every life of the batch draws, or none does and every life is
-    the first. The batch runs its first life, and when that drew nothing
-    the other results are copies of it (each its own object, sharing no
-    dict), equal to what running them would give.
+    in `select_option`, whose only call is `randrange(stop)`. So a life is
+    a function of the values its draws return. The batch keeps the draw
+    sequences of the lives it ran in a trie and, before each life, replays
+    `random.Random(seed).randrange(stop)` down it. A life that reaches the
+    end of a sequence is a copy of that life's result (its own object,
+    sharing no dict), equal to what running it would give; any other life
+    is run, and its sequence added. A batch runs one life per distinct
+    sequence, and one whose first life drew nothing builds no `Random`.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    table: WeightTable | None = None
     if cfg.memory_mode == MEMORY_NONVOLATILE:
         table = _initial_table(cfg)
-    first, drew = _live(cfg, table, None)
-    if table is None and not drew:  # volatile, and no life draws: each is the first
-        rest = (_copy(first) for _ in range(1, episodes))
+        results = [_live(replace(cfg, seed=cfg.seed + i), table, None)[0] for i in range(episodes)]
     else:
-        rest = (_live(replace(cfg, seed=cfg.seed + i), table, None)[0] for i in range(1, episodes))
-    results = [first, *rest]
+        results = _volatile_lives(cfg, episodes)
     survived = sum(1 for r in results if r.outcome == OUTCOME_SURVIVED)
     pooled: Counter = Counter()
     for r in results:
@@ -555,6 +560,40 @@ def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
         behavioral_entropy=_shannon_bits(pooled),
         results=results,
     )
+
+
+def _volatile_lives(cfg: SimConfig, episodes: int) -> list[EpisodeResult]:
+    """The results of a volatile batch, each distinct life run once.
+
+    A trie node is the result of the life that ended there, or, where a life
+    drew, `(stop, {value: node})`: lives with the same draws up to a node
+    make the same next draw or end together, so one `stop` serves them all.
+    """
+    results: list[EpisodeResult] = []
+    root = None
+    for seed in range(cfg.seed, cfg.seed + episodes):
+        node, rng, depth = root, None, 0
+        while type(node) is tuple:  # replay this seed's draws down the trie
+            if rng is None:
+                rng = random.Random(seed)
+            stop, children = node
+            value = rng.randrange(stop)
+            node = children.get(value)
+            depth += 1
+        if node is not None:
+            results.append(_copy(node))
+            continue
+        result, draws = _live(replace(cfg, seed=seed), None, None)
+        results.append(result)
+        # its draws left the trie at draw `depth - 1`: hang the rest there
+        tail = result
+        for s, v in reversed(draws[depth:]):
+            tail = (s, {v: tail})
+        if depth:
+            children[value] = tail
+        else:
+            root = tail
+    return results
 
 
 def _shannon_bits(histogram: Counter) -> float:

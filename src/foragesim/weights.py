@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, TextIO
 
-from .scenario import IDENT_RE
+from .scenario import IDENT_RE, read_number
 
 TOLERANCE = 0.1
 # absorbs representation error when grid-valued weights differ by exactly 0.1
@@ -73,7 +73,12 @@ class WeightTable:
 
 
 class Rng(Protocol):
-    """What `select_option` draws from: a `random.Random`, or anything with its `randrange`."""
+    """What `select_option` draws from: a `random.Random`, or anything with its `randrange`.
+
+    `randrange` must stay the only call made on it: a volatile Monte Carlo
+    batch replays each life's seed as `random.Random(seed).randrange(stop)`
+    per draw to find the lives it can copy (`sim.run_monte_carlo`).
+    """
 
     def randrange(self, stop: int, /) -> int: ...
 
@@ -165,9 +170,11 @@ def save_weights(table: WeightTable, path: str | Path) -> None:
 def load_weights(path: str | Path) -> WeightTable:
     """Read a weights CSV; a missing file yields a fresh zero table with a warning.
 
-    A malformed row, a node or option that is not a DSL identifier, or a
-    second row for the same (node, option), raises `WeightsFileError` at the
-    file line on which the row starts.
+    Weights are read as the DSL reads numbers (`scenario.read_number`), and
+    counters are plain ASCII digits, so a `+`, `_`, an exponent or space
+    around a value is an error. A malformed row, a node or option that is
+    not a DSL identifier, or a second row for the same (node, option),
+    raises `WeightsFileError` at the file line on which the row starts.
     """
     path = Path(path)
     table = WeightTable()
@@ -194,18 +201,22 @@ def load_weights(path: str | Path) -> WeightTable:
             raise WeightsFileError(f"expected 6 fields, got {len(row)}", lineno)
         node, option = row[0], row[1]
         for name in (node, option):
-            if not IDENT_RE.match(name):
+            if not IDENT_RE.fullmatch(name):
                 raise WeightsFileError(f"bad name {name!r}", lineno)
         if (node, option) in table.entries:
             raise WeightsFileError(f"duplicate row for ({node}, {option})", lineno)
         try:
-            w_pos, w_neg = float(row[2]) + 0.0, float(row[3]) + 0.0  # `+ 0.0` reads -0 as 0.0
-            successes, failures = int(row[4]), int(row[5])
+            w_pos, w_neg = read_number(row[2]), read_number(row[3])
+            successes, failures = _read_counter(row[4]), _read_counter(row[5])
         except ValueError as exc:
-            raise WeightsFileError(f"bad number: {exc}", lineno) from None
+            raise WeightsFileError(str(exc), lineno) from None
         if not (0.0 <= w_pos <= 1.0 and 0.0 <= w_neg <= 1.0):
             raise WeightsFileError("weight out of range", lineno)
-        if successes < 0 or failures < 0:
-            raise WeightsFileError("negative counter", lineno)
         table.entries[(node, option)] = WeightEntry(w_pos, w_neg, successes, failures)
     return table
+
+
+def _read_counter(token: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"bad counter {token!r}")
+    return int(token)

@@ -201,6 +201,13 @@ class TestBadWeightsFile:
             "line 3: duplicate row for (seek, find_station)",
             id="duplicate_row",
         ),
+        pytest.param(
+            b"node,option,w_pos,w_neg,successes,failures\n"
+            b"seek,find_station,0.5,0.5,0,0\n"
+            b"seek,find_wireless_power,0.5,1e-1,+3,0\n",
+            "line 3: bad number '1e-1'",
+            id="bad_number",
+        ),
     ])
     def test_exits_three_naming_the_file_and_line(
         self, verb, content, message, scenario_file, tmp_path, capsys

@@ -3,13 +3,14 @@ import io
 import json
 import math
 import random
+import re
 from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foragesim import sim
@@ -452,30 +453,38 @@ def _building(call, *args):
 
 
 def _every_life_runs(cfg, n):
-    """`run_monte_carlo(cfg, n)` with each life reporting a draw, so none is reused."""
-    live = sim._live
-    with mock.patch.object(sim, "_live", lambda *args: (live(*args)[0], True)):
+    """`run_monte_carlo(cfg, n)` with every volatile life run, none copied."""
+    def every_life(cfg, episodes):
+        return [sim._live(replace(cfg, seed=seed), None, None)[0]
+                for seed in range(cfg.seed, cfg.seed + episodes)]
+
+    with mock.patch.object(sim, "_volatile_lives", every_life):
         return run_monte_carlo(cfg, n)
 
 
 def _check_reuse(cfg, n, tmp_path):
     """A volatile batch equals the batch that runs every life, and each life
-    the `run_episode` life of its seed; it builds one life when that one drew
-    nothing. Returns whether the lives drew."""
+    the `run_episode` life of its seed; it builds one life per distinct draw
+    sequence among its lives (up to its first stuck life, where it stops), the
+    first life to make it. Returns the number of lives built, the number run
+    or copied, and whether the last of those got stuck."""
     stats, built = _building(run_monte_carlo, cfg, n)
     lives = [_building(run_episode, replace(cfg, seed=cfg.seed + i)) for i in range(n)]
-    drew = [episode.rng is not None for _, episodes in lives for episode in episodes]
-    assert drew in ([True] * n, [False] * n)  # every life draws, or none does
+    # lives are one life up to their first draw: every life draws, or none does
+    assert len({not episode.draws for _, (episode,) in lives}) == 1
     # a batch stops at its first stuck life
     stuck = [out[0] == "stuck" for out, _ in lives]
     ran = stuck.index(True) + 1 if True in stuck else n
-    assert [episode.rng is not None for episode in built] == drew[:len(built)]
-    assert len(built) == (ran if drew[0] else 1)
+    first_with = {}  # draw sequence -> the first life of the batch to make it
+    for i, (_, (episode,)) in enumerate(lives[:ran]):
+        first_with.setdefault(tuple(episode.draws), i)
+    assert [episode.cfg.seed for episode in built] == [cfg.seed + i for i in first_with.values()]
+    assert [tuple(episode.draws) for episode in built] == list(first_with)
     every, _ = _building(_every_life_runs, cfg, n)
     assert stats == every
     if isinstance(stats, tuple):
         assert stats == lives[ran - 1][0]
-        return drew[0]
+        return len(built), ran, True
     assert stats.results == [result for (result, _), _ in lives]
     write_stats_csv(stats, tmp_path / "reused.csv")
     write_stats_csv(every, tmp_path / "every.csv")
@@ -484,37 +493,56 @@ def _check_reuse(cfg, n, tmp_path):
     for attr in (None, "choices_made", "first_choices", "final_weights", "recharges"):
         objects = [r if attr is None else getattr(r, attr) for r in stats.results]
         assert len(set(map(id, objects))) == n, attr
-    return drew[0]
+    return len(built), ran, False
 
 
 class TestReusedLives:
-    """A volatile batch whose first life draws nothing from the rng reports
-    that life for every episode (see `run_monte_carlo`); its results and stats
-    must be those of running every life."""
+    """A volatile batch runs one life per distinct sequence of tie draws and
+    reports a copy for every other life whose draws replay one already run
+    (see `run_monte_carlo`); its results and stats must be those of running
+    every life."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
     def test_batch_equals_every_life_run(self, name, seed, tmp_path):
         cfg = SimConfig(scenario=DIFFERENTIAL_SCENARIOS[name](), seed=seed, max_steps=1500)
-        # no built-in ties, so none of them draws
-        assert _check_reuse(cfg, 5, tmp_path) == (name == "dual_source_tied")
+        built, ran, stuck = _check_reuse(cfg, 5, tmp_path)
+        assert (ran, stuck) == (5, False)
+        # no built-in ties, so none of them draws, and each batch is one life
+        assert (built == 1) == (name != "dual_source_tied")
+
+    def test_tied_dual_source_runs_its_three_distinct_lives(self, tmp_path):
+        # both seek weights tied: 200 lives at seed 1 make 3 draw sequences
+        text = re.sub(r"^(seek\.[a-z_]*) = .*", r"\1 = 0.5 0.5",
+                      builtin_scenario_text("dual_source"), flags=re.M)
+        cfg = SimConfig(parse_scenario(text), seed=1, max_steps=3000)
+        assert _check_reuse(cfg, 200, tmp_path) == (3, 200, False)
 
     def test_generated_scenarios_tied_and_untied(self, tmp_path):
         seen = set()
 
         @settings(max_examples=80, deadline=None, derandomize=True)
+        # its lives 0-3 make 2 sequences, and life 4 gets stuck at step 2
+        @example(scenario_seed=157, sim_seed=0, tied=True, episodes=12)
+        # 9 sequences among 12 lives, up to 6 draws long, some from 3 options
+        @example(scenario_seed=64, sim_seed=0, tied=True, episodes=12)
         @given(
             scenario_seed=st.integers(0, 10_000),
             sim_seed=st.integers(0, 50),
             tied=st.booleans(),
+            episodes=st.integers(1, 12),
         )
-        def check(scenario_seed, sim_seed, tied):
+        def check(scenario_seed, sim_seed, tied, episodes):
             scenario = random_scenario(scenario_seed)
             cfg = SimConfig(_tied(scenario) if tied else scenario, seed=sim_seed, max_steps=300)
-            seen.add((tied, _check_reuse(cfg, 4, tmp_path)))
+            built, ran, stuck = _check_reuse(cfg, episodes, tmp_path)
+            seen.add((tied, "stuck" if stuck else
+                      "one" if built == 1 else "some" if built < ran else "all"))
 
         check()
-        assert {(False, False), (True, True)} <= seen
+        # untied, every life is the first; tied, some are run and some copied
+        assert {(False, "one"), (True, "one"), (True, "some"), (True, "stuck")} <= seen
+        assert not {(False, "some"), (False, "all")} & seen
 
     def test_nonvolatile_batches_run_every_life(self, builtin_name, tmp_path):
         cfg = SimConfig(scenario=builtin_scenario(builtin_name), max_steps=1500,
@@ -539,8 +567,12 @@ class TestReusedLives:
                         max_steps=1500)
         run_episode(cfg)
         assert seeded == [3]
-        run_monte_carlo(cfg, 3)
-        assert seeded == [3, 3, 4, 5]
+        _, built = _building(run_monte_carlo, cfg, 3)
+        # the first life seeds once; each later one once to replay its draws,
+        # and once more when it is run
+        run = [episode.cfg.seed for episode in built]
+        assert run[0] == 3
+        assert seeded == [3, 3] + [s for s in (4, 5) for _ in range(1 + (s in run))]
 
 
 class TestConfig:

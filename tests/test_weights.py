@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -280,8 +281,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("rows, message", [
         ('"se\nek",a,0.5,0.5,0,0\n', r"^line 2: bad name 'se\\nek'$"),
-        # a quoted field spans lines 2-3 (`float` strips its newline); the bad row starts on line 4
-        ('seek,a,"0.5\n",0.5,0,0\nseek,b,2.0,0.5,0,0\n', r"^line 4: weight out of range$"),
+        # a quoted field spans lines 2-3; a number with a newline is a bad number
+        ('seek,a,"0.5\n",0.5,0,0\nseek,b,2.0,0.5,0,0\n', r"^line 2: bad number '0.5\\n'$"),
     ], ids=["name_spans_lines", "field_spans_lines"])
     def test_errors_name_the_line_the_row_starts_on(self, tmp_path, rows, message):
         path = tmp_path / "w.csv"
@@ -300,6 +301,46 @@ class TestPersistence:
                          + third + b"\r")
         with pytest.raises(WeightsFileError, match=f"^{message}$"):
             load_weights(path)
+
+    # each loaded with `float`/`int` before; the DSL rejects each weight form
+    @pytest.mark.parametrize("row, message", [
+        ("seek,a,0.1_0,0.5,0,0", "bad number '0.1_0'"),
+        ("seek,a, 0.5 ,0.5,0,0", "bad number ' 0.5 '"),
+        ("seek,a,0.5,1_0,0,0", "bad number '1_0'"),
+        ("seek,a,+0.5,0.5,0,0", "bad number '+0.5'"),
+        ("seek,a,1e-1,0.5,0,0", "bad number '1e-1'"),
+        ("seek,a,.5,0.5,0,0", "bad number '.5'"),
+        ("seek,a,0.5,0.1234567891,0,0", "more than 9 fractional digits in '0.1234567891'"),
+        ('seek,a,"0.5\n",0.5,0,0', "bad number '0.5\\n'"),
+        ('seek,a,"0.5\r\n",0.5,0,0', "bad number '0.5\\r\\n'"),
+        ("seek,a,0.5,0.5,+3,0", "bad counter '+3'"),
+        ("seek,a,0.5,0.5,0,1_0", "bad counter '1_0'"),
+        ("seek,a,0.5,0.5, 3,0", "bad counter ' 3'"),
+        ("seek,a,0.5,0.5,3.0,0", "bad counter '3.0'"),
+        ("seek,a,0.5,0.5,-1,0", "bad counter '-1'"),
+        ("seek,a,0.5,0.5,\u0663,0", "bad counter '\u0663'"),
+        ("seek,a,0.5,0.5,0,", "bad counter ''"),
+        ('"seek\n",a,0.5,0.5,0,0', "bad name 'seek\\n'"),
+    ])
+    def test_only_dsl_numbers_load(self, tmp_path, row, message):
+        path = tmp_path / "w.csv"
+        path.write_text("node,option,w_pos,w_neg,successes,failures\nn,b,0.5,0.5,1,2\n" + row + "\n",
+                        encoding="utf-8", newline="")
+        with pytest.raises(WeightsFileError, match=f"^{re.escape('line 3: ' + message)}$"):
+            load_weights(path)
+
+    def test_every_saved_file_loads(self, tmp_path):
+        table = WeightTable()
+        for i, w in enumerate([0.0, 1.0, 1e-10, 0.1 + 0.2, 0.5**40, 1 - 1e-12]):
+            table.set("n", f"o{i}", WeightEntry(w, 1.0 - w, i * 10**12, i))
+        path = tmp_path / "w.csv"
+        save_weights(table, path)
+        loaded = load_weights(path)
+        assert {k: (e.successes, e.failures) for k, e in loaded.entries.items()} == {
+            k: (e.successes, e.failures) for k, e in table.entries.items()}
+        for key, entry in loaded.entries.items():
+            assert (entry.w_pos, entry.w_neg) == (
+                float(f"{table.entries[key].w_pos:.9f}"), float(f"{table.entries[key].w_neg:.9f}"))
 
     def test_negative_zero_loads_as_zero(self, tmp_path):
         path = tmp_path / "w.csv"
