@@ -9,7 +9,6 @@ Usage: python3 scripts/survival_vs_drain.py [--episodes N] [--steps N]
 """
 
 import argparse
-from dataclasses import replace
 
 from foragesim.energy import DischargeProfile
 from foragesim.scenarios import builtin_scenario
@@ -26,8 +25,8 @@ def scaled(scenario, k):
         sense=rates.sense * k,
         process=rates.process * k,
     )
-    profile = replace(scenario.energy_profile, rates=new_rates)
-    return replace(scenario, energy_profile=profile)
+    profile = scenario.energy_profile._replace(rates=new_rates)
+    return scenario._replace(energy_profile=profile)
 
 
 def main():

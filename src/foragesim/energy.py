@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SOURCE_NONE = "none"
 SOURCE_STATION = "station"
@@ -31,8 +31,7 @@ MOOD_DISTRESSED = "distressed"
 MOOD_DEAD = "dead"
 
 
-@dataclass(frozen=True)
-class DischargeProfile:
+class DischargeProfile(NamedTuple):
     """Drain rates in energy units per tick, one per activity kind."""
 
     idle: float = 0.1
@@ -52,23 +51,28 @@ class DischargeProfile:
         return total
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Battery fractions for the two hunger events (0 < lower < low < 1)."""
-
+class _ThresholdFields(NamedTuple):
     low_frac: float = 0.3
     lower_frac: float = 0.15
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lower_frac < self.low_frac < 1.0):
+
+class Thresholds(_ThresholdFields):
+    """Battery fractions for the two hunger events (0 < lower < low < 1)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` checks too
+
+    def __new__(cls, *args, **kwargs):
+        th = super().__new__(cls, *args, **kwargs)
+        if not (0.0 < th.lower_frac < th.low_frac < 1.0):
             raise ValueError(
                 f"thresholds must satisfy 0 < lower < low < 1, "
-                f"got low={self.low_frac} lower={self.lower_frac}"
+                f"got low={th.low_frac} lower={th.lower_frac}"
             )
+        return th
 
 
-@dataclass(frozen=True)
-class EnergyState:
+class EnergyState(NamedTuple):
     battery: float
     battery_capacity: float
     capacitor: float
@@ -88,40 +92,46 @@ class EnergyState:
         return self.battery <= 0.0 and self.capacitor <= 0.0
 
 
-@dataclass(frozen=True)
-class EnergyProfile:
+class _EnergyFields(NamedTuple):
+    battery_capacity: float = 100.0
+    capacitor_capacity: float = 10.0
+    battery_initial: float | None = None
+    capacitor_initial: float | None = None
+    rates: DischargeProfile = DischargeProfile()
+    thresholds: Thresholds = Thresholds()
+    gain_min: float = 0.2
+    max_charge_ticks: int = 0
+
+
+class EnergyProfile(_EnergyFields):
     """Capacities, initial levels, drain rates and thresholds for one scenario.
 
     Initial levels default to the corresponding capacity. `max_charge_ticks`
     of 0 means charging runs until the battery is full.
     """
 
-    battery_capacity: float = 100.0
-    capacitor_capacity: float = 10.0
-    battery_initial: float | None = None
-    capacitor_initial: float | None = None
-    rates: DischargeProfile = field(default_factory=DischargeProfile)
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    gain_min: float = 0.2
-    max_charge_ticks: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.battery_capacity <= 0:
+    def __new__(cls, *args, **kwargs):
+        p = super().__new__(cls, *args, **kwargs)
+        if p.battery_capacity <= 0:
             raise ValueError("battery_capacity must be positive")
-        if self.capacitor_capacity < 0:
+        if p.capacitor_capacity < 0:
             raise ValueError("capacitor_capacity must be non-negative")
-        if self.battery_initial is None:
-            object.__setattr__(self, "battery_initial", self.battery_capacity)
-        if self.capacitor_initial is None:
-            object.__setattr__(self, "capacitor_initial", self.capacitor_capacity)
-        if not (0.0 <= self.battery_initial <= self.battery_capacity):
+        if p.battery_initial is None:
+            p = super().__new__(cls, *p[:2], p.battery_capacity, *p[3:])
+        if p.capacitor_initial is None:
+            p = super().__new__(cls, *p[:3], p.capacitor_capacity, *p[4:])
+        if not (0.0 <= p.battery_initial <= p.battery_capacity):
             raise ValueError("battery_initial outside [0, battery_capacity]")
-        if not (0.0 <= self.capacitor_initial <= self.capacitor_capacity):
+        if not (0.0 <= p.capacitor_initial <= p.capacitor_capacity):
             raise ValueError("capacitor_initial outside [0, capacitor_capacity]")
-        if not (0.0 < self.gain_min <= 1.0):
+        if not (0.0 < p.gain_min <= 1.0):
             raise ValueError("gain_min must be in (0, 1]")
-        if self.max_charge_ticks < 0:
+        if p.max_charge_ticks < 0:
             raise ValueError("max_charge_ticks must be >= 0")
+        return p
 
     def initial_state(self) -> EnergyState:
         return EnergyState(

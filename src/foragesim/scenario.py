@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
+from typing import NamedTuple
 
 from .energy import DischargeProfile, EnergyProfile, Thresholds
 from .world import BeaconSpec, StationSpec, WorldMap
@@ -51,7 +52,7 @@ TAG_FAILURE = "failure"
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT_RE = re.compile(_ID + "$")  # a DSL name (node, option, state, ...)
-_NUMBER_RE = re.compile(r"-?\d+(?:\.(\d+))?")
+_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.([0-9]+))?")  # not `\d`, which takes any script's digits
 
 _RESERVED_WORDS = frozenset(
     {
@@ -104,9 +105,8 @@ _TARGETS = {
 _REQUIRED = {
     (section, group): key
     for key, (section, group, name, _, _) in _KEYS.items()
-    for f in fields(_TARGETS[group or section])
-    if f.name in (name if isinstance(name, tuple) else (name,))
-    and f.default is MISSING and f.default_factory is MISSING
+    for f in (name if isinstance(name, tuple) else (name,))
+    if f not in _TARGETS[group or section]._field_defaults
 }
 
 
@@ -139,8 +139,7 @@ _SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     line: int
     column: int
@@ -169,37 +168,53 @@ class ScenarioError(Exception):
         super().__init__(summary)
 
 
-@dataclass
-class TransitionDef:
+def _eq_but_last(a, b):
+    """`__eq__` of a record that leaves its last field (a line or a name) out;
+    its `__ne__` is `object.__ne__`, which negates it (tuple's compares all)."""
+    return a[:-1] == b[:-1] if type(b) is type(a) else NotImplemented
+
+
+class TransitionDef(NamedTuple):
     event: str
     target: str  # state name, "exit.NAME", or "final"
     guard: str | None = None
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
 
 
-@dataclass
-class StateDef:
+class StateDef(NamedTuple):
     name: str
     kind: str = KIND_SIMPLE
     machine: str | None = None  # composite only
     options: tuple[str, ...] = ()  # choice only
     transitions: tuple[TransitionDef, ...] = ()
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
 
 
-@dataclass
-class MachineDef:
+class _MachineFields(NamedTuple):
     name: str
     initial: str
     states: tuple[StateDef, ...] = ()
     exits: tuple[tuple[str, str], ...] = ()  # (exit name, success|failure)
     is_entry: bool = False
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
-    def __post_init__(self) -> None:
-        # built in reverse so that the first declaration of a name wins
-        self._states = {st.name: st for st in reversed(self.states)}
-        self._exit_tags = dict(reversed(self.exits))
+
+class MachineDef(_MachineFields):
+    __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
+
+    # lookups, built at first use (a `_replace` copy builds its own), in
+    # reverse so that the first declaration of a name wins
+    @cached_property
+    def _states(self) -> dict[str, StateDef]:
+        return {st.name: st for st in reversed(self.states)}
+
+    @cached_property
+    def _exit_tags(self) -> dict[str, str]:
+        return dict(reversed(self.exits))
 
     def state(self, name: str) -> StateDef | None:
         return self._states.get(name)
@@ -211,24 +226,26 @@ class MachineDef:
         return [st.name for st in self.states if st.kind == KIND_FINAL]
 
 
-@dataclass
-class ScenarioDef:
+class _ScenarioFields(NamedTuple):
     machines: tuple[MachineDef, ...]
     world: WorldMap
     energy_profile: EnergyProfile
     seed_weights: dict[tuple[str, str], tuple[float, float]]
-    name: str = field(default="scenario", compare=False)
+    name: str = "scenario"
 
-    def __post_init__(self) -> None:
-        # built in reverse so that the first declaration of a name wins
-        self._machines = {m.name: m for m in reversed(self.machines)}
-        self._events = frozenset(
-            tr.event
-            for m in self.machines
-            for st in m.states
-            for tr in st.transitions
-            if tr.event != RESERVED_EVENT
-        )
+
+class ScenarioDef(_ScenarioFields):
+    __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
+
+    # lookups, built at first use as `MachineDef`'s are
+    @cached_property
+    def _machines(self) -> dict[str, MachineDef]:
+        return {m.name: m for m in reversed(self.machines)}
+
+    @cached_property
+    def _events(self) -> frozenset[str]:
+        return frozenset(tr.event for m in self.machines for st in m.states for tr in st.transitions
+                         if tr.event != RESERVED_EVENT)
 
     def machine(self, name: str) -> MachineDef | None:
         return self._machines.get(name)
@@ -497,7 +514,7 @@ def _build_section(section: str, rows: dict[str, tuple[object, int]], diags: lis
     """Build a section's object from its given keys; None after an error.
 
     A nested object is built when one of its keys is given, and every field
-    that no key sets keeps its dataclass default. A section without keys is
+    that no key sets keeps its default. A section without keys is
     the default object (for [world], an empty 8x8 grid).
     """
     if any(value is None for value, _ in rows.values()):

@@ -57,10 +57,9 @@ import math
 import random
 from collections import Counter, deque
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import count
-from operator import attrgetter, eq
+from operator import eq
 from pathlib import Path
 from typing import NamedTuple
 
@@ -122,27 +121,37 @@ CHARGING_STATES = {"recharge": SOURCE_STATION, "charge": SOURCE_WIRELESS}
 
 STATS_CSV_HEADER = ("episode", "outcome", "lifetime", "recharges_station", "recharges_wireless")
 
-@dataclass(frozen=True)
-class SimConfig:
+class _ConfigFields(NamedTuple):
     scenario: ScenarioDef
     seed: int = 0
     memory_mode: str = MEMORY_VOLATILE
     max_steps: int = 10_000
     weights_path: str | Path | None = None
 
-    def __post_init__(self) -> None:
-        if self.max_steps <= 0:
+
+class SimConfig(_ConfigFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` checks too
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if self.memory_mode not in (MEMORY_VOLATILE, MEMORY_NONVOLATILE):
-            raise ValueError(f"unknown memory mode {self.memory_mode!r}")
-        if self.memory_mode == MEMORY_NONVOLATILE and self.weights_path is None:
+        if cfg.memory_mode not in (MEMORY_VOLATILE, MEMORY_NONVOLATILE):
+            raise ValueError(f"unknown memory mode {cfg.memory_mode!r}")
+        if cfg.memory_mode == MEMORY_NONVOLATILE and cfg.weights_path is None:
             raise ValueError("nonvolatile memory requires weights_path")
-        if self.memory_mode == MEMORY_VOLATILE and self.weights_path is not None:
+        if cfg.memory_mode == MEMORY_VOLATILE and cfg.weights_path is not None:
             raise ValueError("volatile memory must not set weights_path")
+        return cfg
 
 
-@dataclass(slots=True)
-class TraceEvent:
+def replace(record, /, **changes):
+    """`record._replace(**changes)`: the copy of a config for each life."""
+    return record._replace(**changes)
+
+
+class TraceEvent(NamedTuple):
     step: int
     state: str
     event: str | None = None
@@ -160,15 +169,13 @@ class TraceEvent:
 
     def to_dict(self) -> dict:
         """The set fields, in declaration order (the documented key order)."""
-        return {k: v for k, v in zip(TRACE_KEYS, _trace_fields(self)) if v is not None}
+        return {k: v for k, v in zip(TRACE_KEYS, self) if v is not None}
 
 
-TRACE_KEYS = tuple(f.name for f in fields(TraceEvent))
-_trace_fields = attrgetter(*TRACE_KEYS)
+TRACE_KEYS = TraceEvent._fields
 
 
-@dataclass
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     outcome: str
     lifetime: int
     death_step: int | None
@@ -178,8 +185,7 @@ class EpisodeResult:
     recharges: dict[str, int]
 
 
-@dataclass
-class SurvivalStats:
+class SurvivalStats(NamedTuple):
     episodes: int
     survival_fraction: float
     mean_lifetime: float
@@ -484,7 +490,7 @@ def _live(cfg: SimConfig, table: WeightTable | None, trace) -> tuple[EpisodeResu
     if cfg.memory_mode == MEMORY_NONVOLATILE:
         save_weights(episode.table, cfg.weights_path)
     elif result.outcome == OUTCOME_DIED:
-        result.final_weights = {}
+        result = result._replace(final_weights={})
     return result, episode.draws
 
 
@@ -568,6 +574,7 @@ def _volatile_lives(cfg: SimConfig, episodes: int) -> list[EpisodeResult]:
     A trie node is the result of the life that ended there, or, where a life
     drew, `(stop, {value: node})`: lives with the same draws up to a node
     make the same next draw or end together, so one `stop` serves them all.
+    A result is a NamedTuple, so only `type(node) is tuple` tells them apart.
     """
     results: list[EpisodeResult] = []
     root = None

@@ -19,7 +19,6 @@ a NamedTuple.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .scenario import (
@@ -71,8 +70,7 @@ class TransitionRecord(NamedTuple):
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class PursuitOutcome:
+class PursuitOutcome(NamedTuple):
     node: str
     option: str
     success: bool
@@ -104,11 +102,11 @@ class StaticContext:
         self.outcomes.append(PursuitOutcome(node, option, success))
 
 
-@dataclass(slots=True)
 class _Frame:
-    machine: MachineDef
-    state: str
-    pursuits: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("machine", "state", "pursuits")
+
+    def __init__(self, machine: MachineDef, state: str):
+        self.machine, self.state, self.pursuits = machine, state, []  # pursuits: (node, option)
 
 
 class MachineInstance:

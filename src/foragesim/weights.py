@@ -16,9 +16,8 @@ import os
 import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, TextIO
+from typing import NamedTuple, Protocol, TextIO
 
 from .scenario import IDENT_RE, read_number
 
@@ -37,8 +36,7 @@ class WeightsFileError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class WeightEntry:
+class WeightEntry(NamedTuple):
     w_pos: float = 0.0
     w_neg: float = 0.0
     successes: int = 0
@@ -49,11 +47,10 @@ class WeightEntry:
 _ZERO = WeightEntry()
 
 
-@dataclass
 class WeightTable:
     """Mutable map of (node, option) -> WeightEntry; absent entries read as zeros."""
 
-    entries: dict[tuple[str, str], WeightEntry]
+    __slots__ = ("entries",)
 
     def __init__(self, seeds: dict[tuple[str, str], tuple[float, float]] | None = None):
         self.entries = {}
@@ -70,6 +67,12 @@ class WeightTable:
 
     def snapshot(self) -> dict[tuple[str, str], WeightEntry]:
         return dict(self.entries)
+
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"WeightTable(entries={self.entries!r})"
 
 
 class Rng(Protocol):

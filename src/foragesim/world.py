@@ -9,7 +9,7 @@ gain, so a draining battery can only shrink what the robot perceives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Cell = tuple[int, int]
 
@@ -24,25 +24,29 @@ CUE_IR = "ir"
 CUE_TRACK = "track"
 
 
-@dataclass(frozen=True)
-class StationSpec:
+class _StationFields(NamedTuple):
     pos: Cell
     ir_radius: float = 8.0
     track: tuple[Cell, ...] = ()
     charge_rate: float = 5.0
     gaps: frozenset[Cell] = frozenset()
 
-    def __post_init__(self) -> None:
+
+class StationSpec(_StationFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` makes a set too
+
+    def __new__(cls, *args, **kwargs):
+        st = super().__new__(cls, *args, **kwargs)
         # gaps are a set, whichever collection of cells they are given as
-        object.__setattr__(self, "gaps", frozenset(self.gaps))
+        return super().__new__(cls, *st[:4], frozenset(st.gaps))
 
     def track_cells(self) -> tuple[Cell, ...]:
         """Track cells that are actually detectable (gaps removed)."""
         return tuple(c for c in self.track if c not in self.gaps)
 
 
-@dataclass(frozen=True)
-class BeaconSpec:
+class BeaconSpec(NamedTuple):
     pos: Cell
     tx_power: float = 4.0
     d0: float = 3.0
@@ -51,8 +55,7 @@ class BeaconSpec:
     i_min: float = 1.0
 
 
-@dataclass(frozen=True)
-class WorldMap:
+class WorldMap(NamedTuple):
     width: int
     height: int
     robot_start: Cell = (0, 0)
@@ -64,13 +67,11 @@ class WorldMap:
         return 0 <= x < self.width and 0 <= y < self.height
 
 
-@dataclass(frozen=True)
-class RobotPose:
+class RobotPose(NamedTuple):
     pos: Cell
 
 
-@dataclass(frozen=True)
-class CueReading:
+class CueReading(NamedTuple):
     ir_detected: bool = False
     track_detected: bool = False
 

@@ -57,6 +57,16 @@ class TestValidate:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.scn")]) == 2
 
+    @pytest.mark.parametrize("verb", [["validate"], ["run"], ["mc", "--episodes", "2"]])
+    def test_a_number_in_other_digits_exits_one_at_its_line(self, verb, scenario_file, capsys):
+        text = builtin_scenario_text("dual_source").replace(
+            "seek.find_station = 0.2 0.3", "seek.find_station = \u0660.\u0662 \u0660.\u0663")
+        line = text.splitlines().index("seek.find_station = \u0660.\u0662 \u0660.\u0663") + 1
+        path = scenario_file(text, "digits.scn")
+        assert main([verb[0], str(path), *verb[1:]]) == 1
+        assert capsys.readouterr().err == "".join(
+            f"{path}:{line}:1: error: bad number '{number}'\n" for number in ("\u0660.\u0662", "\u0660.\u0663"))
+
 
 class TestRun:
     def test_happy_path_writes_trace_and_summary(self, dual_source_path, tmp_path, capsys):
@@ -207,6 +217,13 @@ class TestBadWeightsFile:
             b"seek,find_wireless_power,0.5,1e-1,+3,0\n",
             "line 3: bad number '1e-1'",
             id="bad_number",
+        ),
+        pytest.param(
+            "node,option,w_pos,w_neg,successes,failures\n"
+            "seek,find_station,0.5,0.5,0,0\n"
+            "seek,find_wireless_power,\uff10.5,0.5,0,0\n".encode(),
+            "line 3: bad number '\uff10.5'",
+            id="fullwidth_digit",
         ),
     ])
     def test_exits_three_naming_the_file_and_line(

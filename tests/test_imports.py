@@ -21,14 +21,17 @@ PARSER = ["foragesim", "foragesim.cli", "foragesim.energy", "foragesim.scenario"
 SIMULATOR = ["foragesim.sim", "foragesim.statemachine", "foragesim.weights"]
 SUBMODULES = ["energy", "scenario", "scenarios", "sim", "statemachine", "weights", "world"]
 
+# modules that generate code for record types at import (`inspect` comes with `dataclasses`)
+CODEGEN = ("dataclasses", "inspect")
+
 # what `python -m foragesim ARGS` runs, with the child's own arguments as ARGS
 AS_MAIN = 'import runpy\nrunpy.run_module("foragesim", run_name="__main__", alter_sys=True)'
-REPORT = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'foragesim')))"
 
 
-def loaded(code: str, *args: str) -> tuple[list[str], int]:
-    """The foragesim modules a fresh interpreter holds after `code`, and its exit code."""
-    child = f"import json, sys\ntry:\n{textwrap.indent(code, '    ')}\nfinally:\n    {REPORT}\n"
+def loaded(code: str, *args: str, roots: tuple[str, ...] = ("foragesim",)) -> tuple[list[str], int]:
+    """The modules under `roots` a fresh interpreter holds after `code`, and its exit code."""
+    report = f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))"
+    child = f"import json, sys\ntry:\n{textwrap.indent(code, '    ')}\nfinally:\n    {report}\n"
     proc = subprocess.run(
         [sys.executable, "-c", child, *args], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -43,6 +46,17 @@ def loaded(code: str, *args: str) -> tuple[list[str], int]:
 ])
 def test_each_verb_loads_only_the_modules_it_runs(verb, modules, dual_source_path):
     assert loaded(AS_MAIN, verb[0], str(dual_source_path), *verb[1:]) == (modules, 0)
+
+
+@pytest.mark.parametrize("verb", [
+    ["validate"], ["run", "--steps", "50"], ["mc", "--steps", "50", "--episodes", "2"],
+])
+def test_no_verb_loads_dataclasses_or_inspect(verb, dual_source_path):
+    assert loaded(AS_MAIN, verb[0], str(dual_source_path), *verb[1:], roots=CODEGEN) == ([], 0)
+
+
+def test_the_simulator_loads_neither_dataclasses_nor_inspect():
+    assert loaded("import foragesim.sim", roots=CODEGEN) == ([], 0)
 
 
 def test_a_bare_import_loads_no_submodule():

@@ -6,7 +6,6 @@ installs the spans as the benchmark does, without editing anything under
 `perfbench/`, and checks the counts the per-layer metrics are built from.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,7 +32,7 @@ def test_spans_count_ticks_and_trace_rows(spans):
     cfg = sim.SimConfig(scenario=builtin_scenario("station_only"), seed=0, max_steps=3000)
     # each mc life is the run_episode life of its seed, whose trace shows
     # the ticks it charged on
-    charging = [_charging_ticks(sim.run_episode(replace(cfg, seed=s))[1]) for s in (0, 1)]
+    charging = [_charging_ticks(sim.run_episode(cfg._replace(seed=s))[1]) for s in (0, 1)]
     original_trace_event = sim.TraceEvent
     tracer = spans.Tracer()
     spans.install(tracer)
@@ -74,7 +73,7 @@ def test_spans_count_every_transition_record(spans, tmp_path):
     tracer = spans.Tracer()
     spans.install(tracer)
     try:
-        traces = [sim.run_episode(replace(cfg, seed=s))[1] for s in range(4)]
+        traces = [sim.run_episode(cfg._replace(seed=s))[1] for s in range(4)]
     finally:
         tracer.restore()
     events = [row.event for trace in traces for row in trace if row.event is not None]

@@ -370,6 +370,10 @@ STRUCTURE_ERRORS = {
                          "duplicate weight entry n.o"),
     "weight_overflow": (MINIMAL + f"[weights]\nn.o = {BIG} 0.5  # <-\n", f"bad number {BIG!r}"),
     "negative_overflow": (MINIMAL + f"[energy]\ngain_min = -{BIG}  # <-\n", f"bad number '-{BIG}'"),
+    # a number's digits are ASCII; `float` would read these as 0.2 and 8
+    "arabic_indic_digits": (MINIMAL + "[weights]\nn.o = \u0660.\u0662 0.5  # <-\n",
+                            "bad number '\u0660.\u0662'"),
+    "fullwidth_digit": (MINIMAL + "[world]\ngrid = \uff18 8  # <-\n", "bad number '\uff18'"),
     "bad_key_value": (MINIMAL + "[world]\ngrid 8 8  # <-\n", "bad key/value line 'grid 8 8'"),
     "multiple_entries": (MINIMAL + "[machine other entry]  # <-\ninitial -> a\nstate a\n",
                          "multiple entry machines: 'other'"),
