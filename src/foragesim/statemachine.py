@@ -1,12 +1,13 @@
 """Hierarchical state machines with run-to-completion dispatch.
 
-An instance keeps a stack of frames, one per nesting level; entering a
-composite state pushes the referenced machine and descends through its
-initial. Dispatching an event processes it at the innermost active state,
-then drains until quiescent: pending exit notifications first, then a choice
-node the innermost frame rests on (resolved through the context once per
-entry: a choice node has no arms, so a frame leaves one only by its choice),
-then `auto` completion transitions. Crossing a machine exit concludes the
+A scenario is resolved once, at its first start, so that nothing looks a
+name up while a machine runs. An instance keeps a stack of frames, one per
+nesting level; entering a composite state pushes a frame per machine down to
+a leaf. Dispatching an event fires it at the innermost active state, then
+drains until quiescent: an exit just crossed first, then a choice node the
+innermost frame rests on (resolved through the context once per entry: a
+choice node has no arms, so a frame leaves one only by its choice), then
+`auto` completion transitions. Crossing a machine exit concludes the
 pursuits opened by choice nodes along the way and reports their outcome,
 tagged success or failure, through the context.
 
@@ -18,7 +19,6 @@ a NamedTuple.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from .scenario import (
@@ -32,7 +32,6 @@ from .scenario import (
     MachineDef,
     ScenarioDef,
     StateDef,
-    TransitionDef,
 )
 
 AUTO = RESERVED_EVENT
@@ -50,7 +49,8 @@ class UnknownEventError(ValueError):
 
 
 class MachineStuckError(RuntimeError):
-    """The drain loop could not make legal progress (unhandled exit or no quiescence).
+    """The drain loop could not make legal progress: an exit whose composite
+    handles it only under a guard that is false, or no quiescence.
 
     `dispatch` sets where it happened: the context's `step`, the active state
     `path` when the machine gave up, and the dispatched `event`.
@@ -102,23 +102,90 @@ class StaticContext:
         self.outcomes.append(PursuitOutcome(node, option, success))
 
 
-class _Frame:
-    __slots__ = ("machine", "state", "pursuits")
+class _State:
+    """A state of `machine` with its names resolved: `arms` maps an event to
+    its (guard, target) pairs in declaration order, a target being a `_State`
+    or an exit's (name, success); a choice node's `targets` map its `options`
+    to states; entering a composite pushes a frame for each state of `descent`,
+    down to a leaf, and `tail` is the path the state and its descent spell."""
 
-    def __init__(self, machine: MachineDef, state: str):
-        self.machine, self.state, self.pursuits = machine, state, []  # pursuits: (node, option)
+    __slots__ = ("name", "kind", "machine", "options", "arms", "targets", "descent", "tail")
+
+    def __init__(self, machine: MachineDef, sdef: StateDef):
+        self.name, self.kind, self.machine, self.options = sdef.name, sdef.kind, machine, sdef.options
+        self.arms, self.targets, self.descent, self.tail = {}, {}, (), (sdef.name,)
+
+
+def _resolve(scenario: ScenarioDef) -> dict[str, _State]:
+    """Each machine's initial state by name, and every state reachable from one,
+    resolved by `ScenarioDef.machine`, `MachineDef.state` and `exit_tag`: the
+    first declaration of a name wins. A failure names the machine and state."""
+    resolved: dict[tuple[str, str], _State] = {}
+    todo: list[tuple[_State, StateDef]] = []
+
+    def state(mdef: MachineDef, name: str, where: str) -> _State:
+        st = resolved.get((mdef.name, name))
+        if st is None:
+            sdef = mdef.state(name)
+            if sdef is None:
+                raise ValueError(f"{where}: undefined state '{name}'")
+            st = resolved[mdef.name, name] = _State(mdef, sdef)
+            todo.append((st, sdef))
+        return st
+
+    initials = {m.name: state(m, m.initial, f"machine '{m.name}'")
+                for m in scenario.machines if scenario.machine(m.name) is m}
+    inner = {}  # composite -> the initial state of its machine
+    for st, sdef in todo:  # `state` appends to `todo` while it is walked
+        mdef, where = st.machine, f"machine '{st.machine.name}', state '{st.name}'"
+        for tr in sdef.transitions:
+            if tr.target.startswith(EXIT_PREFIX):
+                name = tr.target[len(EXIT_PREFIX):]
+                tag = mdef.exit_tag(name)
+                if tag is None:
+                    raise ValueError(f"{where}: machine '{mdef.name}' has no exit '{name}'")
+                target = (name, tag == TAG_SUCCESS)
+            elif tr.target == TARGET_FINAL:
+                finals = mdef.final_state_names()
+                if not finals:
+                    raise ValueError(f"{where}: machine '{mdef.name}' has no final state")
+                target = state(mdef, finals[0], where)
+            else:
+                target = state(mdef, tr.target, where)
+            st.arms.setdefault(tr.event, []).append((tr.guard, target))
+        st.targets = {option: state(mdef, option, where) for option in sdef.options}
+        if st.kind == KIND_COMPOSITE:
+            if sdef.machine not in initials:
+                raise ValueError(f"{where}: undefined machine '{sdef.machine}'")
+            inner[st] = initials[sdef.machine]
+    for st, first in inner.items():
+        descent = [first]
+        while descent[-1] in inner:
+            if len(descent) == len(initials):  # every machine entered, and no leaf yet
+                raise ValueError(f"machine '{st.machine.name}', state '{st.name}': cannot enter machine "
+                                 f"'{first.machine.name}', whose initial states never reach a leaf")
+            descent.append(inner[descent[-1]])
+        st.descent, st.tail = tuple(descent), st.tail + tuple(d.name for d in descent)
+    return initials
+
+
+def _enabled(st: _State, event: str, ctx):
+    """The target of the first arm of `st` on `event` whose guard holds, or None."""
+    for guard, target in st.arms.get(event, ()):
+        if guard is None or ctx.guard(guard):
+            return target
+    return None
 
 
 class MachineInstance:
     """Active configuration of one (possibly nested) machine."""
 
-    def __init__(self, scenario: ScenarioDef, machine: MachineDef):
-        self.scenario = scenario
-        self.machine = machine
-        self.status = STATUS_RUNNING
-        self.frames: list[_Frame] = []
-        self.path: tuple[str, ...] = (machine.name,)
-        self.pending_events: deque[str] = deque()
+    def __init__(self, events: frozenset[str], initial: _State):
+        self.events, self.machine, self.status = events, initial.machine, STATUS_RUNNING
+        # the active state per nesting level, and the (node, option) pursuits
+        # that the choice nodes of its machine have opened
+        self.frames, self.pursuits = [initial], [[]]
+        self._rest(initial, (initial.machine.name,))
 
     # -- inspection ---------------------------------------------------------
 
@@ -126,165 +193,94 @@ class MachineInstance:
         return list(self.path)
 
     def leaf_state_name(self) -> str | None:
-        return self.frames[-1].state if self.frames else None
+        return self.frames[-1].name if self.frames else None
 
     def quiescent(self, ctx) -> bool:
         """True when dispatching `auto` under `ctx` now would fire nothing:
-        the machine runs, no exit event is pending, the innermost state is not
-        a choice node, and none of its `auto` arms is enabled."""
-        if self.status != STATUS_RUNNING or self.pending_events:
+        the machine runs, the innermost state is not a choice node, and none
+        of its `auto` arms is enabled."""
+        if self.status != STATUS_RUNNING:
             return False
-        f = self.frames[-1]
-        st = f.machine.state(f.state)
-        return st is not None and st.kind != KIND_CHOICE and self._enabled(st, AUTO, ctx) is None
-
-    # -- construction -------------------------------------------------------
-
-    def _start(self) -> None:
-        self.frames.append(_Frame(self.machine, self.machine.initial))
-        self._descend((self.machine.name, self.machine.initial))
-
-    def _descend(self, path: tuple[str, ...]) -> None:
-        """Push frames through composite initials; rest at a choice node.
-
-        `path` is the active path of the frames as they stand; it grows with
-        each frame pushed and is the instance's `path` when this returns.
-        """
-        frames = self.frames
-        try:
-            while True:
-                f = frames[-1]
-                st = f.machine.state(f.state)
-                if st is None:
-                    raise MachineStuckError(f"undefined state '{f.state}'")
-                if st.kind == KIND_COMPOSITE:
-                    inner = self.scenario.machine(st.machine)
-                    if inner is None:
-                        raise MachineStuckError(f"undefined machine '{st.machine}'")
-                    frames.append(_Frame(inner, inner.initial))
-                    path += (inner.initial,)
-                    continue
-                if st.kind == KIND_FINAL and len(frames) == 1:
-                    self.status = STATUS_FINALIZED
-                return
-        finally:
-            self.path = path
+        st = self.frames[-1]
+        return st.kind != KIND_CHOICE and _enabled(st, AUTO, ctx) is None
 
     # -- dispatch -----------------------------------------------------------
 
-    def _enabled(self, st: StateDef, event: str, ctx) -> TransitionDef | None:
-        for tr in st.transitions:
-            if tr.event != event:
-                continue
-            if tr.guard is None or ctx.guard(tr.guard):
-                return tr
-        return None
+    def _rest(self, st: _State, base: tuple[str, ...]) -> None:
+        """Make `st` the innermost active state and push its descent; `base`
+        is the active path outside the innermost frame."""
+        frames = self.frames
+        frames[-1] = st
+        for inner in st.descent:
+            frames.append(inner)
+            self.pursuits.append([])
+        self.path = base + st.tail
+        if st.kind == KIND_FINAL and len(frames) == 1:
+            self.status = STATUS_FINALIZED
 
-    def _enter(self, state: str, trigger: str, ctx, records, chosen: str | None = None) -> None:
+    def _fire(self, target, trigger: str, ctx, records, chosen: str | None = None) -> str | None:
+        """Take an arm or a choice; returns the name of an exit crossed into a
+        frame that has to handle it next, else None."""
         from_path = self.path
-        self.frames[-1].state = state
-        self._descend(from_path[:-1] + (state,))
-        records.append(TransitionRecord(ctx.step, from_path, self.path, trigger, chosen))
-
-    def _fire(self, tr: TransitionDef, trigger: str, ctx, records) -> None:
-        if tr.target.startswith(EXIT_PREFIX):
-            self._cross_exit(tr.target[len(EXIT_PREFIX):], trigger, ctx, records)
-            return
-        target = tr.target
-        if target == TARGET_FINAL:
-            finals = self.frames[-1].machine.final_state_names()
-            if not finals:
-                raise MachineStuckError(f"machine '{self.frames[-1].machine.name}' has no final state")
-            target = finals[0]
-        self._enter(target, trigger, ctx, records)
-
-    def _cross_exit(self, exit_name: str, trigger: str, ctx, records) -> None:
-        from_path = self.path
-        frame = self.frames.pop()
+        if type(target) is not tuple:
+            self._rest(target, from_path[:-1])
+            records.append(TransitionRecord(ctx.step, from_path, self.path, trigger, chosen))
+            return None
+        exit_name, success = target
+        self.frames.pop()
         self.path = from_path[:-1]
-        tag = frame.machine.exit_tag(exit_name)
-        if tag is None:
-            raise MachineStuckError(
-                f"machine '{frame.machine.name}' has no exit '{exit_name}'"
-            )
-        success = tag == TAG_SUCCESS
-        for node, option in frame.pursuits:
+        for node, option in self.pursuits.pop():
             ctx.outcome(node, option, success)
         records.append(TransitionRecord(ctx.step, from_path, self.path + (exit_name,), trigger))
         if not self.frames:
             self.status = STATUS_EXITED
-            return
-        parent = self.frames[-1]
-        composite = parent.state
-        kept = []
-        for node, option in parent.pursuits:
+            return None
+        composite, pursuits = self.frames[-1].name, self.pursuits[-1]  # choices of it conclude too
+        for node, option in pursuits:
             if option == composite:
                 ctx.outcome(node, option, success)
-            else:
-                kept.append((node, option))
-        parent.pursuits = kept
-        self.pending_events.append(exit_name)
+        self.pursuits[-1] = [p for p in pursuits if p[1] != composite]
+        return exit_name
 
-    def _process_event(self, event: str, ctx, records) -> bool:
-        """Try the event at the innermost active state; True when a transition fired."""
-        f = self.frames[-1]
-        st = f.machine.state(f.state)
-        if st is None:
-            raise MachineStuckError(f"undefined state '{f.state}'")
-        tr = self._enabled(st, event, ctx)
-        if tr is None:
-            return False
-        self._fire(tr, event, ctx, records)
-        return True
-
-    def _drain(self, ctx, records) -> None:
+    def _drain(self, pending: str | None, ctx, records) -> None:
         for _ in range(_DRAIN_LIMIT):
             if self.status != STATUS_RUNNING:
                 return
-            if self.pending_events:
-                event = self.pending_events.popleft()
-                if not self._process_event(event, ctx, records):
-                    f = self.frames[-1]
-                    raise MachineStuckError(
-                        f"exit '{event}' not handled by state '{f.state}'"
-                    )
-                continue
-            f = self.frames[-1]
-            st = f.machine.state(f.state)
-            if st.kind == KIND_CHOICE:
+            st, chosen = self.frames[-1], None
+            if pending is not None:
+                trigger, target = pending, _enabled(st, pending, ctx)
+                if target is None:
+                    raise MachineStuckError(f"exit '{pending}' not handled by state '{st.name}'")
+            elif st.kind == KIND_CHOICE:
                 chosen = ctx.choose(st.name, st.options)
                 if chosen not in st.options:
-                    raise ValueError(
-                        f"chooser returned {chosen!r}, not an option of '{st.name}'"
-                    )
-                f.pursuits.append((st.name, chosen))
-                self._enter(chosen, TRIGGER_CHOICE, ctx, records, chosen)
-                continue
-            tr = self._enabled(st, AUTO, ctx)
-            if tr is not None:
-                self._fire(tr, AUTO, ctx, records)
-                continue
-            return
+                    raise ValueError(f"chooser returned {chosen!r}, not an option of '{st.name}'")
+                self.pursuits[-1].append((st.name, chosen))
+                trigger, target = TRIGGER_CHOICE, st.targets[chosen]
+            else:
+                trigger, target = AUTO, _enabled(st, AUTO, ctx)
+                if target is None:
+                    return
+            pending = self._fire(target, trigger, ctx, records, chosen)
         raise MachineStuckError("run-to-completion drain did not quiesce")
 
 
-def start_instance(scenario: ScenarioDef, machine: str | MachineDef | None = None) -> MachineInstance:
+def start_instance(scenario: ScenarioDef, machine: str | None = None) -> MachineInstance:
     """Start a machine (the scenario's entry machine by default).
 
     The active path descends through composite initials and rests there; the
-    first dispatch resolves any choice node it stopped on.
+    first dispatch resolves any choice node it stopped on. The first start on
+    a scenario resolves it, and raises `ValueError` where that fails.
     """
-    if machine is None:
-        mdef = scenario.entry_machine()
-    elif isinstance(machine, MachineDef):
-        mdef = machine
-    else:
-        mdef = scenario.machine(machine)
-        if mdef is None:
-            raise ValueError(f"no machine named '{machine}'")
-    inst = MachineInstance(scenario, mdef)
-    inst._start()
-    return inst
+    # kept on the scenario as its lookups are: every life and restart shares
+    # one resolution, and a `_replace` copy resolves afresh
+    chart = vars(scenario).get("_chart")
+    if chart is None:
+        chart = vars(scenario)["_chart"] = (scenario.event_vocabulary(), _resolve(scenario))
+    initial = chart[1].get(scenario.entry_machine().name if machine is None else machine)
+    if initial is None:
+        raise ValueError(f"no machine named '{machine}'")
+    return MachineInstance(chart[0], initial)
 
 
 def dispatch(instance: MachineInstance, event: str, ctx=None) -> list[TransitionRecord]:
@@ -296,16 +292,15 @@ def dispatch(instance: MachineInstance, event: str, ctx=None) -> list[Transition
     if ctx is None:
         ctx = StaticContext()
     if instance.status != STATUS_RUNNING:
-        path = instance.path
         note = f"ignored: machine {instance.status}"
-        return [TransitionRecord(ctx.step, path, path, event, note=note)]
-    if event != AUTO and event not in instance.scenario.event_vocabulary():
+        return [TransitionRecord(ctx.step, instance.path, instance.path, event, note=note)]
+    if event != AUTO and event not in instance.events:
         raise UnknownEventError(f"unknown event '{event}'")
     records: list[TransitionRecord] = []
     try:
-        if event != AUTO:
-            instance._process_event(event, ctx, records)
-        instance._drain(ctx, records)
+        target = None if event == AUTO else _enabled(instance.frames[-1], event, ctx)
+        pending = None if target is None else instance._fire(target, event, ctx, records)
+        instance._drain(pending, ctx, records)
     except MachineStuckError as exc:
         exc.step, exc.path, exc.event = ctx.step, instance.path, event
         raise

@@ -34,6 +34,26 @@ state a -> b on auto
 state b -> a on auto
 """
 
+# validates with one warning; the robot locates the station at step 9, while
+# powerLow is false, so `a` cannot handle the exit that `sub` crosses
+CONDITIONAL_EXIT = """
+[machine top entry]
+initial -> a
+submachine a = sub -> b on located if powerLow
+state b
+
+[machine sub]
+initial -> follow_ir_signal
+state follow_ir_signal -> exit.located on located
+exit located (success)
+
+[world]
+grid = 16 12
+robot.start = 7 6
+station.pos = 2 2
+station.ir_radius = 20
+"""
+
 
 class TestValidate:
     def test_valid_fixture_exits_zero_silently(self, dual_source_path, capsys):
@@ -263,6 +283,16 @@ class TestStuckMachine:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("machine stuck at step 1 in top/a on event 'auto':")
         assert "Traceback" not in err
+
+
+    def test_exit_handled_only_under_a_false_guard_exits_four(self, scenario_file, capsys):
+        path = scenario_file(CONDITIONAL_EXIT, "exit.scn")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == (
+            f"{path}:4:1: warning: exit 'located' of machine 'sub' is handled only conditionally\n")
+        assert main(["run", str(path), "--steps", "200"]) == 4
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "machine stuck at step 9 in top/a on event 'located': exit 'located' not handled by state 'a'")
 
 
 class TestMonteCarlo:

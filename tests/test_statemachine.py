@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foragesim import statemachine
-from foragesim.scenario import parse_scenario
+from foragesim.scenario import (
+    MachineDef,
+    ScenarioDef,
+    StateDef,
+    TransitionDef,
+    parse_scenario,
+    parse_scenario_checked,
+)
 from foragesim.scenarios import builtin_scenario
 from foragesim.statemachine import (
     AUTO,
@@ -55,6 +62,14 @@ class TestStart:
         inst = start_instance(s)
         assert inst.status == STATUS_FINALIZED
         assert inst.active_path() == ["top", "Done"]
+
+    def test_final_state_of_a_sub_machine_does_not_finalize(self):
+        s = parse_scenario("[machine top entry]\ninitial -> s\nsubmachine s = inner -> b on done\nstate b\n"
+                           "[machine inner]\ninitial -> g\nstate g -> f on go, exit.done on leave\nfinal f\n"
+                           "exit done (success)\n")
+        inst = start_instance(s)
+        dispatch(inst, "go")
+        assert (inst.active_path(), inst.status) == (["top", "s", "f"], STATUS_RUNNING)
 
     def test_dual_source_starts_at_seek_charge_source(self):
         s = builtin_scenario("dual_source")
@@ -225,6 +240,117 @@ class TestSelfListedChoice:
         ]
 
 
+# validates with one warning: `a` handles the exit that `sub` crosses only
+# while powerLow holds
+CONDITIONAL_EXIT = """
+[machine top entry]
+initial -> a
+submachine a = sub -> b on located if powerLow
+state b
+
+[machine sub]
+initial -> follow_ir_signal
+state follow_ir_signal -> exit.located on located
+exit located (success)
+"""
+
+
+class TestConditionalExit:
+    def test_handled_while_the_guard_holds(self):
+        inst = start_instance(parse_scenario(CONDITIONAL_EXIT))
+        records = dispatch(inst, "located", StaticContext(guards={"powerLow": True}))
+        assert [r.to_path for r in records] == [("top", "a", "located"), ("top", "b")]
+
+    def test_false_guard_leaves_the_exit_unhandled(self):
+        inst = start_instance(parse_scenario(CONDITIONAL_EXIT))
+        with pytest.raises(MachineStuckError) as info:
+            dispatch(inst, "located", StaticContext(guards={"powerLow": False}, step=9))
+        assert str(info.value) == "exit 'located' not handled by state 'a'"
+        assert (info.value.step, info.value.path, info.value.event) == (9, ("top", "a"), "located")
+
+
+def _top(*states):
+    return MachineDef("top", "a", states=states, is_entry=True)
+
+
+def _arm(target):
+    return StateDef("a", transitions=(TransitionDef("go", target),))
+
+
+class TestResolution:
+    """A scenario is resolved at its first start: what `validate` would reject
+    in a hand-built one fails there, naming the machine and the state, before
+    any dispatch."""
+
+    BASE = parse_scenario("[machine top entry]\ninitial -> a\nstate a -> a on go\n")
+
+    @pytest.mark.parametrize("machines, message", [
+        ((_top(_arm("nowhere")),), "machine 'top', state 'a': undefined state 'nowhere'"),
+        ((_top(_arm("exit.done")),), "machine 'top', state 'a': machine 'top' has no exit 'done'"),
+        ((_top(_arm("final")),), "machine 'top', state 'a': machine 'top' has no final state"),
+        ((_top(StateDef("a", kind="composite", machine="ghost")),),
+         "machine 'top', state 'a': undefined machine 'ghost'"),
+        ((_top(StateDef("a")), MachineDef("spare", "missing")), "machine 'spare': undefined state 'missing'"),
+        # each machine's initial state enters the other: entering either never reaches a leaf
+        ((_top(StateDef("a", kind="composite", machine="b")),
+          MachineDef("b", "t", states=(StateDef("t", kind="composite", machine="top"),))),
+         "machine 'top', state 'a': cannot enter machine 'b', whose initial states never reach a leaf"),
+    ], ids=["undefined_state", "undeclared_exit", "no_final_state", "undefined_machine",
+            "undefined_initial", "composition_cycle"])
+    def test_start_names_the_machine_and_the_state(self, machines, message):
+        scenario = self.BASE._replace(machines=machines)
+        with pytest.raises(ValueError) as info:
+            start_instance(scenario)
+        assert str(info.value) == message
+
+    def test_final_target_enters_the_first_final_state(self):
+        scenario, diags = parse_scenario_checked(
+            "[machine top entry]\ninitial -> a\nstate a -> final on go\nfinal Done\nfinal Other\n")
+        assert "ambiguous 'final' target; name the final state" in [d.message for d in diags]
+        inst = start_instance(scenario)
+        assert dispatch(inst, "go")[0].to_path == ("top", "Done")
+        assert inst.status == STATUS_FINALIZED
+
+    def test_a_copy_resolves_afresh(self):
+        scenario = self.BASE
+        start_instance(scenario)
+        broken = scenario._replace(machines=(_top(_arm("nowhere")),))
+        with pytest.raises(ValueError, match="undefined state 'nowhere'"):
+            start_instance(broken)
+        assert start_instance(scenario).active_path() == ["top", "a"]
+
+    def test_no_name_is_looked_up_while_running(self):
+        """After the first start, dispatches through a choice, both exits,
+        `-> final` and restarts read only the resolved states."""
+        scenario = builtin_scenario("station_only")
+        script = ["power_low", "located", "waitTimer_expired", "power_low", AUTO, "lost",
+                  "power_lower", "located", "waitTimer_expired", "power_low"]
+
+        def drive():
+            inst = start_instance(scenario)
+            ctx = ctx_choosing("follow_ir_signal", "follow_track_path", "follow_ir_signal")
+            records = []
+            for event in script:
+                records.append(dispatch(inst, event, ctx))
+                if inst.status != STATUS_RUNNING:
+                    inst = start_instance(scenario)
+            return records, ctx.outcomes
+
+        expected = drive()
+        triggers = {r.trigger for rs in expected[0] for r in rs}
+        assert {"choice", "located", "lost_signal_track", "waitTimer_expired"} <= triggers
+        assert ("top", "Final") in {r.to_path for rs in expected[0] for r in rs}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a name was looked up")
+
+        with mock.patch.multiple(MachineDef, state=refuse, exit_tag=refuse, final_state_names=refuse), \
+                mock.patch.multiple(ScenarioDef, machine=refuse, event_vocabulary=refuse):
+            assert drive() == expected
+            with pytest.raises(AssertionError, match="a name was looked up"):
+                start_instance(scenario._replace())  # a copy resolves, through the lookups
+
+
 class TestRunToCompletion:
     def test_second_drain_fires_nothing(self):
         s = builtin_scenario("dual_source")
@@ -296,7 +422,7 @@ def _rebuilt(inst):
     """The active path as the frames spell it out."""
     if inst.status == STATUS_EXITED:
         return (inst.machine.name,)
-    return (inst.machine.name, *[f.state for f in inst.frames])
+    return (inst.machine.name, *[f.name for f in inst.frames])
 
 
 class TestCachedPath:
