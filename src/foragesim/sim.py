@@ -48,6 +48,9 @@ they come, so its memory does not grow with the horizon; `run_monte_carlo`
 builds none. `_line` writes an event row's line, and `_Stretch.text` a
 record's lines: f-strings byte-identical to `json.dumps(row.to_dict())`, which
 is used for any row whose values they cannot be proven to write the same way.
+A life's feeding cycle replays the same levels, so a record takes each
+level's text from a bounded cache (`_level`); a level list that holds a zero
+is written uncached, because 0.0 and -0.0 would share one entry.
 """
 
 from __future__ import annotations
@@ -620,6 +623,10 @@ def _shannon_bits(histogram: Counter) -> float:
 # life of the process
 _quoted = lru_cache(maxsize=4096)(json.dumps)
 
+# a finite level's JSON text, its `repr`; never asked for a zero, since 0.0 ==
+# -0.0 and they hash alike, so the cache would give one the other's sign
+_level = lru_cache(maxsize=4096)(float.__repr__)
+
 
 def _finite(value) -> bool:
     """A float whose JSON text is its `repr` (not inf or nan, not a subclass)."""
@@ -699,8 +706,12 @@ class _Stretch(NamedTuple):
         mid = f', "state": {_quoted(state)}, "battery": '
         end = f', "mood": {_quoted(mood)}, "x": {x}, "y": {y}}}\n'
         return "".join([
-            f'{{"step": {s}{mid}{b!r}, "capacitor": {c!r}{end}'
-            for s, b, c in zip(count(first), batteries, capacitors)
+            f'{{"step": {s}{mid}{b}, "capacitor": {c}{end}'
+            for s, b, c in zip(
+                count(first),
+                map(repr if 0.0 in batteries else _level, batteries),
+                map(repr if 0.0 in capacitors else _level, capacitors),
+            )
         ])
 
 

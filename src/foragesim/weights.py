@@ -140,9 +140,10 @@ def _clamp01(v: float) -> float:
 
 @contextmanager
 def replacing(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Write `path` crash-safely: yield a text file opened beside it as
-    `path.tmp`, which replaces `path` when the block ends. A block that fails
-    part way removes the temporary file and leaves `path` as it was."""
+    """Write `path` safely against a process kill (not power loss: nothing
+    calls `fsync`): yield a text file opened beside it as `path.tmp`, which
+    replaces `path` when the block ends. A block that fails part way removes
+    the temporary file and leaves `path` as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:

@@ -685,6 +685,14 @@ class TestTraceFormat:
         sim.run_life(cfg, tmp_path / "life.jsonl")
         assert (tmp_path / "trace.jsonl").read_text() == expected
         assert (tmp_path / "life.jsonl").read_text() == expected
+        # and again from a cold level cache: `write_trace_jsonl` fills it, and
+        # `run_life` then writes the same levels from a warm one
+        sim._quoted.cache_clear()
+        sim._level.cache_clear()
+        write_trace_jsonl(trace, tmp_path / "cold.jsonl")
+        sim.run_life(cfg, tmp_path / "warm.jsonl")
+        assert (tmp_path / "cold.jsonl").read_text() == expected
+        assert (tmp_path / "warm.jsonl").read_text() == expected
 
 
 # A tick record as the simulator hands it to a sink, with levels JSON writes as
@@ -739,6 +747,41 @@ class TestStretchFormat:
             assert [math.copysign(1.0, c) for c in written] == [
                 math.copysign(1.0, c) for c in capacitors
             ]
+
+    @pytest.mark.parametrize("levels", ["batteries", "capacitors"])
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_no_zero_takes_the_sign_of_an_earlier_records(self, levels, zeros, tmp_path):
+        # 0.0 == -0.0 and they hash alike, so a cache of level texts would
+        # write the second record's zero with the first one's sign
+        def records():
+            return [
+                sim._Stretch(step, "top/rest", "normal", 0, 0,
+                             **{"batteries": [1.5], "capacitors": [2.5], levels: [zero]})
+                for step, zero in enumerate(zeros, start=1)
+            ]
+
+        expected = "".join(json.dumps(record.row(0).to_dict()) + "\n" for record in records())
+        sim._level.cache_clear()
+        written = io.StringIO()
+        writer = sim._JsonlWriter(written)
+        for record in records():
+            writer.append(record)
+        assert written.getvalue() == expected
+        sim._level.cache_clear()
+        trace = sim.Trace()
+        for record in records():
+            trace.append(record)
+        write_trace_jsonl(trace, tmp_path / "trace.jsonl")
+        assert (tmp_path / "trace.jsonl").read_text() == expected
+
+    def test_the_level_cache_stays_within_its_bound(self):
+        # memory must not grow with the horizon, whatever levels a life visits
+        bound = sim._level.cache_info().maxsize
+        n = bound + 1000
+        record = sim._Stretch(1, "top/rest", "normal", 0, 0, [1.0 + k / 7 for k in range(n)],
+                              [2.0 + k / 3 for k in range(n)])
+        assert record.text() == "".join(json.dumps(record.row(k).to_dict()) + "\n" for k in range(n))
+        assert sim._level.cache_info().currsize <= bound
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_trace_file_is_the_same_bytes_whole_row_by_row_and_streamed(
