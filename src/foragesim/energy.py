@@ -324,6 +324,12 @@ class ThresholdWatcher:
         self._thresholds = thresholds
         self._last = math.inf
 
+    @property
+    def last(self) -> float:
+        """The fraction of the previous update (inf before the first): with the
+        thresholds, all that decides which events the next update fires."""
+        return self._last
+
     def update(self, state: EnergyState) -> list[str]:
         frac = state.battery_frac
         last, self._last = self._last, frac

@@ -30,6 +30,30 @@ which enables nothing). The watcher fires a threshold only when the fraction
 falls below it from at or above it at the previous update, so without a
 crossing it fires nothing. Path, pose and mood stay constant over the stretch.
 
+A robot that has learned to feed settles into a feeding cycle, so an
+untraced life jumps whole periods of it. After each quiet stretch it keys
+its loop state: the energy, the pose, the machine's states (by identity),
+open pursuits and status, the watcher's last fraction, the charge count,
+the charge-timer flag and the queue; all that the loop reads but the
+weights, the rng and the step. When a key comes back `p` steps later, and
+the period between drew no tie, had only successful outcomes and picked one
+option per choice node, every later period takes the same path. Guards,
+behaviours and energy follow from the loop state alone, and no draw means
+the rng is not reached. The weights change only in the picked entries,
+whose success weight only rises and failure weight only falls. So at each
+choice the best success weight cannot fall, the candidates within tolerance
+of it can only drop out, and the picked option stays among them with the
+unique least failure weight: the choice is the same, again without a draw.
+(A node that picked two options could swap them as both failure weights
+halve, until halving among subnormals ties them and the life draws.) Levels
+compare by value, so 0.0 and -0.0 share a key, and no comparison in the
+loop tells them apart. The life then adds `k` periods' choices and
+recharges, as many as end before its last tick, and replays each weight
+update `k` times through `record_outcome`, not in closed form, because
+repeated halving rounds differently among subnormals. The ticks after them,
+the last one included, run as before. A traced life writes every row and
+never jumps.
+
 The seed reaches a life only through the rng that breaks an exact tie in
 `select_option`, and that rng is built at the first draw, so a life that
 never draws never seeds one. Volatile lives of a batch differ in nothing
@@ -118,6 +142,11 @@ EVENT_NO_SIGNAL = "no_signal"
 # the most rows one trace record holds (a full tick and the quiet stretch after
 # it), so that a streamed trace's memory does not grow with a long stretch
 STRETCH_ROWS = 1024
+
+# the most loop states an untraced life keeps while it looks for its feeding
+# cycle; a full table starts over, so a cycle with fewer quiet stretches per
+# period than this is still found
+CYCLE_STATES = 512
 
 # state name -> charging source while the robot sits in it
 CHARGING_STATES = {"recharge": SOURCE_STATION, "charge": SOURCE_WIRELESS}
@@ -286,6 +315,8 @@ class _Episode:
         self.charge_ticks = 0
         self.wait_sent = False
         self.step = 0
+        # untraced: loop state after a quiet stretch -> its mark (see `_periods`)
+        self.seen: dict | None = {} if trace is None else None
         # per dispatch: the weights each choice consulted, and each outcome's
         # (state path, node, option, success, weights before, weights after)
         self.consulted: list[weights_mod.WeightEntry] = []
@@ -382,6 +413,61 @@ class _Episode:
             return source, coupling_efficiency(self.world, self.pose.pos) * self.world.beacon.tx_power
         return SOURCE_NONE, 0.0
 
+    # -- feeding cycle -------------------------------------------------------
+
+    def _loop_state(self) -> tuple:
+        """What the loop reads at its top, but the weights, the rng and the step."""
+        inst = self.instance
+        return (
+            self.energy, self.pose, tuple(inst.frames), tuple(map(tuple, inst.pursuits)),
+            inst.status, self.watcher.last, self.charge_ticks, self.wait_sent, tuple(self.queue),
+        )
+
+    def _periods(self, step: int) -> int:
+        """The steps to jump from `step`, the top of the loop after a quiet
+        stretch of an untraced life: whole periods of its feeding cycle, or 0.
+
+        The loop state is kept in `seen` with its mark: the step, the draw
+        count, and the choice, weight-entry and recharge counts. When it
+        comes back with no draw, no failure and one option per choice node
+        in between, the periods that end before the last tick are jumped
+        (the module docstring says why that is exact), and looking stops.
+        Each entry's successes are replayed per entry: entries update
+        independently and one entry's updates are all successes, so this
+        leaves the table that replaying the period's outcomes in order does.
+        """
+        key = self._loop_state()
+        mark = self.seen.get(key)
+        now = (step, len(self.draws), dict(self.choices_made), self.table.snapshot(),
+               dict(self.recharges))
+        if mark is None:
+            if len(self.seen) >= CYCLE_STATES:
+                self.seen.clear()
+            self.seen[key] = now
+            return 0
+        then, draws, choices, entries, recharges = mark
+        k = (self.cfg.max_steps - 1 - step) // (step - then)
+        picked = [pair for pair, n in self.choices_made.items() if n != choices.get(pair, 0)]
+        zero = weights_mod.WeightEntry()
+        if (
+            k < 1
+            or len(self.draws) != draws
+            or len({node for node, _ in picked}) < len(picked)
+            or any(e.failures != entries.get(pair, zero).failures
+                   for pair, e in self.table.entries.items())
+        ):
+            self.seen[key] = now
+            return 0
+        for pair in picked:
+            self.choices_made[pair] += k * (self.choices_made[pair] - choices.get(pair, 0))
+        for source, n in recharges.items():
+            self.recharges[source] += k * (self.recharges[source] - n)
+        for (node, option), e in list(self.table.entries.items()):
+            for _ in range(k * (e.successes - entries.get((node, option), zero).successes)):
+                record_outcome(self.table, node, option, True)
+        self.seen = None
+        return k * (step - then)
+
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> EpisodeResult:
@@ -459,6 +545,8 @@ class _Episode:
                 step += n
                 if source != SOURCE_NONE:
                     self.charge_ticks += n
+                if self.seen is not None:
+                    step += self._periods(step)
             if self.trace is not None:
                 self.trace.append(record)
             if dead:
