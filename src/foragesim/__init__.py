@@ -29,7 +29,7 @@ _PUBLIC = {
     "statemachine": "AUTO MachineInstance PursuitOutcome StaticContext TransitionRecord"
                     " UnknownEventError dispatch start_instance",
     "weights": "WeightEntry WeightTable load_weights record_outcome save_weights select_option",
-    "world": "BeaconSpec CueReading RobotPose StationSpec WorldMap coupling_efficiency"
+    "world": "BeaconSpec CueReading StationSpec WorldMap coupling_efficiency"
              " detect_station_cues intensity_at poll_beacon step_follow step_seek_intensity",
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}

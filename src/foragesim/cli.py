@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .scenario import Diagnostic, parse_scenario_checked
+from .scenario import ScenarioError, decode_text, parse_scenario_checked
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,10 +80,9 @@ def _load_scenario(path_text: str):
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
     try:
-        scenario, diagnostics = parse_scenario_checked(data.decode("utf-8"), name=path.stem)
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start] + b"?").splitlines())  # as the parser counts lines
-        scenario, diagnostics = None, [Diagnostic("error", line, 1, "not UTF-8 text")]
+        scenario, diagnostics = parse_scenario_checked(decode_text(data), name=path.stem)
+    except ScenarioError as exc:  # not UTF-8 text
+        scenario, diagnostics = None, exc.diagnostics
     errors = [d for d in diagnostics if d.severity == "error"]
     for diag in diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)

@@ -6,6 +6,9 @@ fill. Battery level also sets the sensor gain, so a hungry robot senses less
 far. Moods summarise the energy situation for the control layer, and the
 threshold watcher turns each downward battery crossing into one
 edge-triggered event.
+
+Full ticks, quiet stretches, moods and the watcher share one drain step, one
+charge step and one hunger test (`hunger`: the powerLow and powerLower flags).
 """
 
 from __future__ import annotations
@@ -142,21 +145,35 @@ class EnergyProfile(_EnergyFields):
         )
 
 
+def _drain(battery: float, capacitor: float, drain: float) -> tuple[float, float]:
+    """The one drain step: the battery first, the rest from the capacitor, floored at 0."""
+    taken = min(battery, drain)
+    return battery - taken, max(0.0, capacitor - (drain - taken))
+
+
+def _charge(battery: float, capacitor: float, capacity: float, capacitor_capacity: float,
+            source: str, power: float) -> tuple[float, float]:
+    """The one charge step: the battery up to its capacity and, from a wireless
+    source, the rest of `power` into the capacitor up to its capacity."""
+    to_battery = min(capacity - battery, power)
+    if source == SOURCE_WIRELESS:
+        capacitor = min(capacitor_capacity, capacitor + (power - to_battery))
+    return battery + to_battery, capacitor
+
+
+def hunger(frac: float, low_frac: float, lower_frac: float) -> tuple[bool, bool]:
+    """`(powerLow, powerLower)` at battery fraction `frac`: below each threshold."""
+    return frac < low_frac, frac < lower_frac
+
+
 def tick_discharge(state: EnergyState, active: set[str], profile: DischargeProfile) -> EnergyState:
     """Drain one tick of activity: battery first, then the capacitor, floored at 0.
 
     The returned state is not charging; `apply_charge` sets a source for the
     ticks that charge.
     """
-    drain = profile.drain_for(active)
-    from_battery = min(state.battery, drain)
-    remainder = drain - from_battery
-    return EnergyState(
-        state.battery - from_battery,
-        state.battery_capacity,
-        max(0.0, state.capacitor - remainder),
-        state.capacitor_capacity,
-    )
+    battery, capacitor = _drain(state.battery, state.capacitor, profile.drain_for(active))
+    return EnergyState(battery, state.battery_capacity, capacitor, state.capacitor_capacity)
 
 
 def apply_charge(state: EnergyState, source: str, power: float) -> EnergyState:
@@ -170,16 +187,9 @@ def apply_charge(state: EnergyState, source: str, power: float) -> EnergyState:
         raise ValueError("charge power must be non-negative")
     if source not in (SOURCE_STATION, SOURCE_WIRELESS):
         raise ValueError(f"unknown charging source {source!r}")
-    headroom = state.battery_capacity - state.battery
-    to_battery = min(headroom, power)
-    new_battery = state.battery + to_battery
-    new_capacitor = state.capacitor
-    if source == SOURCE_WIRELESS:
-        spill = power - to_battery
-        new_capacitor = min(state.capacitor_capacity, state.capacitor + spill)
-    return EnergyState(
-        new_battery, state.battery_capacity, new_capacitor, state.capacitor_capacity, source
-    )
+    battery, capacitor = _charge(state.battery, state.capacitor, state.battery_capacity,
+                                 state.capacitor_capacity, source, power)
+    return EnergyState(battery, state.battery_capacity, capacitor, state.capacitor_capacity, source)
 
 
 def idle_jump(
@@ -192,7 +202,7 @@ def idle_jump(
     rounded to a multiple of u. Under IEEE 754 round-to-nearest, tick k
     leaves exactly `battery - k*delta` when the exact
     `battery - (k-1)*delta - drain` is at least 2**e; of those ticks, the
-    ones before the first that would flip a hunger predicate are taken
+    ones before the first that would flip a `hunger` flag are taken
     (found by bisection), and the capacitor is left as it is. Returns 0
     ticks, for the caller to step one, where tick 1 is not such a tick: at a
     binade edge, a drain of exactly half an odd number of ulps (whose
@@ -219,11 +229,10 @@ def idle_jump(
     if n <= 0:
         return 0, battery
     delta = math.ldexp(q, exp - 53)
-    low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
+    hungry = hunger(battery / capacity, low_frac, lower_frac)
 
     def flips(k: int) -> bool:
-        b = battery - k * delta
-        return (b / capacity < low_frac) != low or (b / capacity < lower_frac) != lower
+        return hunger((battery - k * delta) / capacity, low_frac, lower_frac) != hungry
 
     if flips(n):
         n = bisect_left(range(1, n), True, key=flips)  # the ticks before the first flip
@@ -237,17 +246,16 @@ def advance_quiet(
     """Advance up to `budget` quiet ticks: (ticks taken, the state after them).
 
     Each tick drains idle power and then, unless `source` is `SOURCE_NONE`,
-    charges `power` from `source`, with the float operations of
-    `tick_discharge` and `apply_charge` (an idle run in closed form, by
-    `idle_jump`). It stops before the first tick that would move the battery
-    fraction across a threshold, fill the battery, or empty both stores; the
-    `sim` module says why that is exact. With `batteries` and `capacitors`,
-    each tick's levels are appended to them.
+    charges `power` from `source`, by the steps `tick_discharge` and
+    `apply_charge` take (an idle run in closed form, by `idle_jump`). It
+    stops before the first tick that would flip a `hunger` flag, fill the
+    battery, or empty both stores; the `sim` module says why that is exact.
+    With `batteries` and `capacitors`, each tick's levels are appended to them.
     """
     capacity, capacitor_capacity = state.battery_capacity, state.capacitor_capacity
     battery, capacitor = state.battery, state.capacitor
-    low_frac, lower_frac = profile.thresholds.low_frac, profile.thresholds.lower_frac
-    low, lower = battery / capacity < low_frac, battery / capacity < lower_frac
+    low_frac, lower_frac = profile.thresholds
+    hungry = hunger(battery / capacity, low_frac, lower_frac)
     drain = profile.rates.idle
     n = 0
     while n < budget:
@@ -261,21 +269,12 @@ def advance_quiet(
                 n += k
                 battery = after
                 continue
-        taken = min(battery, drain)
-        b = battery - taken
-        c = max(0.0, capacitor - (drain - taken))
+        b, c = _drain(battery, capacitor, drain)
         if source != SOURCE_NONE:
-            to_battery = min(capacity - b, power)
-            if source == SOURCE_WIRELESS:
-                c = min(capacitor_capacity, c + (power - to_battery))
-            b = b + to_battery
+            b, c = _charge(b, c, capacity, capacitor_capacity, source, power)
             if b >= capacity > battery:
                 break
-        if (
-            (b / capacity < low_frac) != low
-            or (b / capacity < lower_frac) != lower
-            or (b <= 0.0 and c <= 0.0)
-        ):
+        if hunger(b / capacity, low_frac, lower_frac) != hungry or (b <= 0.0 and c <= 0.0):
             break
         n += 1
         battery, capacitor = b, c
@@ -289,18 +288,15 @@ def mood_of(state: EnergyState, thresholds: Thresholds) -> str:
     """Derive the operating mood.
 
     Precedence: dead > charging > distressed > seeking > normal. Distress is
-    an empty battery or a battery fraction below the lower threshold.
+    a battery fraction below the lower threshold, which an empty battery
+    always is, as that threshold is positive.
     """
     if state.depleted:
         return MOOD_DEAD
     if state.charging_source != SOURCE_NONE:
         return MOOD_CHARGING
-    frac = state.battery_frac
-    if state.battery <= 0.0 or frac < thresholds.lower_frac:
-        return MOOD_DISTRESSED
-    if frac < thresholds.low_frac:
-        return MOOD_SEEKING
-    return MOOD_NORMAL
+    low, lower = hunger(state.battery_frac, *thresholds)
+    return MOOD_DISTRESSED if lower else MOOD_SEEKING if low else MOOD_NORMAL
 
 
 def sensor_gain(state: EnergyState, gain_min: float) -> float:
@@ -315,28 +311,27 @@ def sensor_gain(state: EnergyState, gain_min: float) -> float:
 class ThresholdWatcher:
     """Edge-triggered battery threshold events.
 
-    Each threshold fires once per downward crossing: when the battery fraction
-    falls below it from at or above it at the previous update (the first
-    update counts as a fall from above).
+    Each threshold fires once per downward crossing: when its `hunger` flag
+    is on and was off at the previous update (the first update counts as a
+    fall from above). The watcher keeps only those flags.
     """
 
     def __init__(self, thresholds: Thresholds):
         self._thresholds = thresholds
-        self._last = math.inf
+        self._last = (False, False)
 
     @property
-    def last(self) -> float:
-        """The fraction of the previous update (inf before the first): with the
-        thresholds, all that decides which events the next update fires."""
+    def last(self) -> tuple[bool, bool]:
+        """The previous update's `hunger` flags (neither, before the first): all
+        that decides which events the next update fires."""
         return self._last
 
     def update(self, state: EnergyState) -> list[str]:
-        frac = state.battery_frac
-        last, self._last = self._last, frac
-        th = self._thresholds
+        was_low, was_lower = self._last
+        low, lower = self._last = hunger(state.battery_frac, *self._thresholds)
         fired: list[str] = []
-        if frac < th.low_frac <= last:
+        if low and not was_low:
             fired.append(EVENT_POWER_LOW)
-        if frac < th.lower_frac <= last:
+        if lower and not was_lower:
             fired.append(EVENT_POWER_LOWER)
         return fired

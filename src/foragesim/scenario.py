@@ -264,6 +264,17 @@ class ScenarioDef(_ScenarioFields):
 # parsing
 
 
+def decode_text(data: bytes) -> str:
+    """A `.scn` file's or a weights CSV's text: UTF-8, less one leading U+FEFF
+    (byte-order mark). Bytes that are not UTF-8 raise `ScenarioError` with one
+    error at their line, lines ending where the parser ends them."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # `exc.object` is the bytes after the mark
+        line = len((exc.object[: exc.start] + b"?").splitlines())
+        raise ScenarioError([_error(line, "not UTF-8 text")]) from None
+
+
 def read_number(token: str) -> float:
     """The value of a DSL number, the one reader of numbers in a `.scn` and a
     weights CSV: a plain decimal, at most nine fractional digits, finite as a

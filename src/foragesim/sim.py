@@ -15,27 +15,28 @@ machine is quiescent (`MachineInstance.quiescent`: not resting on a choice
 node, and no `auto` arm enabled under the current guards). Each following
 tick then only drains idle power and, in a `recharge`/`charge` leaf, charges
 at the same power (the station's rate, or the coupling at the pose, which
-does not move). `energy.advance_quiet` takes those ticks, bitwise equal to
-`tick_discharge` and `apply_charge`. It stops before the first tick that
-would flip `powerLow` or `powerLower` (falling, or rising: a watcher
-re-arm), turn `batteryFull` on or empty both stores, and the loop stops it
-before the tick that brings the charge count to `max_charge_ticks` or is the
-last; that tick runs in full, so threshold and charge-timer events, death
-and the horizon each keep one code path. This is exact because guards are
-positive only, so only a guard turning on can enable an arm, and none turns
-on inside the stretch: `isSignalSufficient` depends on the pose alone, and
-`batteryFull` turns on and the hunger guards flip only at the ticks where
-the stretch stops (a battery falling from full turns `batteryFull` off,
-which enables nothing). The watcher fires a threshold only when the fraction
-falls below it from at or above it at the previous update, so without a
-crossing it fires nothing. Path, pose and mood stay constant over the stretch.
+does not move). `energy.advance_quiet` takes those ticks by the drain and
+charge steps of `tick_discharge` and `apply_charge`, so its levels are a full
+tick's. It stops before the first tick that would flip a hunger flag
+(`energy.hunger`: `powerLow`, `powerLower`), turn `batteryFull` on or empty
+both stores, and the loop stops it before the tick that brings the charge
+count to `max_charge_ticks` or is the last; that tick runs in full, so
+threshold and charge-timer events, death and the horizon each keep one code
+path. This is exact because guards are positive only, so only a guard turning
+on can enable an arm, and none turns on inside the stretch:
+`isSignalSufficient` depends on the pose alone, and `batteryFull` turns on and
+the hunger flags flip only where the stretch stops (a battery falling from
+full turns `batteryFull` off, which enables nothing). The watcher keeps the
+flags of its last update and fires a threshold only when its flag turns on,
+so it fires nothing in the stretch and ends it with the flags each tick would
+leave. Path, pose (a cell) and mood stay constant over the stretch.
 
 A robot that has learned to feed settles into a feeding cycle, so an
 untraced life jumps whole periods of it. After each quiet stretch it keys
 its loop state: the energy, the pose, the machine's states (by identity),
-open pursuits and status, the watcher's last fraction, the charge count,
-the charge-timer flag and the queue; all that the loop reads but the
-weights, the rng and the step. When a key comes back `p` steps later, and
+open pursuits and status, the watcher's flags, the charge count, the
+charge-timer flag and the queue; all that the loop reads but the weights,
+the rng and the step. When a key comes back `p` steps later, and
 the period between drew no tie, had only successful outcomes and picked one
 option per choice node, every later period takes the same path. Guards,
 behaviours and energy follow from the loop state alone, and no draw means
@@ -99,6 +100,7 @@ from .energy import (
     ThresholdWatcher,
     advance_quiet,
     apply_charge,
+    hunger,
     mood_of,
     sensor_gain,
     tick_discharge,
@@ -118,7 +120,6 @@ from .world import (
     CUE_TRACK,
     FOLLOW_ARRIVED,
     FOLLOW_LOST,
-    RobotPose,
     coupling_efficiency,
     detect_station_cues,
     intensity_at,
@@ -249,13 +250,13 @@ def _behave_poll(ep: "_Episode"):
     if poll_beacon(ep.world, ep.pose, gain) is None:
         return ep.pose, acts, (EVENT_NO_SIGNAL,)
     beacon = ep.world.beacon
-    if math.dist(ep.pose.pos, beacon.pos) <= beacon.resonance_radius:
+    if math.dist(ep.pose, beacon.pos) <= beacon.resonance_radius:
         return ep.pose, acts, (EVENT_FOUND,)
     return step_seek_intensity(ep.world, ep.pose), acts, ()
 
 
 def _behave_engage(ep: "_Episode"):
-    if coupling_efficiency(ep.world, ep.pose.pos) > 0.0:
+    if coupling_efficiency(ep.world, ep.pose) > 0.0:
         return ep.pose, {"process"}, (EVENT_LOCATED,)
     return ep.pose, {"process"}, (EVENT_NO_SIGNAL,)
 
@@ -302,9 +303,8 @@ class _Episode:
         self.rng: random.Random | None = None
         self.draws: list[tuple[int, int]] = []
         self.energy: EnergyState = self.profile.initial_state()
-        self.pose = RobotPose(pos=self.world.robot_start)
+        self.pose = self.world.robot_start
         self.instance: MachineInstance = start_instance(self.scenario)
-        self.vocabulary = self.scenario.event_vocabulary()
         self.watcher = ThresholdWatcher(self.profile.thresholds)
         self.queue: deque[str] = deque()
         self.trace = trace
@@ -326,17 +326,16 @@ class _Episode:
 
     def signal_sufficient(self) -> bool:
         beacon = self.world.beacon
-        return beacon is not None and intensity_at(self.world, self.pose.pos) >= beacon.i_min
+        return beacon is not None and intensity_at(self.world, self.pose) >= beacon.i_min
 
     def guard(self, name: str) -> bool:
         if name == "isSignalSufficient":
             return self.signal_sufficient()
         if name == "batteryFull":
             return self.energy.battery >= self.energy.battery_capacity
-        if name == "powerLow":
-            return self.energy.battery_frac < self.profile.thresholds.low_frac
-        if name == "powerLower":
-            return self.energy.battery_frac < self.profile.thresholds.lower_frac
+        if name in ("powerLow", "powerLower"):
+            low, lower = hunger(self.energy.battery_frac, *self.profile.thresholds)
+            return low if name == "powerLow" else lower
         raise ValueError(f"unknown guard '{name}'")
 
     def randrange(self, stop: int) -> int:
@@ -364,7 +363,7 @@ class _Episode:
 
     def _enqueue(self, events) -> None:
         for event in events:
-            if event in self.vocabulary:
+            if event in self.instance.events:
                 self.queue.append(event)
 
     def _dispatch(self, event: str) -> None:
@@ -410,7 +409,7 @@ class _Episode:
         if source == SOURCE_STATION and self.world.station is not None:
             return source, self.world.station.charge_rate
         if source == SOURCE_WIRELESS and self.world.beacon is not None:
-            return source, coupling_efficiency(self.world, self.pose.pos) * self.world.beacon.tx_power
+            return source, coupling_efficiency(self.world, self.pose) * self.world.beacon.tx_power
         return SOURCE_NONE, 0.0
 
     # -- feeding cycle -------------------------------------------------------
@@ -486,7 +485,7 @@ class _Episode:
 
             behavior = BEHAVIORS.get(self.instance.leaf_state_name() or "", _behave_idle)
             pose, activities, events = behavior(self)
-            if pose.pos != self.pose.pos:
+            if pose != self.pose:
                 activities.add("move")
             self.pose = pose
             self._enqueue(events)
@@ -509,7 +508,7 @@ class _Episode:
                     0 < self.profile.max_charge_ticks <= self.charge_ticks
                 )
                 if (full or timed_out) and not self.wait_sent:
-                    if EVENT_WAIT_TIMER in self.vocabulary:
+                    if EVENT_WAIT_TIMER in self.instance.events:
                         self.queue.append(EVENT_WAIT_TIMER)
                         self.wait_sent = True
                         self.recharges[source] += 1
@@ -521,7 +520,7 @@ class _Episode:
                 # the tick's record; path, pose and mood (charging, or a
                 # function of the two predicates) hold for the stretch after it
                 record = _Stretch(step, "/".join(self.instance.path),
-                                  mood_of(self.energy, self.profile.thresholds), *self.pose.pos,
+                                  mood_of(self.energy, self.profile.thresholds), *self.pose,
                                   [self.energy.battery], [self.energy.capacitor])
             dead = self.energy.depleted
             if not (

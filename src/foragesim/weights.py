@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple, Protocol, TextIO
 
-from .scenario import IDENT_RE, read_number
+from .scenario import IDENT_RE, ScenarioError, decode_text, read_number
 
 TOLERANCE = 0.1
 # absorbs representation error when grid-valued weights differ by exactly 0.1
@@ -174,23 +174,24 @@ def save_weights(table: WeightTable, path: str | Path) -> None:
 def load_weights(path: str | Path) -> WeightTable:
     """Read a weights CSV; a missing file yields a fresh zero table with a warning.
 
-    Weights are read as the DSL reads numbers (`scenario.read_number`), and
-    counters are plain ASCII digits, so a `+`, `_`, an exponent or space
-    around a value is an error. A malformed row, a node or option that is
-    not a DSL identifier, or a second row for the same (node, option),
-    raises `WeightsFileError` at the file line on which the row starts.
+    The bytes are decoded as a `.scn` file's are (`scenario.decode_text`:
+    UTF-8, one leading byte-order mark dropped). Weights are read as the DSL
+    reads numbers (`scenario.read_number`), and counters are plain ASCII
+    digits, so a `+`, `_`, an exponent or space around a value is an error.
+    A malformed row, a node or option that is not a DSL identifier, or a
+    second row for the same (node, option), raises `WeightsFileError` at the
+    file line on which the row starts.
     """
     path = Path(path)
     table = WeightTable()
     if not path.exists():
         warnings.warn(f"weights file {path} not found; starting from a zero table")
         return table
-    data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # lines end at "\n", "\r\n" and a lone "\r", as for the reader below
-        raise WeightsFileError("not UTF-8 text", len((data[: exc.start] + b"?").splitlines())) from None
+        text = decode_text(path.read_bytes())
+    except ScenarioError as exc:  # lines end as for the reader below
+        [diag] = exc.diagnostics
+        raise WeightsFileError(diag.message, diag.line) from None
     reader = csv.reader(io.StringIO(text, newline=""))
     next_line = 1  # a quoted field may span lines, so a row starts after the last one read
     for row in reader:

@@ -67,10 +67,6 @@ class WorldMap(NamedTuple):
         return 0 <= x < self.width and 0 <= y < self.height
 
 
-class RobotPose(NamedTuple):
-    pos: Cell
-
-
 class CueReading(NamedTuple):
     ir_detected: bool = False
     track_detected: bool = False
@@ -97,17 +93,17 @@ def coupling_efficiency(world: WorldMap, pos: Cell) -> float:
     return 1.0 / (1.0 + (d / b.resonance_radius) ** 2)
 
 
-def poll_beacon(world: WorldMap, pose: RobotPose, gain: float) -> float | None:
+def poll_beacon(world: WorldMap, pos: Cell, gain: float) -> float | None:
     """Polling response: field strength when in gain-scaled poll range, else None."""
     if world.beacon is None:
         return None
     b = world.beacon
-    if math.dist(pose.pos, b.pos) > b.poll_radius * gain:
+    if math.dist(pos, b.pos) > b.poll_radius * gain:
         return None
-    return intensity_at(world, pose.pos)
+    return intensity_at(world, pos)
 
 
-def detect_station_cues(world: WorldMap, pose: RobotPose, gain: float) -> CueReading:
+def detect_station_cues(world: WorldMap, pos: Cell, gain: float) -> CueReading:
     """Sense the station's IR signal and track path from the current cell.
 
     IR is detected within the gain-scaled IR radius (inclusive); the track is
@@ -119,10 +115,10 @@ def detect_station_cues(world: WorldMap, pose: RobotPose, gain: float) -> CueRea
     track_detected = False
     cells = st.track_cells()
     if cells:
-        nearest = min(cells, key=lambda c: (math.dist(pose.pos, c), c))
-        track_detected = math.dist(pose.pos, nearest) <= 1.0 * gain
+        nearest = min(cells, key=lambda c: (math.dist(pos, c), c))
+        track_detected = math.dist(pos, nearest) <= 1.0 * gain
     return CueReading(
-        ir_detected=math.dist(pose.pos, st.pos) <= st.ir_radius * gain,
+        ir_detected=math.dist(pos, st.pos) <= st.ir_radius * gain,
         track_detected=track_detected,
     )
 
@@ -141,9 +137,7 @@ def _greedy_step(world: WorldMap, pos: Cell, goal: Cell) -> Cell:
     return best
 
 
-def step_follow(
-    world: WorldMap, pose: RobotPose, cue: str, gain: float = 1.0
-) -> tuple[RobotPose, str]:
+def step_follow(world: WorldMap, pos: Cell, cue: str, gain: float = 1.0) -> tuple[Cell, str]:
     """Advance one cell along a detected cue toward the station.
 
     IR moves greedily toward the station position; track moves along the
@@ -153,44 +147,41 @@ def step_follow(
     """
     st = world.station
     if st is None:
-        return pose, FOLLOW_LOST
-    if pose.pos == st.pos:
-        return pose, FOLLOW_ARRIVED
+        return pos, FOLLOW_LOST
+    if pos == st.pos:
+        return pos, FOLLOW_ARRIVED
 
     if cue == CUE_IR:
-        nxt = _greedy_step(world, pose.pos, st.pos)
+        nxt = _greedy_step(world, pos, st.pos)
     elif cue == CUE_TRACK:
-        if pose.pos in st.track:
-            idx = st.track.index(pose.pos)
+        if pos in st.track:
+            idx = st.track.index(pos)
             target = st.track[min(idx + 1, len(st.track) - 1)]
         else:
             cells = st.track_cells()
             if not cells:
-                return pose, FOLLOW_LOST
-            target = min(cells, key=lambda c: (math.dist(pose.pos, c), c))
-        nxt = _greedy_step(world, pose.pos, target)
+                return pos, FOLLOW_LOST
+            target = min(cells, key=lambda c: (math.dist(pos, c), c))
+        nxt = _greedy_step(world, pos, target)
     else:
         raise ValueError(f"unknown cue {cue!r}")
 
-    new_pose = RobotPose(pos=nxt)
     if nxt == st.pos:
-        return new_pose, FOLLOW_ARRIVED
-    after = detect_station_cues(world, new_pose, gain)
+        return nxt, FOLLOW_ARRIVED
+    after = detect_station_cues(world, nxt, gain)
     still = after.ir_detected if cue == CUE_IR else after.track_detected
-    return new_pose, (FOLLOW_PROGRESSING if still else FOLLOW_LOST)
+    return nxt, (FOLLOW_PROGRESSING if still else FOLLOW_LOST)
 
 
-def step_seek_intensity(world: WorldMap, pose: RobotPose) -> RobotPose:
+def step_seek_intensity(world: WorldMap, pos: Cell) -> Cell:
     """Climb the beacon field one cell, or stay put at a local maximum."""
-    best_pos = pose.pos
-    best_i = intensity_at(world, pose.pos)
+    best_pos = pos
+    best_i = intensity_at(world, pos)
     for dx, dy in _STEPS:
-        nxt = (pose.pos[0] + dx, pose.pos[1] + dy)
+        nxt = (pos[0] + dx, pos[1] + dy)
         if not world.in_grid(nxt):
             continue
         i = intensity_at(world, nxt)
         if i > best_i:
             best_pos, best_i = nxt, i
-    if best_pos == pose.pos:
-        return pose
-    return RobotPose(pos=best_pos)
+    return best_pos

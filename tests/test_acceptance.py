@@ -25,7 +25,7 @@ from foragesim.sim import (
 )
 from foragesim.statemachine import AUTO, STATUS_RUNNING, StaticContext, dispatch, start_instance
 from foragesim.weights import WeightEntry, WeightTable, record_outcome, select_option
-from foragesim.world import BeaconSpec, RobotPose, WorldMap, step_seek_intensity
+from foragesim.world import BeaconSpec, WorldMap, step_seek_intensity
 
 from genscenarios import random_scenario
 
@@ -284,10 +284,10 @@ def test_criterion_9_seek_intensity_convergence():
         goal = (41, 23)
         for x in range(64):
             for y in range(64):
-                pose = RobotPose((x, y))
+                pose = (x, y)
                 for _ in range(128):
-                    if pose.pos == goal:
+                    if pose == goal:
                         break
                     pose = step_seek_intensity(world, pose)
-                assert pose.pos == goal, f"stuck from ({x}, {y}) at {pose.pos}"
+                assert pose == goal, f"stuck from ({x}, {y}) at {pose}"
         assert time.monotonic() - started < 5.0

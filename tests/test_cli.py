@@ -273,6 +273,40 @@ class TestNotUtf8Scenario:
         assert capsys.readouterr().err == f"{path}:3:1: error: not UTF-8 text\n"
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark is read as the text after it."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_validates_clean(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.scn"
+        path.write_bytes(b"\xef\xbb\xbf" + builtin_scenario_text(name).encode())
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_run_gives_the_same_stdout_and_trace(self, tmp_path, capsys):
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            folder = tmp_path / ("bom" if bom else "plain")
+            folder.mkdir()
+            path = folder / "dual_source.scn"
+            path.write_bytes(bom + builtin_scenario_text("dual_source").encode())
+            assert main(["run", str(path), "--seed", "3", "--steps", "3000",
+                         "--trace", str(folder / "trace.jsonl")]) == 0
+            outputs.append((capsys.readouterr().out, (folder / "trace.jsonl").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_bad_byte_after_it_is_on_the_same_line(self, newline, tmp_path, capsys):
+        lines = [b"[machine top entry]", b"initial -> a", b"# \xff", b"state a", b""]
+        errors = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "bad.scn"
+            path.write_bytes(bom + newline.join(lines))
+            assert main(["validate", str(path)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"{path}:3:1: error: not UTF-8 text\n"
+
+
 class TestStuckMachine:
     @pytest.mark.parametrize("verb", [["run"], ["mc", "--episodes", "2"]])
     def test_auto_cycle_exits_four_with_step_path_and_event(self, verb, scenario_file, capsys):

@@ -29,7 +29,6 @@ from foragesim.sim import (
 )
 from foragesim.statemachine import MachineStuckError
 from foragesim.weights import WeightTable, record_outcome
-from foragesim.world import RobotPose
 
 sys.path.insert(0, str(Path(__file__).parent))
 from genscenarios import random_scenario  # noqa: E402
@@ -197,7 +196,7 @@ def _set_watcher(episode):
 # each changes one part of the loop state of a fresh `dual_source` life
 _PARTS = {
     "energy": lambda ep: setattr(ep, "energy", ep.energy._replace(battery=50.0)),
-    "pose": lambda ep: setattr(ep, "pose", RobotPose((0, 0))),
+    "pose": lambda ep: setattr(ep, "pose", (0, 0)),
     "pursuits": lambda ep: ep.instance.pursuits[-1].append(("seek", "find_station")),
     "watcher": _set_watcher,
     "charge_ticks": lambda ep: setattr(ep, "charge_ticks", 3),
@@ -282,6 +281,23 @@ class TestJump:
         assert jumps.asked > 3 * CYCLE_STATES
         assert max(jumps.sizes) == CYCLE_STATES
         assert not jumps.jumps
+
+    # dual_source's thresholds are at 50% and 25% of a 100-unit battery
+    @pytest.mark.parametrize("batteries", [(60.0, 90.0), (30.0, 45.0), (5.0, 20.0)],
+                             ids=["above_low", "between", "below_lower"])
+    def test_the_watcher_is_keyed_by_its_flags_alone(self, batteries):
+        # its last fraction does not decide its next events, so it is no part of the key
+        scenario, keys = builtin_scenario("dual_source"), []
+        for battery in batteries:
+            episode = sim._Episode(SimConfig(scenario), WeightTable(scenario.seed_weights), None)
+            episode.watcher.update(episode.energy._replace(battery=battery))
+            keys.append(episode._loop_state())
+        assert keys[0] == keys[1]
+
+    def test_a_watcher_update_that_flips_no_flag_is_a_repeat(self):
+        episode = _keyed_at_100()
+        episode.watcher.update(episode.energy._replace(battery=60.0))
+        assert episode._periods(200) == JUMPED_AT_200
 
     def test_a_successful_feeding_cycle_is_jumped(self, tmp_path, monkeypatch):
         jumps = _Jumps(monkeypatch)

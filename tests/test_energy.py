@@ -215,6 +215,38 @@ class TestWatcherAgainstTwoFlags:
             assert watcher.update(s) == reference.update(s), frac
 
 
+def _mood_with_empty_clause(s, th):
+    """`mood_of` as it was written with an `s.battery <= 0.0` distress clause
+    of its own, beside the fraction below the lower threshold."""
+    if s.depleted:
+        return MOOD_DEAD
+    if s.charging_source != SOURCE_NONE:
+        return MOOD_CHARGING
+    if s.battery <= 0.0 or s.battery_frac < th.lower_frac:
+        return MOOD_DISTRESSED
+    if s.battery_frac < th.low_frac:
+        return MOOD_SEEKING
+    return MOOD_NORMAL
+
+
+class TestMoodAgainstEmptyClause:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_same_mood(self, data):
+        # an empty battery's fraction is 0.0 (or -0.0), below any valid lower threshold
+        lower = data.draw(st.floats(0.0, 0.98, exclude_min=True))
+        th = Thresholds(data.draw(st.floats(lower, 0.99).filter(lambda v: v > lower)), lower)
+        b_cap = data.draw(st.floats(1e-300, 1e300))
+        edges = [0.0, -0.0, b_cap] + [f(level * b_cap) for level in th for f in (
+            lambda v: v, lambda v: math.nextafter(v, 0), lambda v: math.nextafter(v, math.inf))]
+        battery = data.draw(st.one_of(st.sampled_from(edges), st.floats(0.0, b_cap)))
+        c_cap = data.draw(st.floats(0.0, 1e6, exclude_min=True))
+        capacitor = data.draw(st.one_of(st.just(0.0), st.floats(0.0, c_cap)))
+        source = data.draw(st.sampled_from([SOURCE_NONE, SOURCE_STATION, SOURCE_WIRELESS]))
+        s = state(battery=battery, capacitor=capacitor, b_cap=b_cap, c_cap=c_cap, source=source)
+        assert mood_of(s, th) == _mood_with_empty_clause(s, th)
+
+
 class TestProfile:
     def test_initial_levels_default_to_capacity(self):
         p = EnergyProfile(battery_capacity=42.0, capacitor_capacity=7.0)

@@ -478,3 +478,80 @@ def _stretches(draw):
 @given(_stretches())
 def test_idle_jump_matches_the_tick_loop_generated(stretch):
     _assert_jump_exact(*stretch)
+
+
+# -- a charging stretch against full ticks' tick_discharge and apply_charge --
+
+
+def _full_ticks(state, profile, source, power, budget, seen):
+    """Full ticks' levels, one `tick_discharge(s, set(), rates)` then
+    `apply_charge` each, up to `budget`, stopping before the tick that flips
+    `powerLow` or `powerLower`, fills the battery or empties both stores:
+    (batteries, capacitors, the state after them). Adds to `seen` the kinds
+    of tick the stretch holds."""
+    th, idle = profile.thresholds, profile.rates.idle
+
+    def flags(s):
+        return s.battery_frac < th.low_frac, s.battery_frac < th.lower_frac
+
+    batteries, capacitors = [], []
+    while len(batteries) < budget:
+        drained = energy.tick_discharge(state, set(), profile.rates)
+        after = energy.apply_charge(drained, source, power)
+        if (flags(after) != flags(state) or after.battery >= after.battery_capacity > state.battery
+                or after.depleted):
+            break
+        seen.update(kind for kind, here in (
+            ("below_drain", state.battery < idle),
+            ("capacitor_floor", state.capacitor < idle - state.battery),
+            ("clamp", drained.battery + power > after.battery == after.battery_capacity),
+            ("spill", after.capacitor > drained.capacitor),
+        ) if here)
+        state = after
+        batteries.append(state.battery)
+        capacitors.append(state.capacitor)
+    return batteries, capacitors, state
+
+
+@st.composite
+def _charging_stretches(draw):
+    source = draw(st.sampled_from([energy.SOURCE_STATION, energy.SOURCE_WIRELESS]))
+    capacity = draw(st.floats(0.5, 200.0))
+    capacitor_capacity = draw(st.floats(0.0, 10.0))
+    idle = draw(st.floats(0.0, 2.0))
+    power = draw(st.one_of(st.floats(0.0, 3.0), st.just(idle), st.just(0.0)))
+    battery = draw(st.one_of(
+        st.floats(0.0, capacity),
+        st.just(capacity),  # full: each charge clamps at capacity, or spills
+        st.floats(0.0, 1.0, exclude_max=True).map(lambda f: min(capacity, f * idle)),  # below the drain
+    ))
+    capacitor = draw(st.one_of(st.floats(0.0, capacitor_capacity), st.just(0.0),
+                               st.just(capacitor_capacity)))
+    lower = draw(st.floats(0.01, 0.8))
+    thresholds = energy.Thresholds(draw(st.floats(lower, 0.99).filter(lambda v: v > lower)), lower)
+    profile = energy.EnergyProfile(capacity, capacitor_capacity, thresholds=thresholds,
+                                   rates=energy.DischargeProfile(idle=idle))
+    state = energy.EnergyState(battery, capacity, capacitor, capacitor_capacity)
+    return state, profile, source, power, draw(st.integers(0, 400))
+
+
+def test_charging_stretch_matches_full_ticks():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_charging_stretches())
+    def check(stretch):
+        state, profile, source, power, budget = stretch
+        batteries, capacitors = [], []
+        n, end = energy.advance_quiet(state, profile, source, power, budget, batteries, capacitors)
+        ref_batteries, ref_capacitors, ref_end = _full_ticks(*stretch, seen)
+        assert n == len(ref_batteries)
+        assert [b.hex() for b in batteries] == [b.hex() for b in ref_batteries]
+        assert [c.hex() for c in capacitors] == [c.hex() for c in ref_capacitors]
+        assert (end.battery.hex(), end.capacitor.hex()) == (ref_end.battery.hex(),
+                                                            ref_end.capacitor.hex())
+        # untraced, the stretch takes the same ticks to the same levels
+        assert energy.advance_quiet(state, profile, source, power, budget) == (n, end)
+
+    check()
+    assert seen == {"below_drain", "capacitor_floor", "clamp", "spill"}

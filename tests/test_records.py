@@ -20,7 +20,7 @@ from foragesim.scenarios import builtin_scenario, builtin_scenario_text
 from foragesim.sim import MEMORY_NONVOLATILE, SimConfig
 from foragesim.statemachine import PursuitOutcome
 from foragesim.weights import WeightEntry, WeightTable
-from foragesim.world import BeaconSpec, CueReading, RobotPose, StationSpec, WorldMap
+from foragesim.world import BeaconSpec, CueReading, StationSpec, WorldMap
 
 TINY = ScenarioDef(
     machines=(MachineDef("top", "a", states=(
@@ -52,7 +52,7 @@ TINY_REPR = (
 # one value of each type that was a frozen dataclass
 FROZEN = [
     DischargeProfile(), Thresholds(), EnergyState(50.0, 100.0, 1.0, 10.0), EnergyProfile(),
-    StationSpec((1, 1), gaps={(1, 2)}), BeaconSpec((2, 2)), WorldMap(4, 3), RobotPose((1, 2)),
+    StationSpec((1, 1), gaps={(1, 2)}), BeaconSpec((2, 2)), WorldMap(4, 3),
     CueReading(), Diagnostic("error", 3, 1, "bad"), WeightEntry(0.5), PursuitOutcome("n", "o", True),
 ]
 

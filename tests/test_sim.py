@@ -180,13 +180,13 @@ class TestEpisode:
 
     def test_signal_sufficiency_guard_tracks_field_threshold(self):
         from foragesim.sim import _Episode
-        from foragesim.world import RobotPose, intensity_at
+        from foragesim.world import intensity_at
 
         scenario = builtin_scenario("wireless_only")
         episode = _Episode(SimConfig(scenario=scenario, seed=0, max_steps=10), WeightTable(), None)
         i_min = scenario.world.beacon.i_min
         for pos in ((12, 6), (10, 6), (6, 6), (0, 0)):
-            episode.pose = RobotPose(pos)
+            episode.pose = pos
             expected = intensity_at(scenario.world, pos) >= i_min
             assert episode.guard("isSignalSufficient") == expected
 

@@ -300,6 +300,22 @@ class TestPersistence:
         with pytest.raises(WeightsFileError, match=f"^{message}$"):
             load_weights(path)
 
+    def test_byte_order_mark_loads_the_same_table(self, tmp_path):
+        table = WeightTable(SIGNAL_VS_TRACK)
+        record_outcome(table, "decision_flow", "follow_ir_signal", success=True)
+        path = tmp_path / "w.csv"
+        save_weights(table, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_weights(path) == table
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_bad_byte_after_a_byte_order_mark_is_on_the_same_line(self, tmp_path, bom):
+        path = tmp_path / "w.csv"
+        path.write_bytes(bom + b"node,option,w_pos,w_neg,successes,failures\n"
+                               b"seek,a,0.5,0.5,0,0\nse\xffek,b,0.5,0.5,0,0\n")
+        with pytest.raises(WeightsFileError, match="^line 3: not UTF-8 text$"):
+            load_weights(path)
+
     # each loaded with `float`/`int` before; the DSL rejects each weight form
     @pytest.mark.parametrize("row, message", [
         ("seek,a,0.1_0,0.5,0,0", "bad number '0.1_0'"),

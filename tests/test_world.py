@@ -11,7 +11,6 @@ from foragesim.world import (
     FOLLOW_LOST,
     FOLLOW_PROGRESSING,
     BeaconSpec,
-    RobotPose,
     StationSpec,
     WorldMap,
     coupling_efficiency,
@@ -76,32 +75,32 @@ class TestCoupling:
 class TestPoll:
     def test_signal_next_to_beacon(self):
         w = beacon_world(poll_radius=8.0)
-        assert poll_beacon(w, RobotPose((9, 8)), gain=1.0) > 0
+        assert poll_beacon(w, (9, 8), gain=1.0) > 0
 
     def test_out_of_range_is_none(self):
         w = beacon_world(pos=(0, 8), poll_radius=8.0)
-        assert poll_beacon(w, RobotPose((9, 8)), gain=1.0) is None
+        assert poll_beacon(w, (9, 8), gain=1.0) is None
 
     def test_gain_halves_effective_radius(self):
         w = beacon_world(pos=(0, 8), poll_radius=8.0)
-        assert poll_beacon(w, RobotPose((8, 8)), gain=1.0) is not None
-        assert poll_beacon(w, RobotPose((8, 8)), gain=0.5) is None
+        assert poll_beacon(w, (8, 8), gain=1.0) is not None
+        assert poll_beacon(w, (8, 8), gain=0.5) is None
 
 
 class TestStationCues:
     def test_on_track_cell_detects_track(self):
         w = station_world(track=[(2, 4), (2, 3), (2, 2)])
-        cues = detect_station_cues(w, RobotPose((2, 4)), gain=1.0)
+        cues = detect_station_cues(w, (2, 4), gain=1.0)
         assert cues.track_detected
 
     def test_ir_radius_is_inclusive(self):
         w = station_world(ir_radius=5.0)
-        cues = detect_station_cues(w, RobotPose((7, 2)), gain=1.0)  # d exactly 5
+        cues = detect_station_cues(w, (7, 2), gain=1.0)  # d exactly 5
         assert cues.ir_detected
 
     def test_far_from_everything_detects_nothing(self):
         w = station_world(ir_radius=3.0, track=[(2, 3), (2, 2)])
-        cues = detect_station_cues(w, RobotPose((14, 11)), gain=1.0)
+        cues = detect_station_cues(w, (14, 11), gain=1.0)
         assert not cues.ir_detected and not cues.track_detected
 
     def test_gap_cells_are_invisible(self):
@@ -113,7 +112,7 @@ class TestStationCues:
                 gaps=frozenset({(2, 4)}),
             ),
         )
-        cues = detect_station_cues(w, RobotPose((3, 4)), gain=1.0)
+        cues = detect_station_cues(w, (3, 4), gain=1.0)
         # adjacent only to the gap cell, which does not count
         assert cues.track_detected is False
 
@@ -121,32 +120,32 @@ class TestStationCues:
 class TestFollow:
     def test_adjacent_ir_step_arrives(self):
         w = station_world()
-        pose, status = step_follow(w, RobotPose((3, 2)), CUE_IR)
+        pose, status = step_follow(w, (3, 2), CUE_IR)
         assert status == FOLLOW_ARRIVED
-        assert pose.pos == (2, 2)
+        assert pose == (2, 2)
 
     def test_mid_track_advances_along_polyline(self):
         w = station_world(track=[(2, 5), (2, 4), (2, 3), (2, 2)])
-        pose, status = step_follow(w, RobotPose((2, 4)), CUE_TRACK)
+        pose, status = step_follow(w, (2, 4), CUE_TRACK)
         assert status == FOLLOW_PROGRESSING
-        assert pose.pos == (2, 3)
+        assert pose == (2, 3)
 
     def test_track_step_onto_station_arrives(self):
         w = station_world(track=[(2, 3), (2, 2)])
-        pose, status = step_follow(w, RobotPose((2, 3)), CUE_TRACK)
+        pose, status = step_follow(w, (2, 3), CUE_TRACK)
         assert status == FOLLOW_ARRIVED
 
     def test_off_track_step_moves_to_nearest_track_cell(self):
         w = station_world(track=[(2, 5), (2, 4), (2, 3), (2, 2)])
-        pose, status = step_follow(w, RobotPose((3, 5)), CUE_TRACK)
-        assert pose.pos == (2, 5)
+        pose, status = step_follow(w, (3, 5), CUE_TRACK)
+        assert pose == (2, 5)
         assert status == FOLLOW_PROGRESSING
 
     def test_gain_drop_loses_ir_after_step(self):
         # detected at the old gain, but the step leaves it outside the new range
         w = station_world(ir_radius=10.0)
-        pose, status = step_follow(w, RobotPose((12, 2)), CUE_IR, gain=0.5)
-        assert pose.pos == (11, 2)
+        pose, status = step_follow(w, (12, 2), CUE_IR, gain=0.5)
+        assert pose == (11, 2)
         assert status == FOLLOW_LOST
 
     def test_wide_track_gap_loses_the_path(self):
@@ -158,46 +157,46 @@ class TestFollow:
                 gaps=frozenset({(2, 6), (2, 5), (2, 4)}),
             ),
         )
-        pose, status = step_follow(w, RobotPose((2, 6)), CUE_TRACK)
-        assert pose.pos == (2, 5)  # marches into the gap
+        pose, status = step_follow(w, (2, 6), CUE_TRACK)
+        assert pose == (2, 5)  # marches into the gap
         assert status == FOLLOW_LOST
 
 
 class TestSeekIntensity:
     def test_moves_toward_beacon_due_east(self):
         w = beacon_world(pos=(12, 8))
-        pose = step_seek_intensity(w, RobotPose((8, 8)))
-        assert pose.pos == (9, 8)
+        pose = step_seek_intensity(w, (8, 8))
+        assert pose == (9, 8)
 
     def test_stays_on_beacon_cell(self):
         w = beacon_world(pos=(8, 8))
-        pose = RobotPose((8, 8))
+        pose = (8, 8)
         assert step_seek_intensity(w, pose) is pose
 
     def test_ties_prefer_north_first(self):
         # equidistant N and S neighbours; N wins by priority
         w = beacon_world(pos=(4, 8))
-        pose = step_seek_intensity(w, RobotPose((8, 8)))
-        assert pose.pos == (7, 8)  # W strictly reduces distance, no tie here
+        pose = step_seek_intensity(w, (8, 8))
+        assert pose == (7, 8)  # W strictly reduces distance, no tie here
         w2 = beacon_world(pos=(8, 8))
-        pose2 = step_seek_intensity(w2, RobotPose((10, 10)))
+        pose2 = step_seek_intensity(w2, (10, 10))
         # N (10,9) and W (9,10) are equidistant from (8,8); N is checked first
-        assert pose2.pos == (10, 9)
+        assert pose2 == (10, 9)
 
     def test_converges_from_every_cell_of_small_grid(self):
         w = beacon_world(width=12, height=9, pos=(3, 5))
         for x in range(12):
             for y in range(9):
-                pose = RobotPose((x, y))
+                pose = (x, y)
                 for _ in range(12 + 9):
-                    if pose.pos == (3, 5):
+                    if pose == (3, 5):
                         break
                     nxt = step_seek_intensity(w, pose)
-                    assert intensity_at(w, nxt.pos) > intensity_at(w, pose.pos)
+                    assert intensity_at(w, nxt) > intensity_at(w, pose)
                     pose = nxt
-                assert pose.pos == (3, 5)
+                assert pose == (3, 5)
 
     def test_no_beacon_means_stay_put(self):
         w = WorldMap(width=6, height=6)
-        pose = RobotPose((3, 3))
+        pose = (3, 3)
         assert step_seek_intensity(w, pose) is pose
