@@ -8,7 +8,9 @@ threshold watcher turns each downward battery crossing into one
 edge-triggered event.
 
 Full ticks, quiet stretches, moods and the watcher share one drain step, one
-charge step and one hunger test (`hunger`: the powerLow and powerLower flags).
+charge step, one hunger test (`hunger`: the powerLow and powerLower flags),
+one `batteryFull` test (`battery_full`) and one test for both stores empty
+(`stores_empty`).
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class EnergyState(NamedTuple):
 
     @property
     def depleted(self) -> bool:
-        return self.battery <= 0.0 and self.capacitor <= 0.0
+        return stores_empty(self.battery, self.capacitor)
 
 
 class _EnergyFields(NamedTuple):
@@ -164,6 +166,16 @@ def _charge(battery: float, capacitor: float, capacity: float, capacitor_capacit
 def hunger(frac: float, low_frac: float, lower_frac: float) -> tuple[bool, bool]:
     """`(powerLow, powerLower)` at battery fraction `frac`: below each threshold."""
     return frac < low_frac, frac < lower_frac
+
+
+def battery_full(battery: float, capacity: float) -> bool:
+    """`batteryFull`: the battery at its capacity."""
+    return battery >= capacity
+
+
+def stores_empty(battery: float, capacitor: float) -> bool:
+    """Battery and capacitor both empty: the life is over."""
+    return battery <= 0.0 and capacitor <= 0.0
 
 
 def tick_discharge(state: EnergyState, active: set[str], profile: DischargeProfile) -> EnergyState:
@@ -272,9 +284,9 @@ def advance_quiet(
         b, c = _drain(battery, capacitor, drain)
         if source != SOURCE_NONE:
             b, c = _charge(b, c, capacity, capacitor_capacity, source, power)
-            if b >= capacity > battery:
+            if battery_full(b, capacity) and not battery_full(battery, capacity):
                 break
-        if hunger(b / capacity, low_frac, lower_frac) != hungry or (b <= 0.0 and c <= 0.0):
+        if hunger(b / capacity, low_frac, lower_frac) != hungry or stores_empty(b, c):
             break
         n += 1
         battery, capacitor = b, c

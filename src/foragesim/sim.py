@@ -31,8 +31,8 @@ flags of its last update and fires a threshold only when its flag turns on,
 so it fires nothing in the stretch and ends it with the flags each tick would
 leave. Path, pose (a cell) and mood stay constant over the stretch.
 
-A robot that has learned to feed settles into a feeding cycle, so an
-untraced life jumps whole periods of it. After each quiet stretch it keys
+A robot that has learned to feed settles into a feeding cycle, so a life
+jumps whole periods of it, traced or not. After each quiet stretch it keys
 its loop state: the energy, the pose, the machine's states (by identity),
 open pursuits and status, the watcher's flags, the charge count, the
 charge-timer flag and the queue; all that the loop reads but the weights,
@@ -48,12 +48,23 @@ unique least failure weight: the choice is the same, again without a draw.
 (A node that picked two options could swap them as both failure weights
 halve, until halving among subnormals ties them and the life draws.) Levels
 compare by value, so 0.0 and -0.0 share a key, and no comparison in the
-loop tells them apart. The life then adds `k` periods' choices and
-recharges, as many as end before its last tick, and replays each weight
-update `k` times through `record_outcome`, not in closed form, because
-repeated halving rounds differently among subnormals. The ticks after them,
-the last one included, run as before. A traced life writes every row and
-never jumps.
+loop tells them apart. The life then replays `k` periods, as many as end
+before its last tick, and adds their recharges. While it looks for its
+cycle it logs the period in progress: each dispatch's choice and outcome
+calls in the order they were made and, in a traced life, the dispatch's
+transitions and each tick's record. A replay makes each period's calls again
+in that order: a choice is counted and reads its entry as it is then, and
+an outcome goes through `record_outcome` (not in closed form, because
+repeated halving rounds differently among subnormals). A traced life also
+appends each period's records and dispatch rows with their steps moved by
+whole periods, so its trace has the bytes of a life that simulated every
+period. Order matters there: a choice row carries the weights its choice
+read, and a dispatch's outcome rows follow all its transitions, so a choice
+made after an outcome of its own dispatch shows a weight that outcome moved,
+though the outcome's row comes later. The log starts over with the key
+table, and the table with a log of CYCLE_STATES items, so a streamed life's
+memory does not grow with its horizon. The ticks after the replayed periods,
+the last one included, run as before.
 
 The seed reaches a life only through the rng that breaks an exact tie in
 `select_option`, and that rng is built at the first draw, so a life that
@@ -100,6 +111,7 @@ from .energy import (
     ThresholdWatcher,
     advance_quiet,
     apply_charge,
+    battery_full,
     hunger,
     mood_of,
     sensor_gain,
@@ -144,9 +156,9 @@ EVENT_NO_SIGNAL = "no_signal"
 # it), so that a streamed trace's memory does not grow with a long stretch
 STRETCH_ROWS = 1024
 
-# the most loop states an untraced life keeps while it looks for its feeding
-# cycle; a full table starts over, so a cycle with fewer quiet stretches per
-# period than this is still found
+# the most loop states a life keys, and the most items its period log holds,
+# while it looks for its feeding cycle; either one full starts both over, so a
+# cycle whose period has fewer quiet stretches and items than this is found
 CYCLE_STATES = 512
 
 # state name -> charging source while the robot sits in it
@@ -285,8 +297,9 @@ class _Episode:
     """One life, and the dispatch context its machine runs in.
 
     `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`;
-    the last two note what they did, and `_dispatch` turns the notes into
-    trace rows once the run to completion is over. `choose` hands itself to
+    the last two make their call through `_call`, which notes it in `calls`,
+    and `_dispatch` turns the notes into trace rows once the run to
+    completion is over. `choose` hands itself to
     `select_option` as the rng: its `randrange` seeds `rng` at the first
     draw, which stays None in a life that never draws, and notes each draw
     in `draws` as `(stop, value)`. Rows are built only when the life has a
@@ -315,12 +328,14 @@ class _Episode:
         self.charge_ticks = 0
         self.wait_sent = False
         self.step = 0
-        # untraced: loop state after a quiet stretch -> its mark (see `_periods`)
-        self.seen: dict | None = {} if trace is None else None
-        # per dispatch: the weights each choice consulted, and each outcome's
-        # (state path, node, option, success, weights before, weights after)
-        self.consulted: list[weights_mod.WeightEntry] = []
-        self.outcomes: list[tuple] = []
+        # until the life jumps: loop state after a quiet stretch -> its mark,
+        # and the log of the period in progress (see `_periods`)
+        self.seen: dict | None = {}
+        self.log: list = []
+        # the dispatch's calls, each (node, option, outcome, weights before,
+        # weights after): a choice's outcome and after are None, an outcome's
+        # outcome is (state path, success)
+        self.calls: list[tuple] = []
 
     # -- dispatch context ----------------------------------------------------
 
@@ -332,7 +347,7 @@ class _Episode:
         if name == "isSignalSufficient":
             return self.signal_sufficient()
         if name == "batteryFull":
-            return self.energy.battery >= self.energy.battery_capacity
+            return battery_full(self.energy.battery, self.energy.battery_capacity)
         if name in ("powerLow", "powerLower"):
             low, lower = hunger(self.energy.battery_frac, *self.profile.thresholds)
             return low if name == "powerLow" else lower
@@ -349,15 +364,24 @@ class _Episode:
     def choose(self, node: str, options: tuple[str, ...]) -> str:
         chosen = select_option(self.table, node, options, self)
         self.choice_fired = True
-        self.choices_made[(node, chosen)] += 1
         self.first_choices.setdefault(node, chosen)
-        self.consulted.append(self.table.get(node, chosen))
+        self._call(node, chosen)
         return chosen
 
     def outcome(self, node: str, option: str, success: bool) -> None:
+        self._call(node, option, (self.instance.path, success))
+
+    def _call(self, node: str, option: str, outcome: tuple | None = None) -> None:
+        """Count a choice of `option`, or record the outcome `(path, success)`
+        of one, and note the call with the weights it read and left; a live
+        dispatch and a replayed period make their calls here alike."""
         before = self.table.get(node, option)
-        after = record_outcome(self.table, node, option, success)
-        self.outcomes.append((self.instance.path, node, option, success, before, after))
+        if outcome is None:
+            self.choices_made[(node, option)] += 1
+            after = None
+        else:
+            after = record_outcome(self.table, node, option, outcome[1])
+        self.calls.append((node, option, outcome, before, after))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -367,18 +391,21 @@ class _Episode:
                 self.queue.append(event)
 
     def _dispatch(self, event: str) -> None:
-        self.consulted.clear()
-        self.outcomes.clear()
+        self.calls = []
         records = dispatch(self.instance, event, self)
         if self.trace is not None:
-            self._trace_dispatch(records)
+            self._trace_dispatch(self.step, records, self.calls)
+        # a replay needs a dispatch's calls, and its transitions if traced
+        if self.seen and (self.calls if self.trace is None else records):
+            self._note((self.step, records, self.calls))
         if self.instance.status != STATUS_RUNNING:
             self.instance = start_instance(self.scenario)
 
-    def _trace_dispatch(self, records) -> None:
-        """Append one dispatch's rows: transitions in firing order (a choice
-        row carries the weights it consulted), then the outcomes."""
-        consulted = iter(self.consulted)
+    def _trace_dispatch(self, step: int, records, calls) -> None:
+        """Append the rows of one dispatch at `step`: transitions in firing
+        order (a choice row carries the weights its choice read), then the
+        outcomes."""
+        consulted = (before for _, _, outcome, before, _ in calls if outcome is None)
         for rec in records:
             if rec.note is not None:
                 continue
@@ -386,22 +413,24 @@ class _Episode:
                 # the choice left its node, the innermost state of from_path
                 entry = next(consulted)
                 self.trace.append(TraceEvent(
-                    step=self.step, state="/".join(rec.from_path), event=TRIGGER_CHOICE,
+                    step=step, state="/".join(rec.from_path), event=TRIGGER_CHOICE,
                     node=rec.from_path[-1], option=rec.chosen_option,
                     w_pos_before=entry.w_pos, w_neg_before=entry.w_neg,
                 ))
             else:
                 self.trace.append(TraceEvent(
-                    step=self.step, state="/".join(rec.to_path), event=rec.trigger,
+                    step=step, state="/".join(rec.to_path), event=rec.trigger,
                 ))
-        for path, node, option, success, before, after in self.outcomes:
-            self.trace.append(TraceEvent(
-                step=self.step, state="/".join(path),
-                event="outcome_success" if success else "outcome_failure",
-                node=node, option=option,
-                w_pos_before=before.w_pos, w_pos_after=after.w_pos,
-                w_neg_before=before.w_neg, w_neg_after=after.w_neg,
-            ))
+        for node, option, outcome, before, after in calls:
+            if outcome is not None:
+                path, success = outcome
+                self.trace.append(TraceEvent(
+                    step=step, state="/".join(path),
+                    event="outcome_success" if success else "outcome_failure",
+                    node=node, option=option,
+                    w_pos_before=before.w_pos, w_pos_after=after.w_pos,
+                    w_neg_before=before.w_neg, w_neg_after=after.w_neg,
+                ))
 
     def _charging(self) -> tuple[str, float]:
         """The leaf's charging source and the power it gives this tick."""
@@ -422,50 +451,71 @@ class _Episode:
             inst.status, self.watcher.last, self.charge_ticks, self.wait_sent, tuple(self.queue),
         )
 
+    def _note(self, item) -> None:
+        """Log a tick's record or a dispatch in the period in progress; a full
+        log starts the search over, so it never holds more than CYCLE_STATES."""
+        if len(self.log) < CYCLE_STATES:
+            self.log.append(item)
+        else:
+            self.seen.clear()
+            self.log.clear()
+
     def _periods(self, step: int) -> int:
         """The steps to jump from `step`, the top of the loop after a quiet
-        stretch of an untraced life: whole periods of its feeding cycle, or 0.
+        stretch: whole periods of the life's feeding cycle, or 0.
 
         The loop state is kept in `seen` with its mark: the step, the draw
-        count, and the choice, weight-entry and recharge counts. When it
-        comes back with no draw, no failure and one option per choice node
-        in between, the periods that end before the last tick are jumped
-        (the module docstring says why that is exact), and looking stops.
-        Each entry's successes are replayed per entry: entries update
-        independently and one entry's updates are all successes, so this
-        leaves the table that replaying the period's outcomes in order does.
+        count, the log's length and the recharge counts. The log holds what
+        came since: each dispatch that made a call or, in a traced life,
+        fired a transition, as `(step, records, calls)`, and each tick's
+        record. When the state comes back with no draw, no failure and one
+        option per choice node in between, the periods that end before the
+        last tick are jumped (the module docstring says why that is exact),
+        and looking stops. Each period's calls are made again through
+        `_call`, in the order they were made, so a choice reads its entry as
+        it is then; a traced life also appends each period's records, moved
+        to its steps, and the rows of each dispatch.
         """
         key = self._loop_state()
         mark = self.seen.get(key)
-        now = (step, len(self.draws), dict(self.choices_made), self.table.snapshot(),
-               dict(self.recharges))
-        if mark is None:
-            if len(self.seen) >= CYCLE_STATES:
-                self.seen.clear()
-            self.seen[key] = now
-            return 0
-        then, draws, choices, entries, recharges = mark
-        k = (self.cfg.max_steps - 1 - step) // (step - then)
-        picked = [pair for pair, n in self.choices_made.items() if n != choices.get(pair, 0)]
-        zero = weights_mod.WeightEntry()
-        if (
-            k < 1
-            or len(self.draws) != draws
-            or len({node for node, _ in picked}) < len(picked)
-            or any(e.failures != entries.get(pair, zero).failures
-                   for pair, e in self.table.entries.items())
-        ):
-            self.seen[key] = now
-            return 0
-        for pair in picked:
-            self.choices_made[pair] += k * (self.choices_made[pair] - choices.get(pair, 0))
-        for source, n in recharges.items():
-            self.recharges[source] += k * (self.recharges[source] - n)
-        for (node, option), e in list(self.table.entries.items()):
-            for _ in range(k * (e.successes - entries.get((node, option), zero).successes)):
-                record_outcome(self.table, node, option, True)
-        self.seen = None
-        return k * (step - then)
+        if mark is not None:
+            then, draws, start, recharges = mark
+            period = self.log[start:]
+            calls = [call for item in period if type(item) is tuple for call in item[2]]
+            picked = {(node, option) for node, option, outcome, _, _ in calls if outcome is None}
+            k = (self.cfg.max_steps - 1 - step) // (step - then)
+            if (
+                k >= 1
+                and len(self.draws) == draws
+                and all(outcome is None or outcome[1] for _, _, outcome, _, _ in calls)
+                and len({node for node, _ in picked}) == len(picked)
+            ):
+                self._replay(period, step - then, k)
+                for source, n in recharges.items():
+                    self.recharges[source] += k * (self.recharges[source] - n)
+                self.seen, self.log = None, []
+                return k * (step - then)
+        elif len(self.seen) >= CYCLE_STATES:
+            self.seen.clear()
+            self.log.clear()
+        self.seen[key] = (step, len(self.draws), len(self.log), dict(self.recharges))
+        return 0
+
+    def _replay(self, period: list, p: int, k: int) -> None:
+        """Replay the `p` steps of a logged period `k` times, in order: make
+        its dispatches' calls again and, in a traced life, append its records
+        and dispatches' rows with their steps moved by whole periods."""
+        for shift in range(p, (k + 1) * p, p):
+            for item in period:
+                if type(item) is _Stretch:
+                    self.trace.append(item._replace(first=item.first + shift))
+                    continue
+                at, records, calls = item
+                self.calls = []
+                for node, option, outcome, _, _ in calls:
+                    self._call(node, option, outcome)
+                if self.trace is not None:
+                    self._trace_dispatch(at + shift, records, self.calls)
 
     # -- main loop -----------------------------------------------------------
 
@@ -503,7 +553,7 @@ class _Episode:
             self._enqueue(self.watcher.update(self.energy))
             if source != SOURCE_NONE:
                 self.charge_ticks += 1
-                full = self.energy.battery >= self.energy.battery_capacity
+                full = battery_full(self.energy.battery, self.energy.battery_capacity)
                 timed_out = (
                     0 < self.profile.max_charge_ticks <= self.charge_ticks
                 )
@@ -523,12 +573,13 @@ class _Episode:
                                   mood_of(self.energy, self.profile.thresholds), *self.pose,
                                   [self.energy.battery], [self.energy.capacitor])
             dead = self.energy.depleted
-            if not (
+            quiet = not (
                 dead
                 or self.queue
                 or self.instance.leaf_state_name() in BEHAVIORS
                 or not self.instance.quiescent(self)
-            ):
+            )
+            if quiet:
                 # A quiet tick: advance to the next event, leaving the tick that
                 # sends the charge timer or is the last one to the loop above.
                 budget = max_steps - 1 - step
@@ -544,10 +595,12 @@ class _Episode:
                 step += n
                 if source != SOURCE_NONE:
                     self.charge_ticks += n
-                if self.seen is not None:
-                    step += self._periods(step)
             if self.trace is not None:
                 self.trace.append(record)
+                if self.seen:
+                    self._note(record)
+            if quiet and self.seen is not None:
+                step += self._periods(step)
             if dead:
                 break
 

@@ -63,9 +63,12 @@ def test_spans_count_ticks_and_trace_rows(spans):
     assert sim.tick_discharge is energy.tick_discharge
 
 
-def test_spans_count_every_transition_record(spans, tmp_path):
+def test_spans_count_every_transition_record(spans, tmp_path, monkeypatch):
     # on_dispatch counts the records without a note; a traced life turns
-    # each of them into one transition or choice row
+    # each of them into one transition or choice row. A replayed period of a
+    # feeding cycle writes its rows without dispatching, so the lives here
+    # simulate every period in full, with the jump patched to 0 steps
+    monkeypatch.setattr(sim._Episode, "_periods", lambda episode, step: 0)
     cfg = sim.SimConfig(
         scenario=builtin_scenario("learning_lab"), max_steps=2000,
         memory_mode=sim.MEMORY_NONVOLATILE, weights_path=tmp_path / "w.csv",

@@ -825,25 +825,42 @@ class TestTraceSequence:
         self, life, tmp_path, monkeypatch
     ):
         cfg = SimConfig(scenario=builtin_scenario("station_only"), seed=3, max_steps=2500)
-        tick_rows, records, full_ticks = [], [], []
-        row, discharge = sim.TraceEvent, sim.tick_discharge
-        with monkeypatch.context() as patched:
-            patched.setattr(sim, "TraceEvent", lambda *args, **kw: (
-                kw.get("event") is None and tick_rows.append(args) or row(*args, **kw)))
-            patched.setattr(sim, "tick_discharge", lambda *args: (
-                full_ticks.append(args) or discharge(*args)))
-            for sink in (sim.Trace, sim._JsonlWriter):
-                patched.setattr(sink, "append", lambda self, item, append=sink.append: (
-                    type(item) is sim._Stretch and records.append(item) or append(self, item)))
-            if life == "run_episode":
-                result, _ = run_episode(cfg)
-            else:
-                result = sim.run_life(cfg, tmp_path / "life.jsonl")
-        assert tick_rows == []
-        assert len(records) == len(full_ticks) < result.lifetime
-        steps = [step for r in records for step in range(r.first, r.first + len(r.batteries))]
+
+        def play(jump):
+            tick_rows, records, full_ticks = [], [], []
+            row, discharge = sim.TraceEvent, sim.tick_discharge
+            with monkeypatch.context() as patched:
+                patched.setattr(sim, "TraceEvent", lambda *args, **kw: (
+                    kw.get("event") is None and tick_rows.append(args) or row(*args, **kw)))
+                patched.setattr(sim, "tick_discharge", lambda *args: (
+                    full_ticks.append(args) or discharge(*args)))
+                for sink in (sim.Trace, sim._JsonlWriter):
+                    patched.setattr(sink, "append", lambda self, item, append=sink.append: (
+                        type(item) is sim._Stretch and records.append(item) or append(self, item)))
+                if not jump:  # the reference: every period of the feeding cycle in full
+                    patched.setattr(sim._Episode, "_periods", lambda episode, step: 0)
+                if life == "run_episode":
+                    result, _ = run_episode(cfg)
+                else:
+                    result = sim.run_life(cfg, tmp_path / "life.jsonl")
+            assert tick_rows == []
+            return result, records, full_ticks
+
+        result, reference, full_ticks = play(jump=False)
+        assert len(reference) == len(full_ticks) < result.lifetime
+        steps = [step for r in reference for step in range(r.first, r.first + len(r.batteries))]
         assert steps == list(range(1, result.lifetime + 1))
-        assert max(len(r.batteries) for r in records) > 1
+        assert max(len(r.batteries) for r in reference) > 1
+        # a jumping life appends the same records: each is a full tick's, or a
+        # copy of an earlier one moved by whole periods, which shares its levels
+        jumped, records, full_ticks = play(jump=True)
+        assert jumped == result and records == reference
+        originals = {}
+        for r in records:
+            original = originals.setdefault(id(r.batteries), r)
+            assert r is original or (r[1:] == original[1:] and r.first > original.first
+                                     and r.capacitors is original.capacitors)
+        assert len(originals) == len(full_ticks) < len(records)
 
     def test_len_order_and_equality(self, traces):
         trace, reference = traces
