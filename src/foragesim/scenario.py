@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
 from typing import NamedTuple
 
 from .energy import DischargeProfile, EnergyProfile, Thresholds
@@ -194,7 +193,7 @@ class StateDef(NamedTuple):
     __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
 
 
-class _MachineFields(NamedTuple):
+class MachineDef(NamedTuple):
     name: str
     initial: str
     states: tuple[StateDef, ...] = ()
@@ -202,25 +201,14 @@ class _MachineFields(NamedTuple):
     is_entry: bool = False
     line: int = 0
 
-
-class MachineDef(_MachineFields):
     __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
 
-    # lookups, built at first use (a `_replace` copy builds its own), in
-    # reverse so that the first declaration of a name wins
-    @cached_property
-    def _states(self) -> dict[str, StateDef]:
-        return {st.name: st for st in reversed(self.states)}
-
-    @cached_property
-    def _exit_tags(self) -> dict[str, str]:
-        return dict(reversed(self.exits))
-
+    # lookups scan the fields, so the first declaration of a name wins
     def state(self, name: str) -> StateDef | None:
-        return self._states.get(name)
+        return next((st for st in self.states if st.name == name), None)
 
     def exit_tag(self, name: str) -> str | None:
-        return self._exit_tags.get(name)
+        return next((tag for exit_name, tag in self.exits if exit_name == name), None)
 
     def final_state_names(self) -> list[str]:
         return [st.name for st in self.states if st.kind == KIND_FINAL]
@@ -235,20 +223,13 @@ class _ScenarioFields(NamedTuple):
 
 
 class ScenarioDef(_ScenarioFields):
+    # a subclass, so that it has the `__dict__` that `statemachine.start_instance`
+    # keeps the scenario's resolved chart in
     __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
 
-    # lookups, built at first use as `MachineDef`'s are
-    @cached_property
-    def _machines(self) -> dict[str, MachineDef]:
-        return {m.name: m for m in reversed(self.machines)}
-
-    @cached_property
-    def _events(self) -> frozenset[str]:
-        return frozenset(tr.event for m in self.machines for st in m.states for tr in st.transitions
-                         if tr.event != RESERVED_EVENT)
-
+    # lookups scan the fields, as `MachineDef`'s do
     def machine(self, name: str) -> MachineDef | None:
-        return self._machines.get(name)
+        return next((m for m in self.machines if m.name == name), None)
 
     def entry_machine(self) -> MachineDef:
         for m in self.machines:
@@ -257,7 +238,8 @@ class ScenarioDef(_ScenarioFields):
         raise ValueError("no entry machine declared")
 
     def event_vocabulary(self) -> frozenset[str]:
-        return self._events
+        return frozenset(tr.event for m in self.machines for st in m.states for tr in st.transitions
+                         if tr.event != RESERVED_EVENT)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +595,22 @@ def _reach(start: str, nexts: dict[str, list[str]]) -> set[str]:
     return reached
 
 
+def _run(walk):
+    """The return value of generator `walk`. Where a walk needs the return
+    value of another walk, it yields that generator, which runs first and
+    sends the value back; the walks wait on a list, not on the call stack, so
+    a composition as deep as any input runs within the recursion limit."""
+    stack, value = [walk], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as stop:
+            stack.pop()
+            value = stop.value
+    return value
+
+
 def _repeats(items, key) -> list:
     """The items whose key an earlier item already has, in order."""
     seen: set = set()
@@ -726,10 +724,10 @@ def _validate(
                 elif tr.target not in targets:
                     diags.append(_error(tr.line, f"unresolved reference '{tr.target}'"))
 
-    # composition must be acyclic
+    # composition must be acyclic: a walk (see `_run`) from each machine
     colors: dict[str, int] = {}
 
-    def visit(name: str, stack: list[str]) -> None:
+    def visit(name: str, stack: list[str]):
         colors[name] = 1
         for st in by_name[name].states:
             if st.kind == KIND_COMPOSITE and st.machine in by_name:
@@ -737,12 +735,12 @@ def _validate(
                     cycle = " -> ".join(stack + [name, st.machine])
                     diags.append(_error(st.line, f"machine composition cycle: {cycle}"))
                 elif colors.get(st.machine, 0) == 0:
-                    visit(st.machine, stack + [name])
+                    yield visit(st.machine, stack + [name])
         colors[name] = 2
 
     for m in machines:
         if colors.get(m.name, 0) == 0:
-            visit(m.name, [])
+            _run(visit(m.name, []))
 
     _check_auto_cycles(machines, by_name, diags)
 
@@ -780,9 +778,9 @@ def _check_auto_cycles(
     graphs: dict[str, dict[str, list[tuple[str, int, bool]]]] = {}
     summaries: dict[str, tuple[set[str], str | None]] = {}
 
-    def graph(m: MachineDef) -> dict[str, list[tuple[str, int, bool]]]:
-        """Each state that has moves -> its moves (target, line, certain); a
-        target is a state, a final or `exit.X`."""
+    def graph(m: MachineDef):
+        """A walk (see `_run`) to each state that has moves -> its moves
+        (target, line, certain); a target is a state, a final or `exit.X`."""
         moves = graphs.get(m.name)
         if moves is None:
             moves = graphs[m.name] = {}
@@ -790,7 +788,7 @@ def _check_auto_cycles(
                 if st.kind == KIND_CHOICE:
                     moves[st.name] = [(o, st.line, False) for o in st.options]
                 elif st.kind == KIND_COMPOSITE:
-                    crossed, certain_exit = summary(st.machine)
+                    crossed, certain_exit = yield summary(st.machine)
                     if crossed:
                         firsts: dict[str, TransitionDef] = {}
                         moves[st.name] = [
@@ -813,12 +811,13 @@ def _check_auto_cycles(
             state = next((t for t, _, certain in moves[state] if certain), None)
         return path, state
 
-    def summary(name: str) -> tuple[set[str], str | None]:
-        """Exits machine `name` may cross at once from its initial, and the one it always crosses."""
+    def summary(name: str):
+        """A walk to the exits machine `name` may cross at once from its
+        initial, and the one it always crosses."""
         if name not in summaries:
-            summaries[name] = (set(), None)  # stands in while a composition cycle recurses
+            summaries[name] = (set(), None)  # stands in while a composition cycle walks back to it
             m = by_name.get(name)
-            moves = {} if m is None else graph(m)
+            moves = {} if m is None else (yield graph(m))
             if any(t.startswith(EXIT_PREFIX) for ms in moves.values() for t, _, _ in ms):
                 reached = _reach(m.initial, {s: [t for t, _, _ in ms] for s, ms in moves.items()})
                 _, end = certain_walk(moves, m.initial, ())
@@ -829,7 +828,7 @@ def _check_auto_cycles(
         return summaries[name]
 
     for m in machines:
-        moves = graph(m)
+        moves = _run(graph(m))
         # a cycle needs a move back to a state declared no later than its own
         order = {state: i for i, state in enumerate(moves)}
         if all(order.get(t, i + 1) > i for i, ms in enumerate(moves.values()) for t, _, _ in ms):

@@ -63,8 +63,9 @@ read, and a dispatch's outcome rows follow all its transitions, so a choice
 made after an outcome of its own dispatch shows a weight that outcome moved,
 though the outcome's row comes later. The log starts over with the key
 table, and the table with a log of CYCLE_STATES items, so a streamed life's
-memory does not grow with its horizon. The ticks after the replayed periods,
-the last one included, run as before.
+memory does not grow with its horizon; both start over after a jump. The
+ticks after the replayed periods, fewer than a period and the last one
+included, run as before, and looking goes on in them but jumps no more.
 
 The seed reaches a life only through the rng that breaks an exact tie in
 `select_option`, and that rng is built at the first draw, so a life that
@@ -81,9 +82,9 @@ step, path, mood, pose, and each tick's levels) that also holds the quiet
 stretch after a full tick. `run_episode` keeps them in a `Trace`, which builds
 a record's rows only when they are read; `run_life` writes them to its file as
 they come, so its memory does not grow with the horizon; `run_monte_carlo`
-builds none. `_line` writes an event row's line, and `_Stretch.text` a
-record's lines: f-strings byte-identical to `json.dumps(row.to_dict())`, which
-is used for any row whose values they cannot be proven to write the same way.
+builds none. `_line` writes an event row's line field by field, and
+`_Stretch.text` a record's lines, as `json.dumps(row.to_dict())` does, which
+writes a row with a value not exactly a `str`, an `int` or a finite `float`.
 A life's feeding cycle replays the same levels, so a record takes each
 level's text from a bounded cache (`_level`); a level list that holds a zero
 is written uncached, because 0.0 and -0.0 would share one entry.
@@ -328,9 +329,9 @@ class _Episode:
         self.charge_ticks = 0
         self.wait_sent = False
         self.step = 0
-        # until the life jumps: loop state after a quiet stretch -> its mark,
-        # and the log of the period in progress (see `_periods`)
-        self.seen: dict | None = {}
+        # loop state after a quiet stretch -> its mark, and the log of the
+        # period in progress (see `_periods`); both start over after a jump
+        self.seen: dict = {}
         self.log: list = []
         # the dispatch's calls, each (node, option, outcome, weights before,
         # weights after): a choice's outcome and after are None, an outcome's
@@ -471,7 +472,7 @@ class _Episode:
         record. When the state comes back with no draw, no failure and one
         option per choice node in between, the periods that end before the
         last tick are jumped (the module docstring says why that is exact),
-        and looking stops. Each period's calls are made again through
+        and looking starts over. Each period's calls are made again through
         `_call`, in the order they were made, so a choice reads its entry as
         it is then; a traced life also appends each period's records, moved
         to its steps, and the rows of each dispatch.
@@ -493,7 +494,8 @@ class _Episode:
                 self._replay(period, step - then, k)
                 for source, n in recharges.items():
                     self.recharges[source] += k * (self.recharges[source] - n)
-                self.seen, self.log = None, []
+                self.seen.clear()
+                self.log.clear()
                 return k * (step - then)
         elif len(self.seen) >= CYCLE_STATES:
             self.seen.clear()
@@ -599,7 +601,7 @@ class _Episode:
                 self.trace.append(record)
                 if self.seen:
                     self._note(record)
-            if quiet and self.seen is not None:
+            if quiet:
                 step += self._periods(step)
             if dead:
                 break
@@ -768,43 +770,24 @@ _quoted = lru_cache(maxsize=4096)(json.dumps)
 _level = lru_cache(maxsize=4096)(float.__repr__)
 
 
-def _finite(value) -> bool:
-    """A float whose JSON text is its `repr` (not inf or nan, not a subclass)."""
-    return type(value) is float and value - value == 0.0
-
-
 def _line(e: TraceEvent) -> str:
-    """`json.dumps(e.to_dict())`, by one f-string per event row kind.
-
-    The kinds are the event rows the simulator builds: transition (an event
-    alone), choice (the weights consulted) and outcome (weights before and
-    after); its tick rows are records, written by `_Stretch.text`. A kind's
-    f-string is used only when exactly its fields are set and each holds the
-    type it was written for, whose text is then the one `json` writes: `repr`
-    of an `int` and of a finite `float`, and `json.dumps` of a `str`
-    (memoised). Any other row goes through `json.dumps` itself.
-    """
-    q = _quoted
-    step, state, event = e.step, e.state, e.event
-    if (
-        type(step) is int and type(state) is str and type(event) is str
-        and e.battery is e.capacitor is e.mood is e.x is e.y is None
-    ):
-        node, option = e.node, e.option
-        pos, neg, pos_after, neg_after = e.w_pos_before, e.w_neg_before, e.w_pos_after, e.w_neg_after
-        head = f'{{"step": {step}, "state": {q(state)}, "event": {q(event)}'
-        if node is option is pos is neg is pos_after is neg_after is None:
-            return head + "}"
-        if type(node) is str and type(option) is str and _finite(pos) and _finite(neg):
-            head += f', "node": {q(node)}, "option": {q(option)}, "w_pos_before": {pos!r}'
-            if pos_after is neg_after is None:
-                return f'{head}, "w_neg_before": {neg!r}}}'
-            if _finite(pos_after) and _finite(neg_after):
-                return (
-                    f'{head}, "w_pos_after": {pos_after!r}, "w_neg_before": {neg!r}, '
-                    f'"w_neg_after": {neg_after!r}}}'
-                )
-    return json.dumps(e.to_dict())
+    """`json.dumps(e.to_dict())`, field by field: each set field in
+    `TRACE_KEYS` order as `"key": text`, the text `json.dumps` of an exact
+    `str` (memoised) or `repr` of an exact `int` or of a finite exact `float`,
+    which is what `json` writes for them. A row with any other value goes
+    through `json.dumps` itself."""
+    fields = []
+    for key, value in zip(TRACE_KEYS, e):
+        if value is None:
+            continue
+        kind = type(value)
+        if kind is str:
+            fields.append(f'"{key}": {_quoted(value)}')
+        elif kind is int or kind is float and value - value == 0.0:
+            fields.append(f'"{key}": {value!r}')
+        else:
+            return json.dumps(e.to_dict())
+    return "{" + ", ".join(fields) + "}"
 
 
 class _Stretch(NamedTuple):
@@ -830,7 +813,7 @@ class _Stretch(NamedTuple):
         """The JSON line and newline of each row: the one template for a tick
         row, used when every value has the type it was written for."""
         first, state, mood, x, y, batteries, capacitors = self
-        # each level as `_finite` asks; most records are a full tick alone,
+        # each level a finite exact float; most records are a full tick alone,
         # whose two levels are checked without building a set of types
         if len(batteries) == 1:
             b, c = batteries[0], capacitors[0]

@@ -272,8 +272,8 @@ def start_instance(scenario: ScenarioDef, machine: str | None = None) -> Machine
     first dispatch resolves any choice node it stopped on. The first start on
     a scenario resolves it, and raises `ValueError` where that fails.
     """
-    # kept on the scenario as its lookups are: every life and restart shares
-    # one resolution, and a `_replace` copy resolves afresh
+    # kept on the scenario: every life and restart shares one resolution,
+    # and a `_replace` copy resolves afresh
     chart = vars(scenario).get("_chart")
     if chart is None:
         chart = vars(scenario)["_chart"] = (scenario.event_vocabulary(), _resolve(scenario))

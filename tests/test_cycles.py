@@ -281,10 +281,11 @@ def _assert_equal_the_reference(scenario, seed, steps, tmp_path, lives=2):
 class _Jumps:
     """Records each jump `_Episode._periods` makes, as (step, period, steps
     jumped), how often it was asked and how often the loop state had been
-    seen, and the size of the state table each time."""
+    seen, the size of the state table each time, and each answer as (step,
+    steps jumped)."""
 
     def __init__(self, monkeypatch):
-        self.jumps, self.asked, self.returned, self.sizes = [], 0, 0, []
+        self.jumps, self.asked, self.returned, self.sizes, self.answers = [], 0, 0, [], []
         original = sim._Episode._periods
 
         def periods(episode, step):
@@ -293,6 +294,7 @@ class _Jumps:
             mark = episode.seen.get(episode._loop_state())
             self.returned += mark is not None
             jumped = original(episode, step)
+            self.answers.append((step, jumped))
             if jumped:
                 self.jumps.append((step, step - mark[0], jumped))
             return jumped
@@ -470,6 +472,29 @@ class TestJump:
             assert sum('"battery"' in line for line in fh) == LONG
         assert _no_jump(run_life, cfg, reference) == traced == run_life(cfg)
         assert filecmp.cmp(path, reference, shallow=False)
+
+    @pytest.mark.parametrize("periods, offset", [(None, 0), (2, -1), (2, 1), (3, -1), (3, 1)],
+                             ids=["200000", "s1+2p-1", "s1+2p+1", "s1+3p-1", "s1+3p+1"])
+    def test_a_life_looks_on_after_its_jump_and_jumps_once(self, periods, offset, tmp_path,
+                                                           monkeypatch):
+        # after the jump fewer ticks than a period are left, so the life
+        # keeps asking and is told 0 each time; at s1 + m*p + 1 the jump
+        # leaves only the last tick, which starts the period and is not quiet
+        jumps = _Jumps(monkeypatch)
+        cfg = SimConfig(builtin_scenario("dual_source"), seed=3, max_steps=LONG)
+        run_life(cfg)
+        [(s1, period, _)] = jumps.jumps
+        if periods is not None:
+            cfg = cfg._replace(max_steps=s1 + periods * period + offset)
+        for life in (run_life, lambda c: run_episode(c)[0]):
+            jumps.jumps.clear()
+            jumps.answers.clear()
+            life(cfg)
+            [(step, _, jumped)] = jumps.jumps
+            after = jumps.answers[jumps.answers.index((step, jumped)) + 1:]
+            assert (offset == 1 or after) and all(answer == 0 for _, answer in after)
+        _assert_traced_equal(cfg, tmp_path)
+        assert run_life(cfg) == _no_jump(run_life, cfg)
 
     def test_the_state_table_stays_within_its_limit(self, monkeypatch):
         jumps = _Jumps(monkeypatch)

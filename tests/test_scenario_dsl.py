@@ -12,6 +12,7 @@ from foragesim.scenario import (
     serialize_scenario,
 )
 from foragesim.scenarios import builtin_scenario, builtin_scenario_text
+from foragesim.sim import OUTCOME_SURVIVED, SimConfig, run_life, run_monte_carlo
 
 from genscenarios import random_scenario
 
@@ -160,6 +161,39 @@ exit x0 (success)
 """
         _, diags = parse_scenario_checked(text)
         assert any("composition cycle" in d.message for d in errors(diags))
+
+
+def _chain(levels, back_to_m1=False):
+    """Machines m0 .. m{levels-1}, each holding the next as a sub-machine; the
+    last waits for `go`, or enters m1 again. Returns the text and the line of
+    the last machine's state."""
+    lines = ["[machine m0 entry]", "initial -> s", "submachine s = m1 -> s on done"]
+    for i in range(1, levels):
+        inner = i + 1 if i < levels - 1 else 1 if back_to_m1 else None
+        lines += [f"[machine m{i}]", "initial -> s",
+                  f"submachine s = m{inner} -> exit.done on done" if inner else "state s -> exit.done on go",
+                  "exit done (success)"]
+    return "\n".join(lines) + "\n", len(lines) - 1
+
+
+class TestDeepComposition:
+    """Validation walks the composition on explicit stacks, so a deep one
+    neither exhausts the recursion limit nor changes a diagnostic."""
+
+    def test_a_1500_level_chain_parses_clean_and_runs(self):
+        text, _ = _chain(1500)
+        scenario, diags = parse_scenario_checked(text)
+        assert diags == []
+        cfg = SimConfig(scenario, max_steps=50)
+        result = run_life(cfg)
+        assert result.outcome == OUTCOME_SURVIVED and result.lifetime == 50
+        assert run_monte_carlo(cfg, 2).survival_fraction == 1.0
+
+    def test_a_1500_level_cycle_is_reported_at_its_state(self):
+        text, line = _chain(1500, back_to_m1=True)
+        _, diags = parse_scenario_checked(text)
+        cycle = " -> ".join(f"m{i}" for i in (*range(1500), 1))
+        assert diags == [Diagnostic("error", line, 1, f"machine composition cycle: {cycle}")]
 
 
 class TestValidate:

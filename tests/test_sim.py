@@ -1,3 +1,4 @@
+import enum
 import errno
 import io
 import json
@@ -614,7 +615,26 @@ _ROW_KINDS = {
                 "w_pos_before": _FLOATS, "w_pos_after": _FLOATS,
                 "w_neg_before": _FLOATS, "w_neg_after": _FLOATS},
 }
-_ANY = st.one_of(st.none(), _STRINGS, _FLOATS, _INTS, st.booleans())
+
+
+class _Str(str):
+    pass
+
+
+class _IntEnum(enum.IntEnum):
+    ONE = 1
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not JSON"
+
+
+# values of a subclass of str, int or float: `json` writes them as the base
+# type, but a formatter must not take them for it (an IntEnum's repr and this
+# float's differ from their JSON text), so a row holding one goes to `json.dumps`
+_SUBCLASSED = (_Str("seek"), _IntEnum.ONE, _Float(0.5))
+_ANY = st.one_of(st.none(), _STRINGS, _FLOATS, _INTS, st.booleans(), st.sampled_from(_SUBCLASSED))
 
 
 @st.composite
@@ -636,6 +656,10 @@ class TestTraceFormat:
     @given(_trace_rows())
     def test_rows_format_as_json_dumps(self, row):
         assert sim._line(row) == json.dumps(row.to_dict())
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+            sim._line(row)
+        if any(type(value) in map(type, _SUBCLASSED) for value in row):
+            dumps.assert_called_once_with(row.to_dict())
 
     def test_every_combination_of_set_fields(self):
         value = {
