@@ -203,15 +203,12 @@ class MachineDef(NamedTuple):
 
     __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
 
-    # lookups scan the fields, so the first declaration of a name wins
-    def state(self, name: str) -> StateDef | None:
-        return next((st for st in self.states if st.name == name), None)
 
-    def exit_tag(self, name: str) -> str | None:
-        return next((tag for exit_name, tag in self.exits if exit_name == name), None)
-
-    def final_state_names(self) -> list[str]:
-        return [st.name for st in self.states if st.kind == KIND_FINAL]
+def declared(m: MachineDef) -> tuple[dict[str, StateDef], dict[str, str], list[str]]:
+    """Machine `m`'s states and exit tags by name, the first declaration of a
+    name winning, and its final states' names in declaration order."""
+    return ({st.name: st for st in reversed(m.states)}, dict(reversed(m.exits)),
+            [st.name for st in m.states if st.kind == KIND_FINAL])
 
 
 class _ScenarioFields(NamedTuple):
@@ -226,10 +223,6 @@ class ScenarioDef(_ScenarioFields):
     # a subclass, so that it has the `__dict__` that `statemachine.start_instance`
     # keeps the scenario's resolved chart in
     __eq__, __ne__, __hash__ = _eq_but_last, object.__ne__, None
-
-    # lookups scan the fields, as `MachineDef`'s do
-    def machine(self, name: str) -> MachineDef | None:
-        return next((m for m in self.machines if m.name == name), None)
 
     def entry_machine(self) -> MachineDef:
         for m in self.machines:
@@ -646,19 +639,19 @@ def _validate(
         for exit_name, _ in _repeats(m.exits, lambda ex: ex[0]):
             diags.append(_error(m.line, f"duplicate exit name '{exit_name}'"))
         # what a name in this machine may refer to: its states, and `exit.X` for each exit
-        targets = {st.name for st in m.states} | {EXIT_PREFIX + name for name, _ in m.exits}
+        states, exits, finals = declared(m)
+        targets = {*states, *(EXIT_PREFIX + name for name in exits)}
         for exit_name, _ in m.exits:
             if exit_name in targets:  # an exit name has no dot, so only a state's matches
                 diags.append(_error(m.line, f"exit '{exit_name}' clashes with a state name"))
 
-        finals = m.final_state_names()
         if m.initial not in targets:
             diags.append(_error(m.line, f"unresolved reference '{m.initial}'"))
         else:  # reachability inside this machine; a `final` target is the first final state
             final = {TARGET_FINAL: finals[0]} if finals else {}
-            nexts = {  # in reverse, so that the first declaration of a name wins
-                st.name: [*st.options, *(final.get(tr.target, tr.target) for tr in st.transitions)]
-                for st in reversed(m.states)
+            nexts = {
+                name: [*st.options, *(final.get(tr.target, tr.target) for tr in st.transitions)]
+                for name, st in states.items()
             }
             reached = {m.initial} | _reach(m.initial, nexts)
             for st in m.states:
@@ -726,21 +719,24 @@ def _validate(
 
     # composition must be acyclic: a walk (see `_run`) from each machine
     colors: dict[str, int] = {}
+    path: list[str] = []  # the machines being visited, outermost first
 
-    def visit(name: str, stack: list[str]):
+    def visit(name: str):
         colors[name] = 1
+        path.append(name)
         for st in by_name[name].states:
             if st.kind == KIND_COMPOSITE and st.machine in by_name:
                 if colors.get(st.machine, 0) == 1:
-                    cycle = " -> ".join(stack + [name, st.machine])
+                    cycle = " -> ".join(path + [st.machine])
                     diags.append(_error(st.line, f"machine composition cycle: {cycle}"))
                 elif colors.get(st.machine, 0) == 0:
-                    yield visit(st.machine, stack + [name])
+                    yield visit(st.machine)
+        path.pop()
         colors[name] = 2
 
     for m in machines:
         if colors.get(m.name, 0) == 0:
-            _run(visit(m.name, []))
+            _run(visit(m.name))
 
     _check_auto_cycles(machines, by_name, diags)
 

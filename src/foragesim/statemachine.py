@@ -1,10 +1,11 @@
 """Hierarchical state machines with run-to-completion dispatch.
 
 A scenario is resolved once, at its first start, so that nothing looks a
-name up while a machine runs. An instance keeps a stack of frames, one per
-nesting level; entering a composite state pushes a frame per machine down to
-a leaf. Dispatching an event fires it at the innermost active state, then
-drains until quiescent: an exit just crossed first, then a choice node the
+name up while a machine runs; a composite state then holds its machine's
+initial state. An instance keeps a stack of frames, one per nesting level,
+and enters a composite state one frame per level, down to a leaf.
+Dispatching an event fires it at the innermost active state, then drains
+until quiescent: an exit just crossed first, then a choice node the
 innermost frame rests on (resolved through the context once per entry: a
 choice node has no arms, so a frame leaves one only by its choice), then
 `auto` completion transitions. Crossing a machine exit concludes the
@@ -32,6 +33,7 @@ from .scenario import (
     MachineDef,
     ScenarioDef,
     StateDef,
+    declared,
 )
 
 AUTO = RESERVED_EVENT
@@ -106,47 +108,49 @@ class _State:
     """A state of `machine` with its names resolved: `arms` maps an event to
     its (guard, target) pairs in declaration order, a target being a `_State`
     or an exit's (name, success); a choice node's `targets` map its `options`
-    to states; entering a composite pushes a frame for each state of `descent`,
-    down to a leaf, and `tail` is the path the state and its descent spell."""
+    to states; a composite holds the initial state of its machine as `inner`,
+    which entering it enters in turn."""
 
-    __slots__ = ("name", "kind", "machine", "options", "arms", "targets", "descent", "tail")
+    __slots__ = ("name", "kind", "machine", "options", "arms", "targets", "inner")
 
     def __init__(self, machine: MachineDef, sdef: StateDef):
         self.name, self.kind, self.machine, self.options = sdef.name, sdef.kind, machine, sdef.options
-        self.arms, self.targets, self.descent, self.tail = {}, {}, (), (sdef.name,)
+        self.arms, self.targets, self.inner = {}, {}, None
 
 
 def _resolve(scenario: ScenarioDef) -> dict[str, _State]:
     """Each machine's initial state by name, and every state reachable from one,
-    resolved by `ScenarioDef.machine`, `MachineDef.state` and `exit_tag`: the
-    first declaration of a name wins. A failure names the machine and state."""
+    resolved through `declared` once per machine name: the first declaration of
+    a name wins, a machine's too. A failure names the machine and state."""
+    index: dict[str, tuple] = {}  # machine name -> (machine, states, exit tags, finals)
+    for m in scenario.machines:
+        if m.name not in index:
+            index[m.name] = (m, *declared(m))
     resolved: dict[tuple[str, str], _State] = {}
     todo: list[tuple[_State, StateDef]] = []
 
     def state(mdef: MachineDef, name: str, where: str) -> _State:
         st = resolved.get((mdef.name, name))
         if st is None:
-            sdef = mdef.state(name)
+            sdef = index[mdef.name][1].get(name)
             if sdef is None:
                 raise ValueError(f"{where}: undefined state '{name}'")
             st = resolved[mdef.name, name] = _State(mdef, sdef)
             todo.append((st, sdef))
         return st
 
-    initials = {m.name: state(m, m.initial, f"machine '{m.name}'")
-                for m in scenario.machines if scenario.machine(m.name) is m}
-    inner = {}  # composite -> the initial state of its machine
+    initials = {name: state(m, m.initial, f"machine '{name}'") for name, (m, *_) in index.items()}
+    composites: list[_State] = []
     for st, sdef in todo:  # `state` appends to `todo` while it is walked
-        mdef, where = st.machine, f"machine '{st.machine.name}', state '{st.name}'"
+        mdef, _, exits, finals = index[st.machine.name]
+        where = f"machine '{mdef.name}', state '{st.name}'"
         for tr in sdef.transitions:
             if tr.target.startswith(EXIT_PREFIX):
                 name = tr.target[len(EXIT_PREFIX):]
-                tag = mdef.exit_tag(name)
-                if tag is None:
+                if name not in exits:
                     raise ValueError(f"{where}: machine '{mdef.name}' has no exit '{name}'")
-                target = (name, tag == TAG_SUCCESS)
+                target = (name, exits[name] == TAG_SUCCESS)
             elif tr.target == TARGET_FINAL:
-                finals = mdef.final_state_names()
                 if not finals:
                     raise ValueError(f"{where}: machine '{mdef.name}' has no final state")
                 target = state(mdef, finals[0], where)
@@ -157,15 +161,18 @@ def _resolve(scenario: ScenarioDef) -> dict[str, _State]:
         if st.kind == KIND_COMPOSITE:
             if sdef.machine not in initials:
                 raise ValueError(f"{where}: undefined machine '{sdef.machine}'")
-            inner[st] = initials[sdef.machine]
-    for st, first in inner.items():
-        descent = [first]
-        while descent[-1] in inner:
-            if len(descent) == len(initials):  # every machine entered, and no leaf yet
+            st.inner = initials[sdef.machine]
+            composites.append(st)
+    leafward: set[_State] = set()  # composites whose entry is known to reach a leaf
+    for st in composites:
+        chain, below = {st}, st.inner
+        while below.kind == KIND_COMPOSITE and below not in leafward:
+            if below in chain:  # the initial states enter each other, and no leaf
                 raise ValueError(f"machine '{st.machine.name}', state '{st.name}': cannot enter machine "
-                                 f"'{first.machine.name}', whose initial states never reach a leaf")
-            descent.append(inner[descent[-1]])
-        st.descent, st.tail = tuple(descent), st.tail + tuple(d.name for d in descent)
+                                 f"'{st.inner.machine.name}', whose initial states never reach a leaf")
+            chain.add(below)
+            below = below.inner
+        leafward |= chain
     return initials
 
 
@@ -207,14 +214,18 @@ class MachineInstance:
     # -- dispatch -----------------------------------------------------------
 
     def _rest(self, st: _State, base: tuple[str, ...]) -> None:
-        """Make `st` the innermost active state and push its descent; `base`
-        is the active path outside the innermost frame."""
+        """Make `st` the innermost active state and enter it down to a leaf, one
+        frame per level, extending the path as it goes; `base` is the active
+        path outside the innermost frame."""
         frames = self.frames
         frames[-1] = st
-        for inner in st.descent:
-            frames.append(inner)
+        path = base + (st.name,)
+        while st.kind == KIND_COMPOSITE:
+            st = st.inner
+            frames.append(st)
             self.pursuits.append([])
-        self.path = base + st.tail
+            path += (st.name,)
+        self.path = path
         if st.kind == KIND_FINAL and len(frames) == 1:
             self.status = STATUS_FINALIZED
 

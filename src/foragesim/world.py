@@ -123,17 +123,16 @@ def detect_station_cues(world: WorldMap, pos: Cell, gain: float) -> CueReading:
     )
 
 
-def _greedy_step(world: WorldMap, pos: Cell, goal: Cell) -> Cell:
-    """One 4-neighbour step strictly reducing distance to `goal` (N,E,S,W ties)."""
-    best = pos
-    best_d = math.dist(pos, goal)
+def _climb(world: WorldMap, pos: Cell, score) -> Cell:
+    """One 4-neighbour step to the in-grid neighbour scoring highest, strictly
+    above `pos`, or `pos` itself; ties break in N, E, S, W order."""
+    best, best_score = pos, score(pos)
     for dx, dy in _STEPS:
         nxt = (pos[0] + dx, pos[1] + dy)
-        if not world.in_grid(nxt):
-            continue
-        d = math.dist(nxt, goal)
-        if d < best_d:
-            best, best_d = nxt, d
+        if world.in_grid(nxt):
+            s = score(nxt)
+            if s > best_score:
+                best, best_score = nxt, s
     return best
 
 
@@ -152,7 +151,7 @@ def step_follow(world: WorldMap, pos: Cell, cue: str, gain: float = 1.0) -> tupl
         return pos, FOLLOW_ARRIVED
 
     if cue == CUE_IR:
-        nxt = _greedy_step(world, pos, st.pos)
+        target = st.pos
     elif cue == CUE_TRACK:
         if pos in st.track:
             idx = st.track.index(pos)
@@ -162,9 +161,10 @@ def step_follow(world: WorldMap, pos: Cell, cue: str, gain: float = 1.0) -> tupl
             if not cells:
                 return pos, FOLLOW_LOST
             target = min(cells, key=lambda c: (math.dist(pos, c), c))
-        nxt = _greedy_step(world, pos, target)
     else:
         raise ValueError(f"unknown cue {cue!r}")
+    # greedy: a step strictly nearer to `target` (negating a distance is exact)
+    nxt = _climb(world, pos, lambda c: -math.dist(c, target))
 
     if nxt == st.pos:
         return nxt, FOLLOW_ARRIVED
@@ -175,13 +175,4 @@ def step_follow(world: WorldMap, pos: Cell, cue: str, gain: float = 1.0) -> tupl
 
 def step_seek_intensity(world: WorldMap, pos: Cell) -> Cell:
     """Climb the beacon field one cell, or stay put at a local maximum."""
-    best_pos = pos
-    best_i = intensity_at(world, pos)
-    for dx, dy in _STEPS:
-        nxt = (pos[0] + dx, pos[1] + dy)
-        if not world.in_grid(nxt):
-            continue
-        i = intensity_at(world, nxt)
-        if i > best_i:
-            best_pos, best_i = nxt, i
-    return best_pos
+    return _climb(world, pos, lambda c: intensity_at(world, c))

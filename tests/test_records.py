@@ -14,11 +14,12 @@ from foragesim.scenario import (
     ScenarioDef,
     StateDef,
     TransitionDef,
+    declared,
     parse_scenario,
 )
 from foragesim.scenarios import builtin_scenario, builtin_scenario_text
 from foragesim.sim import MEMORY_NONVOLATILE, SimConfig
-from foragesim.statemachine import PursuitOutcome
+from foragesim.statemachine import PursuitOutcome, start_instance
 from foragesim.weights import WeightEntry, WeightTable
 from foragesim.world import BeaconSpec, CueReading, StationSpec, WorldMap
 
@@ -126,20 +127,29 @@ class TestCopies:
         top = scenario.entry_machine()
         renamed = top._replace(name="renamed", states=top.states[:-1])
         copy = scenario._replace(machines=(renamed, *scenario.machines[1:]))
-        assert copy.machine("renamed") is renamed and copy.machine(top.name) is None
         assert copy.entry_machine() is renamed
-        assert renamed.state(top.states[-1].name) is None
-        assert renamed.state(top.states[0].name) is top.states[0]
+        states, _, finals = declared(renamed)
+        assert top.states[-1].name not in states and finals == []
+        assert states[top.states[0].name] is top.states[0]
+        with pytest.raises(ValueError, match="machine 'renamed', state '.*' has no final state"):
+            start_instance(copy)  # the copy resolves its own machines
+        whole = scenario._replace(machines=(top._replace(name="renamed"), *scenario.machines[1:]))
+        assert start_instance(whole, "renamed").active_path() == ["renamed", top.initial]
+        with pytest.raises(ValueError, match=f"no machine named '{top.name}'"):
+            start_instance(whole, top.name)
         assert copy.event_vocabulary() == _vocabulary(copy.machines)
         dropped = scenario._replace(machines=scenario.machines[:1])
         assert dropped.event_vocabulary() == _vocabulary(scenario.machines[:1]) != scenario.event_vocabulary()
 
     def test_the_first_declaration_of_a_name_wins(self):
         first = StateDef("a", line=1)
-        machine = MachineDef("m", "a", states=(first, StateDef("a", kind="final", line=2)),
-                             exits=(("x", "success"), ("x", "failure")))
-        assert machine.state("a") is first and machine.exit_tag("x") == "success"
-        assert TINY._replace(machines=(machine, machine._replace(initial="b"))).machine("m") is machine
+        machine = MachineDef("m", "a", states=(first, StateDef("a", kind="final", line=2),
+                                               StateDef("z", kind="final"), StateDef("b", kind="final")),
+                             exits=(("x", "success"), ("y", "failure"), ("x", "failure")))
+        states, exits, finals = declared(machine)
+        assert states.keys() == {"a", "z", "b"} and states["a"] is first
+        assert exits == {"x": "success", "y": "failure"}
+        assert finals == ["a", "z", "b"]
 
 
 def _vocabulary(machines):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 from foragesim.scenario import (
     Diagnostic,
     ScenarioError,
+    declared,
     parse_scenario,
     parse_scenario_checked,
     serialize_scenario,
 )
 from foragesim.scenarios import builtin_scenario, builtin_scenario_text
 from foragesim.sim import OUTCOME_SURVIVED, SimConfig, run_life, run_monte_carlo
+from foragesim.statemachine import start_instance
 
 from genscenarios import random_scenario
 
@@ -51,9 +54,8 @@ def warnings_of(diags):
 class TestParse:
     def test_station_only_machine_and_options(self):
         s = builtin_scenario("station_only")
-        m = s.machine("find_charging_station")
-        assert m is not None
-        choice = m.state("decision_flow")
+        m = {m.name: m for m in s.machines}["find_charging_station"]
+        choice = declared(m)[0]["decision_flow"]
         assert choice.options == ("follow_ir_signal", "follow_track_path")
 
     def test_empty_string_reports_no_entry_machine(self):
@@ -195,6 +197,31 @@ class TestDeepComposition:
         cycle = " -> ".join(f"m{i}" for i in (*range(1500), 1))
         assert diags == [Diagnostic("error", line, 1, f"machine composition cycle: {cycle}")]
 
+    def test_validating_a_6000_level_chain_holds_memory_linear_in_its_depth(self):
+        text, _ = _chain(6000)
+        tracemalloc.start()
+        try:
+            scenario, diags = parse_scenario_checked(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scenario is not None and diags == []
+        # one shared path list peaks near 16 MiB; a copy per suspended walk, near 150
+        assert peak < 50 * 2**20
+
+    def test_the_first_start_on_a_3000_level_chain_holds_memory_linear_in_its_depth(self):
+        scenario = parse_scenario(_chain(3000)[0])
+        tracemalloc.start()
+        try:
+            inst = start_instance(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.active_path() == ["m0", *["s"] * 3000]
+        # one initial state per composite peaks near 4 MiB; a copy of the chain
+        # below each composite, near 70
+        assert peak < 15 * 2**20
+
 
 class TestValidate:
     def test_builtin_fixtures_are_clean(self, builtin_name):
@@ -239,7 +266,8 @@ class TestValidate:
         text = "[machine top entry]\ninitial -> a\nstate a -> _done on go\nfinal _done\n"
         scenario, diags = parse_scenario_checked(text)
         assert diags == []
-        assert scenario.machine("top").state("_done").kind == "final"
+        states, _, finals = declared(scenario.machines[0])
+        assert states["_done"].kind == "final" and finals == ["_done"]
         assert parse_scenario(serialize_scenario(scenario)) == scenario
 
     def test_entry_machine_may_be_endless(self):

@@ -14,6 +14,7 @@ from foragesim.scenario import (
     ScenarioDef,
     StateDef,
     TransitionDef,
+    declared,
     parse_scenario,
     parse_scenario_checked,
 )
@@ -25,6 +26,7 @@ from foragesim.statemachine import (
     STATUS_RUNNING,
     MachineInstance,
     MachineStuckError,
+    PursuitOutcome,
     StaticContext,
     TransitionRecord,
     UnknownEventError,
@@ -319,10 +321,30 @@ class TestResolution:
             start_instance(broken)
         assert start_instance(scenario).active_path() == ["top", "a"]
 
+    def test_the_first_declaration_of_a_name_wins(self):
+        """A repeated state, exit or machine name resolves to its first
+        declaration, and `-> final` to the first final state."""
+        scenario, diags = parse_scenario_checked(
+            "[machine top entry]\ninitial -> a\nstate a -> c on go\nstate a -> t on go\nchoice c : s | t\n"
+            "submachine s = sub -> t on x\nstate t -> final on go\nfinal Done\nfinal Other\n"
+            "[machine sub]\ninitial -> p\nstate p -> exit.x on go\nexit x (success)\nexit x (failure)\n"
+            "[machine sub]\ninitial -> q\nstate q -> exit.x on go\nexit x (failure)\n")
+        assert {"duplicate state name 'a'", "duplicate exit name 'x'",
+                "duplicate machine name 'sub'"} <= {d.message for d in diags}
+        inst, ctx = start_instance(scenario), StaticContext()
+        dispatch(inst, "go", ctx)
+        assert inst.active_path() == ["top", "s", "p"]
+        dispatch(inst, "go", ctx)
+        assert inst.active_path() == ["top", "t"]
+        assert ctx.outcomes == [PursuitOutcome("c", "s", True)]
+        dispatch(inst, "go", ctx)
+        assert inst.active_path() == ["top", "Done"] and inst.status == STATUS_FINALIZED
+
     def test_no_name_is_looked_up_while_running(self):
-        """After the first start, dispatches through a choice, both exits,
-        `-> final` and restarts read only the resolved states."""
-        scenario = builtin_scenario("station_only")
+        """After the first start, which reads each machine's names once,
+        dispatches through a choice, both exits, `-> final` and restarts read
+        only the resolved states."""
+        scenario = builtin_scenario("station_only")._replace()  # not yet resolved
         script = ["power_low", "located", "waitTimer_expired", "power_low", AUTO, "lost",
                   "power_lower", "located", "waitTimer_expired", "power_low"]
 
@@ -336,7 +358,15 @@ class TestResolution:
                     inst = start_instance(scenario)
             return records, ctx.outcomes
 
-        expected = drive()
+        read = []
+
+        def counting(machine):
+            read.append(machine.name)
+            return declared(machine)
+
+        with mock.patch.object(statemachine, "declared", counting):
+            expected = drive()
+        assert read == [m.name for m in scenario.machines]
         triggers = {r.trigger for rs in expected[0] for r in rs}
         assert {"choice", "located", "lost_signal_track", "waitTimer_expired"} <= triggers
         assert ("top", "Final") in {r.to_path for rs in expected[0] for r in rs}
@@ -344,8 +374,8 @@ class TestResolution:
         def refuse(*args, **kwargs):
             raise AssertionError("a name was looked up")
 
-        with mock.patch.multiple(MachineDef, state=refuse, exit_tag=refuse, final_state_names=refuse), \
-                mock.patch.multiple(ScenarioDef, machine=refuse, event_vocabulary=refuse):
+        with mock.patch.object(statemachine, "declared", refuse), \
+                mock.patch.multiple(ScenarioDef, event_vocabulary=refuse):
             assert drive() == expected
             with pytest.raises(AssertionError, match="a name was looked up"):
                 start_instance(scenario._replace())  # a copy resolves, through the lookups
@@ -474,6 +504,6 @@ class TestCachedPath:
                     elif len(now) < len(was):
                         # an exit crossing: the outer path, then the exit's name
                         assert rec.to_path[:-1] == now
-                        assert machine.exit_tag(rec.to_path[-1]) is not None
+                        assert rec.to_path[-1] in declared(machine)[1]
                     else:
                         assert rec.to_path == now
