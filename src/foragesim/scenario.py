@@ -588,6 +588,45 @@ def _reach(start: str, nexts: dict[str, list[str]]) -> set[str]:
     return reached
 
 
+def _loops(nexts: dict[str, list[str]]) -> list[list[str]]:
+    """The cycles of `nexts` (see `_reach`): each largest set of its nodes
+    that all reach one another and themselves, listed in `nexts` order, the
+    sets in the order of their first node. Tarjan's strongly connected
+    components in one pass; its walk waits on a list, not the call stack,
+    since a chain of moves may be as long as any input."""
+    index: dict[str, int] = {}  # node -> its place in the walk's order of discovery
+    low: dict[str, int] = {}  # node -> the least index it reaches among open nodes
+    root: dict[str, str] = {}  # closed node -> the first node of its set found
+    open_nodes: list[str] = []
+    for start in nexts:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        open_nodes.append(start)
+        walk = [(start, iter(nexts[start]))]
+        while walk:
+            node, ahead = walk[-1]
+            for nxt in ahead:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    open_nodes.append(nxt)
+                    walk.append((nxt, iter(nexts.get(nxt, ()))))
+                    break
+                if nxt not in root:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                walk.pop()
+                if walk:
+                    low[walk[-1][0]] = min(low[walk[-1][0]], low[node])
+                if low[node] == index[node]:
+                    while node not in root:
+                        root[open_nodes.pop()] = node
+    sets: dict[str, list[str]] = {}
+    for node in nexts:
+        sets.setdefault(root[node], []).append(node)
+    return [nodes for nodes in sets.values() if len(nodes) > 1 or nodes[0] in nexts[nodes[0]]]
+
+
 def _run(walk):
     """The return value of generator `walk`. Where a walk needs the return
     value of another walk, it yields that generator, which runs first and
@@ -801,11 +840,11 @@ def _check_auto_cycles(
 
     def certain_walk(moves, state: str | None, stop) -> tuple[list[str], str | None]:
         """The states passed on certain moves from `state`, and the first one not passed."""
-        path: list[str] = []
+        path: dict[str, None] = {}  # in order, and a state is tested in one lookup
         while state in moves and state not in stop and state not in path:
-            path.append(state)
+            path[state] = None
             state = next((t for t, _, certain in moves[state] if certain), None)
-        return path, state
+        return list(path), state
 
     def summary(name: str):
         """A walk to the exits machine `name` may cross at once from its
@@ -842,16 +881,10 @@ def _check_auto_cycles(
                 names = " -> ".join(cycle + [cycle[0]])
                 diags.append(_warning(line, f"unguarded auto cycle {names} never settles"))
 
-        nexts = {s: [t for t, _, _ in ms] for s, ms in moves.items()}
-        reach = {start: _reach(start, nexts) for start in moves}
-        warned: set[str] = set()
-        for state in moves:
-            if state in warned or state not in reach[state]:
-                continue
-            loop = [s for s in moves if s in reach[state] and state in reach[s]]
-            warned.update(loop)
+        for loop in _loops({s: [t for t, _, _ in ms] for s, ms in moves.items()}):
             if never_settles.isdisjoint(loop):
-                line = min(ln for s in loop for t, ln, _ in moves[s] if t in loop)
+                members = set(loop)
+                line = min(ln for s in loop for t, ln, _ in moves[s] if t in members)
                 diags.append(
                     _warning(line, f"auto cycle through {', '.join(loop)} may never settle")
                 )

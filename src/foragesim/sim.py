@@ -87,7 +87,18 @@ builds none. `_line` writes an event row's line field by field, and
 writes a row with a value not exactly a `str`, an `int` or a finite `float`.
 A life's feeding cycle replays the same levels, so a record takes each
 level's text from a bounded cache (`_level`); a level list that holds a zero
-is written uncached, because 0.0 and -0.0 would share one entry.
+is written uncached, because 0.0 and -0.0 would share one entry. A replayed
+copy of a logged record holds the record's level lists and differs from it
+only in `first`. So both sinks write records through `_texts`, which keeps
+the last CYCLE_STATES records it wrote, keyed by the identity of their
+battery list, and a record's tails (`_Stretch.tails`: each row's text after
+its step) once a copy of it comes; each later copy is written as its steps
+and those tails. The memo holds each record it keys, so no key outlives its
+list and no other list can take its id. It holds no more records than a
+period log, and tails only of records that were replayed, so a streamed
+trace's memory still does not grow with the horizon, and a life that never
+jumps keeps no text. Event rows are written anew each time: a choice or
+outcome row carries weights that every period moves.
 """
 
 from __future__ import annotations
@@ -95,7 +106,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter, deque
+from collections import Counter, OrderedDict, deque
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import count
@@ -809,10 +820,10 @@ class _Stretch(NamedTuple):
             mood=self.mood, x=self.x, y=self.y,
         )
 
-    def text(self) -> str:
-        """The JSON line and newline of each row: the one template for a tick
-        row, used when every value has the type it was written for."""
-        first, state, mood, x, y, batteries, capacitors = self
+    def tails(self) -> list[str] | None:
+        """The text after `"step": N` in each row's JSON line, newline
+        included, or None when a value but the step is off the template."""
+        _, state, mood, x, y, batteries, capacitors = self
         # each level a finite exact float; most records are a full tick alone,
         # whose two levels are checked without building a set of types
         if len(batteries) == 1:
@@ -821,26 +832,52 @@ class _Stretch(NamedTuple):
         else:
             finite = ({*map(type, batteries), *map(type, capacitors)} <= {float}
                       and math.isfinite(sum(batteries) + sum(capacitors)))
-        if not (
-            type(first) is int and type(state) is str and type(mood) is str
-            and type(x) is int and type(y) is int and finite
-        ):
-            return "".join([json.dumps(self.row(k).to_dict()) + "\n" for k in range(len(batteries))])
+        if not (type(state) is str and type(mood) is str and type(x) is int and type(y) is int
+                and finite):
+            return None
         mid = f', "state": {_quoted(state)}, "battery": '
         end = f', "mood": {_quoted(mood)}, "x": {x}, "y": {y}}}\n'
-        return "".join([
-            f'{{"step": {s}{mid}{b}, "capacitor": {c}{end}'
-            for s, b, c in zip(
-                count(first),
-                map(repr if 0.0 in batteries else _level, batteries),
-                map(repr if 0.0 in capacitors else _level, capacitors),
-            )
-        ])
+        return [
+            f'{mid}{b}, "capacitor": {c}{end}'
+            for b, c in zip(map(repr if 0.0 in batteries else _level, batteries),
+                            map(repr if 0.0 in capacitors else _level, capacitors))
+        ]
+
+    def text(self, tails: list[str] | None = None) -> str:
+        """The JSON line and newline of each row: the one template for a tick
+        row, `"step": N` and the row's tail. `tails` is `tails()` of this
+        record or of one equal to it but for `first`; a record with a value
+        off the template is written by `json.dumps`."""
+        if tails is None:
+            tails = self.tails()
+        if tails is None or type(self.first) is not int:
+            return "".join([json.dumps(self.row(k).to_dict()) + "\n" for k in range(len(self.batteries))])
+        return "".join([f'{{"step": {s}{tail}' for s, tail in zip(count(self.first), tails)])
 
 
-def _text(item: TraceEvent | _Stretch) -> str:
-    """The JSON lines, each with its newline, of a row or a record."""
-    return item.text() if type(item) is _Stretch else _line(item) + "\n"
+def _texts():
+    """A function that gives the JSON lines, each with its newline, of a row
+    or a record, for one sink to write in order. It keeps the last
+    CYCLE_STATES records it wrote, and a record's tails once a replayed copy
+    of it comes (the same level lists, a later `first`), so each later copy
+    is written as its steps and those tails."""
+    shared: OrderedDict[int, list] = OrderedDict()  # id of its battery list -> [record, tails]
+
+    def text(item: TraceEvent | _Stretch) -> str:
+        if type(item) is not _Stretch:
+            return _line(item) + "\n"
+        key = id(item.batteries)
+        known = shared.get(key)
+        if known is None or known[0][1:] != item[1:]:
+            if len(shared) >= CYCLE_STATES:
+                shared.popitem(last=False)
+            shared[key] = [item, None]
+            return item.text()
+        if known[1] is None:
+            known[1] = item.tails()
+        return item.text(known[1])
+
+    return text
 
 
 class Trace(Sequence):
@@ -894,9 +931,10 @@ class _JsonlWriter:
 
     def __init__(self, fh):
         self._write = fh.write
+        self._text = _texts()
 
     def append(self, item: TraceEvent | _Stretch) -> None:
-        self._write(_text(item))
+        self._write(self._text(item))
 
 
 def write_trace_jsonl(trace, path: str | Path) -> None:
@@ -908,7 +946,7 @@ def write_trace_jsonl(trace, path: str | Path) -> None:
     `replacing`, so one that fails part way leaves `path` as it was.
     """
     with replacing(path) as fh:
-        fh.writelines(map(_text, trace._items if isinstance(trace, Trace) else trace))
+        fh.writelines(map(_texts(), trace._items if isinstance(trace, Trace) else trace))
 
 
 def write_stats_csv(stats: SurvivalStats, path: str | Path) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foragesim import scenario as scenario_mod
 from foragesim.scenario import (
     Diagnostic,
     ScenarioError,
@@ -13,7 +14,7 @@ from foragesim.scenario import (
     parse_scenario_checked,
     serialize_scenario,
 )
-from foragesim.scenarios import builtin_scenario, builtin_scenario_text
+from foragesim.scenarios import BUILTIN_NAMES, builtin_scenario, builtin_scenario_text
 from foragesim.sim import OUTCOME_SURVIVED, SimConfig, run_life, run_monte_carlo
 from foragesim.statemachine import start_instance
 
@@ -330,6 +331,31 @@ NO_AUTO_CYCLES = {
 }
 
 
+_NODES = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+def _auto_ring(n: int, guard: str) -> str:
+    """A machine whose `n` states each move on `auto` to the next, the last to the first."""
+    return "[machine top entry]\ninitial -> s0\n" + "".join(
+        f"state s{i} -> s{(i + 1) % n} on auto{guard}\n" for i in range(n)
+    )
+
+
+def _loops_by_reach(nexts):
+    """The cycles of `nexts` by a walk from each node: each node that reaches
+    itself, with the nodes it reaches that reach it, reported at the first
+    of them in `nexts` order; `_loops` must give the same lists."""
+    reach = {start: scenario_mod._reach(start, nexts) for start in nexts}
+    loops, warned = [], set()
+    for state in nexts:
+        if state in warned or state not in reach[state]:
+            continue
+        loop = [s for s in nexts if s in reach[state] and state in reach[s]]
+        warned.update(loop)
+        loops.append(loop)
+    return loops
+
+
 class TestAutoCycles:
     @pytest.mark.parametrize("case", sorted(AUTO_CYCLES))
     def test_cycle_is_reported_at_its_arm(self, case):
@@ -342,6 +368,40 @@ class TestAutoCycles:
     def test_settling_drain_is_clean(self, case):
         _, diags = parse_scenario_checked(NO_AUTO_CYCLES[case])
         assert diags == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.dictionaries(_NODES, st.lists(st.one_of(_NODES, st.just("exit.x")), max_size=3),
+                           min_size=1, max_size=8))
+    def test_loops_are_those_of_a_walk_from_each_state(self, nexts):
+        assert scenario_mod._loops(nexts) == _loops_by_reach(nexts)
+
+    @pytest.mark.parametrize("texts", ["builtins", "genscenarios", "guarded_rings", "cases"])
+    def test_diagnostics_are_those_of_a_walk_from_each_state(self, texts, monkeypatch):
+        corpus = {
+            "builtins": lambda: [builtin_scenario_text(name) for name in BUILTIN_NAMES],
+            "genscenarios": lambda: [serialize_scenario(random_scenario(seed)) for seed in range(300)],
+            "guarded_rings": lambda: [_auto_ring(n, guard) for n in (1, 2, 3, 40, 700)
+                                      for guard in (" if powerLow", "", " if batteryFull, s0 on auto")],
+            "cases": lambda: [text for text, _ in AUTO_CYCLES.values()] + list(NO_AUTO_CYCLES.values()),
+        }[texts]()
+        found = [parse_scenario_checked(text)[1] for text in corpus]
+        monkeypatch.setattr(scenario_mod, "_loops", _loops_by_reach)
+        assert found == [parse_scenario_checked(text)[1] for text in corpus]
+        assert any(warnings_of(diags) for diags in found) or texts == "builtins"
+
+    def test_a_long_guarded_ring_is_one_warning_found_in_one_pass(self, monkeypatch):
+        # a walk from each state takes time quadratic in the ring's size; the
+        # one walk left is the reachability check's, from the initial state
+        walks = []
+        reach = scenario_mod._reach
+        monkeypatch.setattr(scenario_mod, "_reach", lambda *args: walks.append(args) or reach(*args))
+        n = 20_000
+        _, diags = parse_scenario_checked(_auto_ring(n, " if powerLow"))
+        names = ", ".join(f"s{i}" for i in range(n))
+        assert [(d.line, d.severity, d.message) for d in diags] == [
+            (3, "warning", f"auto cycle through {names} may never settle")
+        ]
+        assert [start for start, _ in walks] == ["s0"]
 
 
 # Each case is [world]/[energy] text in which the line marked `# <-` is the

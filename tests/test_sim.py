@@ -748,6 +748,32 @@ def _stretches(draw):
     return tuple(stretch.values())
 
 
+def _fresh(record: sim._Stretch) -> sim._Stretch:
+    """An equal record that holds level lists of its own."""
+    return record._replace(batteries=list(record.batteries), capacitors=list(record.capacitors))
+
+
+def _rows_text(items) -> str:
+    """`json.dumps` of each row of `items` (rows and records), a line each."""
+    rows = []
+    for item in items:
+        rows += map(item.row, range(len(item.batteries))) if type(item) is sim._Stretch else [item]
+    return "".join(json.dumps(row.to_dict()) + "\n" for row in rows)
+
+
+def _sink_texts(records, tmp_path_factory) -> list[str]:
+    """The text that each sink writes for `records`: the streamed writer's,
+    then `write_trace_jsonl`'s of a `Trace`."""
+    streamed = io.StringIO()
+    writer, trace = sim._JsonlWriter(streamed), sim.Trace()
+    for record in records:
+        writer.append(record)
+        trace.append(record)
+    path = tmp_path_factory.getbasetemp() / "sink.jsonl"
+    write_trace_jsonl(trace, path)
+    return [streamed.getvalue(), path.read_bytes().decode()]
+
+
 class TestStretchFormat:
     """A tick's record is written from one template; its text must be `_line`
     of each of its rows, and a `Trace` must read as those rows."""
@@ -806,6 +832,55 @@ class TestStretchFormat:
                               [2.0 + k / 3 for k in range(n)])
         assert record.text() == "".join(json.dumps(record.row(k).to_dict()) + "\n" for k in range(n))
         assert sim._level.cache_info().currsize <= bound
+
+    @settings(max_examples=400, deadline=None)
+    @given(_stretches(), st.lists(st.integers(1, 10**6), min_size=1, max_size=3))
+    def test_a_replayed_copy_is_written_as_a_fresh_record(self, tmp_path_factory, stretch, shifts):
+        # a copy holds its record's level lists and differs in `first`; one
+        # that holds them with another mood must not take the record's text
+        record = sim._Stretch(*stretch)
+        copies = [record._replace(first=record.first + shift) for shift in shifts]
+        records = [record, *copies, copies[-1]._replace(mood="other/mood")]
+        assert _sink_texts(records, tmp_path_factory) == [_rows_text(map(_fresh, records))] * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_stretches(), min_size=1, max_size=4), st.lists(st.integers(0, 9), max_size=12))
+    def test_a_trace_written_twice_is_the_same_bytes(self, tmp_path_factory, stretches, picks):
+        records = [sim._Stretch(*stretch) for stretch in stretches]
+        # each pick replays one of the records, interleaved with event rows
+        for shift, pick in enumerate(picks, start=1):
+            copy = records[pick % len(stretches)]
+            records += [copy._replace(first=copy.first + shift), TraceEvent(shift, "top", "go")]
+        trace = sim.Trace()
+        for record in records:
+            trace.append(record)
+        path = tmp_path_factory.getbasetemp() / "twice.jsonl"
+        written = []
+        for _ in range(2):
+            write_trace_jsonl(trace, path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == _rows_text(trace).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_stretches(), min_size=1, max_size=6))
+    def test_records_that_each_hold_their_own_lists_write_as_before(self, tmp_path_factory, stretches):
+        # equal levels in lists of their own: no record takes another's text
+        records = [sim._Stretch(*stretch) for stretch in stretches]
+        records += list(map(_fresh, records))
+        assert _sink_texts(records, tmp_path_factory) == [_rows_text(records)] * 2
+
+    def test_a_copy_keeps_its_records_signed_zeros(self, tmp_path_factory):
+        # the same levels but for the signs of their zeros, in lists of their own
+        records = []
+        for zeros in ([0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]):
+            record = sim._Stretch(1, "top/rest", "normal", 0, 0, [1.0, 0.5], zeros)
+            records += [record, record._replace(first=3), record._replace(first=5)]
+        texts = _sink_texts(records, tmp_path_factory)
+        assert texts == [_rows_text(records)] * 2
+        written = [json.loads(line)["capacitor"] for line in texts[0].splitlines()]
+        assert [math.copysign(1.0, c) for c in written] == [
+            math.copysign(1.0, c) for r in records for c in r.capacitors
+        ]
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_trace_file_is_the_same_bytes_whole_row_by_row_and_streamed(
