@@ -211,6 +211,14 @@ def declared(m: MachineDef) -> tuple[dict[str, StateDef], dict[str, str], list[s
             [st.name for st in m.states if st.kind == KIND_FINAL])
 
 
+def machines_by_name(machines) -> dict[str, MachineDef]:
+    """`machines` by name in declaration order, the first declaration of a name winning."""
+    named: dict[str, MachineDef] = {}
+    for m in machines:
+        named.setdefault(m.name, m)
+    return named
+
+
 class _ScenarioFields(NamedTuple):
     machines: tuple[MachineDef, ...]
     world: WorldMap
@@ -627,22 +635,6 @@ def _loops(nexts: dict[str, list[str]]) -> list[list[str]]:
     return [nodes for nodes in sets.values() if len(nodes) > 1 or nodes[0] in nexts[nodes[0]]]
 
 
-def _run(walk):
-    """The return value of generator `walk`. Where a walk needs the return
-    value of another walk, it yields that generator, which runs first and
-    sends the value back; the walks wait on a list, not on the call stack, so
-    a composition as deep as any input runs within the recursion limit."""
-    stack, value = [walk], None
-    while stack:
-        try:
-            stack.append(stack[-1].send(value))
-            value = None
-        except StopIteration as stop:
-            stack.pop()
-            value = stop.value
-    return value
-
-
 def _repeats(items, key) -> list:
     """The items whose key an earlier item already has, in order."""
     seen: set = set()
@@ -669,7 +661,7 @@ def _validate(
     for m in _repeats(machines, lambda m: m.name):
         diags.append(_error(m.line, f"duplicate machine name '{m.name}'"))
 
-    by_name = {m.name: m for m in machines}
+    named = machines_by_name(machines)
     options_of: dict[str, set[str]] = {}  # choice node name -> its options, over all machines
 
     for m in machines:
@@ -708,7 +700,7 @@ def _validate(
                     if o not in targets:
                         diags.append(_error(st.line, f"unresolved reference '{o}'"))
             if st.kind == KIND_COMPOSITE:
-                inner = by_name.get(st.machine)
+                inner = named.get(st.machine)
                 if inner is None:
                     diags.append(_error(st.line, f"unresolved reference '{st.machine}'"))
                 else:
@@ -756,28 +748,32 @@ def _validate(
                 elif tr.target not in targets:
                     diags.append(_error(tr.line, f"unresolved reference '{tr.target}'"))
 
-    # composition must be acyclic: a walk (see `_run`) from each machine
-    colors: dict[str, int] = {}
-    path: list[str] = []  # the machines being visited, outermost first
+    # composition must be acyclic: one walk, on a stack of (machine name, its
+    # states left), lists each machine when it is done, its sub-machines first
+    order: list[MachineDef] = []
+    done: dict[str, bool] = {}  # machine name -> whether the walk is done with it
+    for m in named.values():
+        if m.name in done:
+            continue
+        done[m.name] = False
+        stack = [(m.name, iter(m.states))]
+        while stack:
+            name, states = stack[-1]
+            for st in states:
+                if st.kind == KIND_COMPOSITE and st.machine in named:
+                    if st.machine not in done:
+                        done[st.machine] = False
+                        stack.append((st.machine, iter(named[st.machine].states)))
+                        break
+                    if not done[st.machine]:
+                        cycle = " -> ".join([n for n, _ in stack] + [st.machine])
+                        diags.append(_error(st.line, f"machine composition cycle: {cycle}"))
+            else:
+                stack.pop()
+                done[name] = True
+                order.append(named[name])
 
-    def visit(name: str):
-        colors[name] = 1
-        path.append(name)
-        for st in by_name[name].states:
-            if st.kind == KIND_COMPOSITE and st.machine in by_name:
-                if colors.get(st.machine, 0) == 1:
-                    cycle = " -> ".join(path + [st.machine])
-                    diags.append(_error(st.line, f"machine composition cycle: {cycle}"))
-                elif colors.get(st.machine, 0) == 0:
-                    yield visit(st.machine)
-        path.pop()
-        colors[name] = 2
-
-    for m in machines:
-        if colors.get(m.name, 0) == 0:
-            _run(visit(m.name))
-
-    _check_auto_cycles(machines, by_name, diags)
+    _check_auto_cycles(order, diags)
 
     referenced = {st.machine for m in machines for st in m.states if st.kind == KIND_COMPOSITE}
     for m in machines:
@@ -796,12 +792,15 @@ def _validate(
             )
 
 
-def _check_auto_cycles(
-    machines: tuple[MachineDef, ...], by_name: dict[str, MachineDef], diags: list[Diagnostic]
-) -> None:
+def _check_auto_cycles(order: list[MachineDef], diags: list[Diagnostic]) -> None:
     """Report cycles among the moves a run-to-completion drain makes without
     an event: `auto` arms, choice options, and a sub-machine that crosses an
     exit as soon as it is entered, into the composite's arm for that exit.
+
+    `order` holds the machines once each, a sub-machine before the machines
+    that hold it (`_validate`'s composition walk), so one pass knows the exits
+    each sub-machine crosses at once. A sub-machine that comes later, one that
+    was still open on the walk in a composition cycle, crosses no exit.
 
     A move is certain when it is a state's first `auto` arm and unguarded, or
     the first arm for an exit its sub-machine always crosses at once, and
@@ -810,33 +809,10 @@ def _check_auto_cycles(
     line of the cycle's first arm; a drain that does turn forever raises
     `MachineStuckError` when the scenario runs.
     """
-    graphs: dict[str, dict[str, list[tuple[str, int, bool]]]] = {}
+    # machine name -> the `exit.X` targets it may reach at once from its
+    # initial, and where its certain moves from there end (the exit it always
+    # crosses, if that is one); a machine that crosses no exit has no entry
     summaries: dict[str, tuple[set[str], str | None]] = {}
-
-    def graph(m: MachineDef):
-        """A walk (see `_run`) to each state that has moves -> its moves
-        (target, line, certain); a target is a state, a final or `exit.X`."""
-        moves = graphs.get(m.name)
-        if moves is None:
-            moves = graphs[m.name] = {}
-            for st in m.states:
-                if st.kind == KIND_CHOICE:
-                    moves[st.name] = [(o, st.line, False) for o in st.options]
-                elif st.kind == KIND_COMPOSITE:
-                    crossed, certain_exit = yield summary(st.machine)
-                    if crossed:
-                        firsts: dict[str, TransitionDef] = {}
-                        moves[st.name] = [
-                            (tr.target, tr.line, tr.event == certain_exit
-                             and firsts.setdefault(tr.event, tr) is tr and tr.guard is None)
-                            for tr in st.transitions if tr.event in crossed
-                        ]
-                else:
-                    for tr in st.transitions:
-                        if tr.event == RESERVED_EVENT:
-                            autos = moves.setdefault(st.name, [])
-                            autos.append((tr.target, tr.line, not autos and tr.guard is None))
-        return moves
 
     def certain_walk(moves, state: str | None, stop) -> tuple[list[str], str | None]:
         """The states passed on certain moves from `state`, and the first one not passed."""
@@ -846,27 +822,37 @@ def _check_auto_cycles(
             state = next((t for t, _, certain in moves[state] if certain), None)
         return list(path), state
 
-    def summary(name: str):
-        """A walk to the exits machine `name` may cross at once from its
-        initial, and the one it always crosses."""
-        if name not in summaries:
-            summaries[name] = (set(), None)  # stands in while a composition cycle walks back to it
-            m = by_name.get(name)
-            moves = {} if m is None else (yield graph(m))
-            if any(t.startswith(EXIT_PREFIX) for ms in moves.values() for t, _, _ in ms):
-                reached = _reach(m.initial, {s: [t for t, _, _ in ms] for s, ms in moves.items()})
-                _, end = certain_walk(moves, m.initial, ())
-                summaries[name] = (
-                    {t[len(EXIT_PREFIX):] for t in reached if t.startswith(EXIT_PREFIX)},
-                    end[len(EXIT_PREFIX):] if end is not None and end.startswith(EXIT_PREFIX) else None,
-                )
-        return summaries[name]
+    for m in order:
+        # each state that has moves -> its moves (target, line, certain); a
+        # target is a state, a final or `exit.X`
+        moves: dict[str, list[tuple[str, int, bool]]] = {}
+        for st in m.states:
+            if st.kind == KIND_CHOICE:
+                moves[st.name] = [(o, st.line, False) for o in st.options]
+            elif st.kind == KIND_COMPOSITE:
+                if st.machine in summaries:
+                    crossed, end = summaries[st.machine]
+                    firsts: dict[str, TransitionDef] = {}
+                    moves[st.name] = [
+                        (tr.target, tr.line, EXIT_PREFIX + tr.event == end
+                         and firsts.setdefault(tr.event, tr) is tr and tr.guard is None)
+                        for tr in st.transitions if EXIT_PREFIX + tr.event in crossed
+                    ]
+            else:
+                for tr in st.transitions:
+                    if tr.event == RESERVED_EVENT:
+                        autos = moves.setdefault(st.name, [])
+                        autos.append((tr.target, tr.line, not autos and tr.guard is None))
 
-    for m in machines:
-        moves = _run(graph(m))
+        if any(t.startswith(EXIT_PREFIX) for ms in moves.values() for t, _, _ in ms):
+            reached = _reach(m.initial, {s: [t for t, _, _ in ms] for s, ms in moves.items()})
+            crossed = {t for t in reached if t.startswith(EXIT_PREFIX)}
+            if crossed:
+                summaries[m.name] = crossed, certain_walk(moves, m.initial, ())[1]
+
         # a cycle needs a move back to a state declared no later than its own
-        order = {state: i for i, state in enumerate(moves)}
-        if all(order.get(t, i + 1) > i for i, ms in enumerate(moves.values()) for t, _, _ in ms):
+        rank = {state: i for i, state in enumerate(moves)}
+        if all(rank.get(t, i + 1) > i for i, ms in enumerate(moves.values()) for t, _, _ in ms):
             continue
 
         never_settles: set[str] = set()

@@ -34,6 +34,7 @@ from .scenario import (
     ScenarioDef,
     StateDef,
     declared,
+    machines_by_name,
 )
 
 AUTO = RESERVED_EVENT
@@ -121,11 +122,10 @@ class _State:
 def _resolve(scenario: ScenarioDef) -> dict[str, _State]:
     """Each machine's initial state by name, and every state reachable from one,
     resolved through `declared` once per machine name: the first declaration of
-    a name wins, a machine's too. A failure names the machine and state."""
-    index: dict[str, tuple] = {}  # machine name -> (machine, states, exit tags, finals)
-    for m in scenario.machines:
-        if m.name not in index:
-            index[m.name] = (m, *declared(m))
+    a name wins, a machine's too (`machines_by_name`, which `validate` reads
+    by as well). A failure names the machine and state."""
+    # machine name -> (machine, states, exit tags, finals)
+    index = {name: (m, *declared(m)) for name, m in machines_by_name(scenario.machines).items()}
     resolved: dict[tuple[str, str], _State] = {}
     todo: list[tuple[_State, StateDef]] = []
 

@@ -277,6 +277,18 @@ class TestValidate:
         assert scenario is not None
         assert errors(diags) == []
 
+    def test_a_repeated_machine_name_reads_its_first_declaration(self):
+        # the second `inner` crosses an exit that `a` does not handle; the
+        # first is the one the runner enters, and `a` handles its one exit
+        text = (
+            "[machine top entry]\ninitial -> a\nsubmachine a = inner -> b on done\nstate b\n\n"
+            "[machine inner]\ninitial -> s\nstate s -> exit.done on go\nexit done (success)\n\n"
+            "[machine inner]\ninitial -> s\nstate s -> exit.other on go\nexit other (failure)\n"
+        )
+        scenario, diags = parse_scenario_checked(text)
+        assert diags == [Diagnostic("error", 11, 1, "duplicate machine name 'inner'")]
+        assert start_instance(scenario).active_path() == ["top", "a", "s"]
+
 
 # Each case is machine text in which the line marked `# <-` holds the arm at
 # which the cycle's warning must sit, and the warning's message.
@@ -388,6 +400,22 @@ class TestAutoCycles:
         monkeypatch.setattr(scenario_mod, "_loops", _loops_by_reach)
         assert found == [parse_scenario_checked(text)[1] for text in corpus]
         assert any(warnings_of(diags) for diags in found) or texts == "builtins"
+
+    def test_a_machine_open_on_the_composition_walk_crosses_no_exit(self):
+        """A machine still open on the composition walk, one that holds itself
+        through a composition cycle, crosses no exit as a sub-machine: `q`
+        enters `a`, which would cross `x` at once, yet `q -> r -> q` is no
+        auto cycle, and only the composition cycle is an error."""
+        text = (
+            "[machine a entry]\ninitial -> p\nstate p -> exit.x on auto\nsubmachine c = b -> p on y\n"
+            "exit x (success)\n\n"
+            "[machine b]\ninitial -> q\nsubmachine q = a -> r on x\nstate r -> q on auto\nexit y (success)\n"
+        )
+        _, diags = parse_scenario_checked(text)
+        assert diags == [
+            Diagnostic("warning", 4, 1, "unreachable state 'c'"),
+            Diagnostic("error", 9, 1, "machine composition cycle: a -> b -> a"),
+        ]
 
     def test_a_long_guarded_ring_is_one_warning_found_in_one_pass(self, monkeypatch):
         # a walk from each state takes time quadratic in the ring's size; the
