@@ -80,25 +80,25 @@ A traced life hands each row to a sink (`append`): a transition, choice or
 outcome row as a `TraceEvent`, and each tick as a record (`_Stretch`: first
 step, path, mood, pose, and each tick's levels) that also holds the quiet
 stretch after a full tick. `run_episode` keeps them in a `Trace`, which builds
-a record's rows only when they are read; `run_life` writes them to its file as
-they come, so its memory does not grow with the horizon; `run_monte_carlo`
-builds none. `_line` writes an event row's line field by field, and
-`_Stretch.text` a record's lines, as `json.dumps(row.to_dict())` does, which
-writes a row with a value not exactly a `str`, an `int` or a finite `float`.
-A life's feeding cycle replays the same levels, so a record takes each
-level's text from a bounded cache (`_level`); a level list that holds a zero
-is written uncached, because 0.0 and -0.0 would share one entry. A replayed
-copy of a logged record holds the record's level lists and differs from it
-only in `first`. So both sinks write records through `_texts`, which keeps
-the last CYCLE_STATES records it wrote, keyed by the identity of their
-battery list, and a record's tails (`_Stretch.tails`: each row's text after
-its step) once a copy of it comes; each later copy is written as its steps
-and those tails. The memo holds each record it keys, so no key outlives its
-list and no other list can take its id. It holds no more records than a
-period log, and tails only of records that were replayed, so a streamed
-trace's memory still does not grow with the horizon, and a life that never
-jumps keeps no text. Event rows are written anew each time: a choice or
-outcome row carries weights that every period moves.
+a record's rows only when they are read; `run_monte_carlo` builds none. One
+writer, `_JsonlWriter`, writes them as text: `run_life` hands it each item as
+it comes, so its memory does not grow with the horizon, and
+`write_trace_jsonl` a trace's items. `_line` writes an event row's line field
+by field, and `_Stretch.text` a record's lines, as `json.dumps(row.to_dict())`
+does, which writes a row with a value not exactly a `str`, an `int` or a
+finite `float`. A feeding cycle replays the same levels, so a record takes
+each level's text from a bounded cache (`_level`); a level list that holds a
+zero is written uncached, because 0.0 and -0.0 would share one entry. A
+replayed copy of a logged record holds the record's level lists and differs
+from it only in `first`. So the writer keeps the last CYCLE_STATES records it
+wrote, keyed by the identity of their battery list, and a record's tails
+(`_Stretch.tails`: each row's text after its step) once a copy of it comes;
+each later copy is written as its steps and those tails. The memo holds each
+record it keys, so no key outlives its list and no other list can take its id.
+It holds no more records than a period log, and tails only of records that
+were replayed, so a streamed trace's memory still does not grow with the
+horizon, and a life that never jumps keeps no text. Event rows are written
+anew: a choice or outcome row carries weights that every period moves.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ from collections import Counter, OrderedDict, deque
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import count
-from operator import eq
+from operator import eq, index
 from pathlib import Path
 from typing import NamedTuple
 
@@ -192,7 +192,8 @@ class SimConfig(_ConfigFields):
 
     def __new__(cls, *args, **kwargs):
         cfg = super().__new__(cls, *args, **kwargs)
-        if cfg.max_steps <= 0:
+        seed, max_steps = _integer("seed", cfg.seed), _integer("max_steps", cfg.max_steps)
+        if max_steps <= 0:
             raise ValueError("max_steps must be positive")
         if cfg.memory_mode not in (MEMORY_VOLATILE, MEMORY_NONVOLATILE):
             raise ValueError(f"unknown memory mode {cfg.memory_mode!r}")
@@ -200,7 +201,15 @@ class SimConfig(_ConfigFields):
             raise ValueError("nonvolatile memory requires weights_path")
         if cfg.memory_mode == MEMORY_VOLATILE and cfg.weights_path is not None:
             raise ValueError("volatile memory must not set weights_path")
-        return cfg
+        return super().__new__(cls, cfg.scenario, seed, cfg.memory_mode, max_steps, cfg.weights_path)
+
+
+def _integer(name: str, value) -> int:
+    """`operator.index(value)`, or a ValueError naming it: counts and seeds reach `range`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def replace(record, /, **changes):
@@ -677,8 +686,8 @@ def run_life(cfg: SimConfig, trace_path: str | Path | None = None) -> EpisodeRes
     `max_steps`. The lines go to a temporary file beside `trace_path` that
     replaces it when the life is over; a life that fails part way (a stuck
     machine, an I/O error) leaves `trace_path` as it was and no temporary
-    file. The file holds what `write_trace_jsonl` writes for `run_episode`'s
-    trace, byte for byte.
+    file. It writes through the one trace writer, so the file holds what
+    `write_trace_jsonl` writes for `run_episode`'s trace, byte for byte.
     """
     if trace_path is None:
         return _live(cfg, None, None)[0]
@@ -704,6 +713,7 @@ def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
     is run, and its sequence added. A batch runs one life per distinct
     sequence, and one whose first life drew nothing builds no `Random`.
     """
+    episodes = _integer("episodes", episodes)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if cfg.memory_mode == MEMORY_NONVOLATILE:
@@ -855,31 +865,6 @@ class _Stretch(NamedTuple):
         return "".join([f'{{"step": {s}{tail}' for s, tail in zip(count(self.first), tails)])
 
 
-def _texts():
-    """A function that gives the JSON lines, each with its newline, of a row
-    or a record, for one sink to write in order. It keeps the last
-    CYCLE_STATES records it wrote, and a record's tails once a replayed copy
-    of it comes (the same level lists, a later `first`), so each later copy
-    is written as its steps and those tails."""
-    shared: OrderedDict[int, list] = OrderedDict()  # id of its battery list -> [record, tails]
-
-    def text(item: TraceEvent | _Stretch) -> str:
-        if type(item) is not _Stretch:
-            return _line(item) + "\n"
-        key = id(item.batteries)
-        known = shared.get(key)
-        if known is None or known[0][1:] != item[1:]:
-            if len(shared) >= CYCLE_STATES:
-                shared.popitem(last=False)
-            shared[key] = [item, None]
-            return item.text()
-        if known[1] is None:
-            known[1] = item.tails()
-        return item.text(known[1])
-
-    return text
-
-
 class Trace(Sequence):
     """A life's trace: a read-only sequence of `TraceEvent` rows, in order.
 
@@ -927,26 +912,40 @@ class Trace(Sequence):
 
 
 class _JsonlWriter:
-    """A trace sink that writes each row, and each record, as JSON lines of `fh`."""
+    """The one trace writer: each row, and each record, as JSON lines of `fh`,
+    in order. It keeps the last CYCLE_STATES records, and a record's tails
+    once a copy of it comes, so each later copy is its steps and those tails."""
 
     def __init__(self, fh):
         self._write = fh.write
-        self._text = _texts()
+        # id of a record's battery list -> [the record, its tails once a copy came]
+        self._records: OrderedDict[int, list] = OrderedDict()
 
     def append(self, item: TraceEvent | _Stretch) -> None:
-        self._write(self._text(item))
+        if type(item) is not _Stretch:
+            self._write(_line(item) + "\n")
+            return
+        known = self._records.get(id(item.batteries))
+        if known is None or known[0][1:] != item[1:]:
+            if len(self._records) >= CYCLE_STATES:
+                self._records.popitem(last=False)
+            self._records[id(item.batteries)] = known = [item, None]
+        elif known[1] is None:
+            known[1] = item.tails()
+        self._write(item.text(known[1]))
 
 
 def write_trace_jsonl(trace, path: str | Path) -> None:
-    """Write the trace's rows to `path` as JSON lines, in order.
-
-    Each row is the text of `json.dumps(row.to_dict())` and a newline; a
-    `Trace`'s records are written by their template without building their
-    rows. An empty trace gives an empty file. The write goes through
-    `replacing`, so one that fails part way leaves `path` as it was.
-    """
+    """Write the trace's rows to `path`, in order, each as the text of
+    `json.dumps(row.to_dict())` and a newline, through one `_JsonlWriter`, as
+    `run_life` streams them. `trace` is a `Trace`, whose records are written
+    by their template without building their rows, or any iterable of rows.
+    An empty trace gives an empty file. The write goes through `replacing`,
+    so one that fails part way leaves `path` as it was."""
     with replacing(path) as fh:
-        fh.writelines(map(_texts(), trace._items if isinstance(trace, Trace) else trace))
+        append = _JsonlWriter(fh).append
+        for item in trace._items if isinstance(trace, Trace) else trace:
+            append(item)
 
 
 def write_stats_csv(stats: SurvivalStats, path: str | Path) -> None:

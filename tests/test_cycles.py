@@ -228,34 +228,56 @@ def _weights_file(cfg):
     return path.read_bytes() if path is not None and path.exists() else None
 
 
-def _assert_traced_equal(cfg, tmp_path, table=None, ref_table=None):
+def _reference(cfg, path, table=None):
+    """`_traced(cfg, path, table)` with every period simulated (`_no_jump`),
+    and the number of tie draws that life made."""
+    draws, original = [], sim._Episode.randrange
+    with mock.patch.object(sim._Episode, "randrange",
+                           lambda episode, stop: draws.append(stop) or original(episode, stop)):
+        result, trace = _no_jump(_traced, cfg, path, table)
+    return result, trace, len(draws)
+
+
+def _assert_traced_equal(cfg, tmp_path, table=None, ref_table=None, reference=None):
     """A traced life of `cfg` from `table` equals its no-jump reference from
     `ref_table`: its result, its weights file, its `Trace` and the bytes
     `write_trace_jsonl` writes of it and, when it starts from a fresh table,
-    the file `run_life` streams. Returns the result."""
-    reference, jumping = tmp_path / "reference.jsonl", tmp_path / "jumping.jsonl"
-    result, trace = _no_jump(_traced, cfg, reference, ref_table)
+    the file `run_life` streams. Returns the reference, as `_reference`
+    gives it; a `reference` passed in, whose trace is already written at
+    tmp_path / "reference.jsonl", is used instead of simulating one."""
+    path, jumping = tmp_path / "reference.jsonl", tmp_path / "jumping.jsonl"
+    if reference is None:
+        reference = _reference(cfg, path, ref_table)
+    result, trace, _ = reference
     weights = _weights_file(cfg)
     assert _traced(cfg, jumping, table) == (result, trace)
     assert _weights_file(cfg) == weights
     if trace is not None:
-        assert filecmp.cmp(jumping, reference, shallow=False)
+        assert filecmp.cmp(jumping, path, shallow=False)
     if table is None and cfg.memory_mode == MEMORY_VOLATILE:
         streamed = tmp_path / "streamed.jsonl"
         assert _outcome(run_life, cfg, streamed) == result
         if trace is not None:
-            assert filecmp.cmp(streamed, reference, shallow=False)
-    return result
+            assert filecmp.cmp(streamed, path, shallow=False)
+    return reference
 
 
 def _assert_equal_the_reference(scenario, seed, steps, tmp_path, lives=2):
     """Each traced life of `lives` seeds equals its no-jump reference (see
     `_assert_traced_equal`); `run_life` untraced, and a volatile and a
     nonvolatile `run_monte_carlo` of those lives, equal the references' results;
-    the nonvolatile lives thread one table and leave the same weights file."""
+    the nonvolatile lives thread one table and leave the same weights file.
+
+    A volatile life reads its seed only at a tie draw, so when the first
+    seed's reference draws nothing it is every seed's reference
+    (`test_sim.py::TestReusedLives` pins that a batch of such lives is one
+    life repeated)."""
     cfg = SimConfig(scenario, seed=seed, max_steps=steps)
-    references = [_assert_traced_equal(cfg._replace(seed=seed + i), tmp_path)
-                  for i in range(lives)]
+    first = _assert_traced_equal(cfg, tmp_path)
+    shared = first if first[2] == 0 else None
+    references = [first[0]] + [
+        _assert_traced_equal(cfg._replace(seed=seed + i), tmp_path, reference=shared)[0]
+        for i in range(1, lives)]
     assert _outcome(run_life, cfg) == references[0]
     stats = _outcome(run_monte_carlo, cfg, lives)
     assert (stats if type(stats) is tuple else stats.results) == _batch(references)
@@ -266,7 +288,7 @@ def _assert_equal_the_reference(scenario, seed, steps, tmp_path, lives=2):
     table, ref_table, references = (WeightTable(scenario.seed_weights),
                                     WeightTable(scenario.seed_weights), [])
     for i in range(lives):
-        result = _assert_traced_equal(config("traced.csv", seed + i), tmp_path, table, ref_table)
+        result = _assert_traced_equal(config("traced.csv", seed + i), tmp_path, table, ref_table)[0]
         references.append(result)
         if type(result) is tuple:
             break
@@ -300,6 +322,26 @@ class _Jumps:
             return jumped
 
         monkeypatch.setattr(sim._Episode, "_periods", periods)
+
+
+class _Writers(list):
+    """Every `_JsonlWriter` made while it is installed, in order."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        original = sim._JsonlWriter.__init__
+
+        def init(writer, fh):
+            original(writer, fh)
+            self.append(writer)
+
+        monkeypatch.setattr(sim._JsonlWriter, "__init__", init)
+
+
+def _held(writer):
+    """How many records a writer's memo holds, and how many of them with tails."""
+    kept = writer._records.values()
+    return len(kept), sum(tails is not None for _, tails in kept)
 
 
 class _LogSizes:
@@ -550,6 +592,31 @@ class TestMemory:
             # starts over, after which nothing is logged
             assert jumps.asked == 1 and log.sizes[-1] == 0
             assert result.outcome == OUTCOME_DIED and result.lifetime > 3 * CYCLE_STATES
+
+    @pytest.mark.parametrize("text", [NEVER_REPEATS, ALWAYS_BEHAVES],
+                             ids=["never_repeats", "always_behaves"])
+    def test_a_life_that_never_jumps_leaves_its_writer_no_text(self, text, tmp_path, monkeypatch):
+        # no record is copied, so the writer keeps the text of none, streamed
+        # or written from a `Trace`; its memo fills with the records alone
+        jumps, writers = _Jumps(monkeypatch), _Writers(monkeypatch)
+        cfg = SimConfig(parse_scenario(text), max_steps=20_000)
+        run_life(cfg, tmp_path / "streamed.jsonl")
+        write_trace_jsonl(run_episode(cfg)[1], tmp_path / "written.jsonl")
+        assert not jumps.jumps
+        assert [_held(writer) for writer in writers] == [(CYCLE_STATES, 0)] * 2
+
+    def test_the_writer_holds_at_most_cycle_states_records(self, tmp_path, monkeypatch):
+        # a jumping life: the writer keeps the tails of the records it has
+        # seen copied, whichever way the trace reaches it
+        writers = _Writers(monkeypatch)
+        cfg = SimConfig(builtin_scenario("dual_source"), seed=3, max_steps=LONG)
+        write_trace_jsonl(run_episode(cfg)[1], tmp_path / "written.jsonl")
+        run_life(cfg, tmp_path / "streamed.jsonl")
+        held = [_held(writer) for writer in writers]
+        assert len(held) == 2 and held[0] == held[1]
+        records, tails = held[0]
+        assert 0 < tails < records <= CYCLE_STATES
+        assert filecmp.cmp(tmp_path / "written.jsonl", tmp_path / "streamed.jsonl", shallow=False)
 
     def test_a_streamed_life_does_not_grow_with_its_horizon(self, tmp_path):
         def peak(steps):

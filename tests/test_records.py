@@ -111,11 +111,29 @@ class TestCopies:
         (Thresholds(), {"lower_frac": 0.3}, "thresholds must satisfy 0 < lower < low < 1, got low=0.3 lower=0.3"),
         (SimConfig(TINY), {"max_steps": 0}, "max_steps must be positive"),
         (SimConfig(TINY), {"memory_mode": MEMORY_NONVOLATILE}, "nonvolatile memory requires weights_path"),
+        # a count or a seed that is not an integer once failed in the middle of a life
+        (SimConfig(TINY), {"max_steps": 20000.0}, "max_steps must be an integer, got 20000.0"),
+        (SimConfig(TINY), {"max_steps": "5"}, "max_steps must be an integer, got '5'"),
+        (SimConfig(TINY), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        (SimConfig(TINY), {"seed": None}, "seed must be an integer, got None"),
+        (SimConfig(TINY), {"max_steps": -0.5}, "max_steps must be an integer, got -0.5"),
     ])
     def test_a_bad_value_raises_the_constructor_error(self, record, changes, message):
         with pytest.raises(ValueError) as info:
             record._replace(**changes)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("make", [lambda **kw: SimConfig(TINY, **kw),
+                                      lambda **kw: SimConfig(TINY)._replace(**kw)],
+                             ids=["constructor", "copy"])
+    def test_a_config_takes_integers_as_operator_index_reads_them(self, make):
+        cfg = make(seed=True, max_steps=_Index(7))
+        assert (cfg.seed, cfg.max_steps) == (1, 7)
+        assert type(cfg.seed) is type(cfg.max_steps) is int
+        with pytest.raises(ValueError, match="^max_steps must be an integer, got 20000.0$"):
+            make(max_steps=20000.0)
+        with pytest.raises(ValueError, match="^max_steps must be positive$"):
+            make(max_steps=_Index(0))
 
     def test_a_copy_fills_and_normalises_as_the_constructor_does(self):
         profile = EnergyProfile()._replace(battery_capacity=40.0, battery_initial=None)
@@ -154,3 +172,13 @@ class TestCopies:
 
 def _vocabulary(machines):
     return {tr.event for m in machines for st in m.states for tr in st.transitions} - {"auto"}
+
+
+class _Index:
+    """An integer that is no `int`, as `operator.index` reads it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value

@@ -32,6 +32,7 @@ from foragesim.sim import (
 from foragesim.statemachine import MachineInstance, MachineStuckError
 from foragesim.weights import WeightTable, load_weights
 from genscenarios import random_scenario
+from test_records import _Index
 
 NO_SOURCE = """
 [machine top entry]
@@ -312,6 +313,17 @@ class TestMonteCarlo:
         cfg = SimConfig(scenario=no_source_scenario(), seed=0, max_steps=10)
         with pytest.raises(ValueError):
             run_monte_carlo(cfg, 0)
+
+    def test_episodes_must_be_an_integer(self):
+        # a float count once ran until `range` met it, after the batch began
+        cfg = SimConfig(scenario=builtin_scenario("dual_source"), seed=0, max_steps=20_000)
+        for episodes in (2.0, "2", None):
+            with pytest.raises(ValueError) as info:
+                run_monte_carlo(cfg, episodes)
+            assert str(info.value) == f"episodes must be an integer, got {episodes!r}"
+        # what `operator.index` takes is a count
+        stats = run_monte_carlo(cfg, _Index(2))
+        assert stats.episodes == 2 and type(stats.episodes) is int and len(stats.results) == 2
 
     def test_stats_csv_layout(self, tmp_path):
         cfg = SimConfig(scenario=no_source_scenario(), seed=4, max_steps=300)
