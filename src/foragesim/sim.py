@@ -68,13 +68,8 @@ ticks after the replayed periods, fewer than a period and the last one
 included, run as before, and looking goes on in them but jumps no more.
 
 The seed reaches a life only through the rng that breaks an exact tie in
-`select_option`, and that rng is built at the first draw, so a life that
-never draws never seeds one. Volatile lives of a batch differ in nothing
-else, so a volatile life is a function of the values its draws return: two
-lives whose draws return the same values take the same path. The life
-records each draw as `(stop, value)`, and `run_monte_carlo` keeps the
-sequences of the lives it ran in a trie; a life whose seed replays a known
-sequence to its end is a copy of that life's result, and is not run.
+`select_option`, built at its first draw, so a life that never draws seeds
+none. `run_monte_carlo` says which lives of a batch it copies, and why.
 
 A traced life hands each row to a sink (`append`): a transition, choice or
 outcome row as a `TraceEvent`, and each tick as a record (`_Stretch`: first
@@ -640,10 +635,8 @@ class _Episode:
 
 
 def _initial_table(cfg: SimConfig) -> WeightTable:
-    if cfg.memory_mode == MEMORY_NONVOLATILE:
-        path = Path(cfg.weights_path)
-        if path.exists():
-            return weights_mod.load_weights(path)
+    if cfg.memory_mode == MEMORY_NONVOLATILE and Path(cfg.weights_path).exists():
+        return weights_mod.load_weights(cfg.weights_path)
     return WeightTable(cfg.scenario.seed_weights)
 
 
@@ -659,10 +652,23 @@ def _live(cfg: SimConfig, table: WeightTable | None, trace) -> tuple[EpisodeResu
     return result, episode.draws
 
 
-def _copy(r: EpisodeResult) -> EpisodeResult:
-    """An equal result that shares no dict with `r`."""
+def _copy(r: EpisodeResult, final_weights: dict) -> EpisodeResult:
+    """`r` with `final_weights`, sharing no dict with `r` or the argument."""
     return EpisodeResult(r.outcome, r.lifetime, r.death_step, dict(r.choices_made),
-                         dict(r.first_choices), dict(r.final_weights), dict(r.recharges))
+                         dict(r.first_choices), dict(final_weights), dict(r.recharges))
+
+
+def _gains(result: EpisodeResult, draws: list, before: dict, table: WeightTable) -> Counter | None:
+    """Each entry's successes gained in a life that fixes its batch, or None."""
+    picked, gains = result.choices_made, Counter()
+    if draws or len({node for node, _ in picked}) != len(picked):
+        return None
+    for key, entry in table.entries.items():
+        then = before.get(key, weights_mod.WeightEntry())
+        gains[key] = entry.successes - then.successes
+        if entry.failures != then.failures or gains[key] and key not in picked:
+            return None
+    return gains
 
 
 def run_episode(cfg: SimConfig, table: WeightTable | None = None) -> tuple[EpisodeResult, Trace]:
@@ -712,13 +718,37 @@ def run_monte_carlo(cfg: SimConfig, episodes: int) -> SurvivalStats:
     sharing no dict), equal to what running it would give; any other life
     is run, and its sequence added. A batch runs one life per distinct
     sequence, and one whose first life drew nothing builds no `Random`.
+
+    A nonvolatile life fixes the rest of its batch when it drew no tie,
+    moved no `failures` counter, moved `successes` only on entries it
+    picked, and picked one option per node. Each later life is then a copy
+    of it with the table's snapshot as `final_weights`; the table takes each
+    entry's gained successes through `record_outcome` (entries update apart,
+    so order does not matter) and is saved once per life. A later life
+    starts from the same energy, pose and machine, and at each choice its
+    table differs only by more successes on the option picked there. If
+    `select_option` returns A without a draw, it still does after more
+    successes on A: the best `w_pos` only rises, so no other option joins
+    the candidates, A stays within tolerance, and A's `w_neg` stays the
+    strict least.
     """
     episodes = _integer("episodes", episodes)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if cfg.memory_mode == MEMORY_NONVOLATILE:
         table = _initial_table(cfg)
-        results = [_live(replace(cfg, seed=cfg.seed + i), table, None)[0] for i in range(episodes)]
+        results, gains = [], None
+        for i in range(episodes):
+            if gains is None:
+                before = table.snapshot()
+                result, draws = _live(replace(cfg, seed=cfg.seed + i), table, None)
+                gains = _gains(result, draws, before, table)
+            else:
+                for node, option in gains.elements():
+                    record_outcome(table, node, option, True)
+                save_weights(table, cfg.weights_path)
+                result = _copy(results[-1], table.snapshot())
+            results.append(result)
     else:
         results = _volatile_lives(cfg, episodes)
     survived = sum(1 for r in results if r.outcome == OUTCOME_SURVIVED)
@@ -754,7 +784,7 @@ def _volatile_lives(cfg: SimConfig, episodes: int) -> list[EpisodeResult]:
             node = children.get(value)
             depth += 1
         if node is not None:
-            results.append(_copy(node))
+            results.append(_copy(node, node.final_weights))
             continue
         result, draws = _live(replace(cfg, seed=seed), None, None)
         results.append(result)

@@ -180,7 +180,8 @@ def load_weights(path: str | Path) -> WeightTable:
     digits, so a `+`, `_`, an exponent or space around a value is an error.
     A malformed row, a node or option that is not a DSL identifier, or a
     second row for the same (node, option), raises `WeightsFileError` at the
-    file line on which the row starts.
+    file line on which the row starts; an empty file has a bad header at
+    line 1, and a header alone is an empty table.
     """
     path = Path(path)
     table = WeightTable()
@@ -218,6 +219,8 @@ def load_weights(path: str | Path) -> WeightTable:
         if not (0.0 <= w_pos <= 1.0 and 0.0 <= w_neg <= 1.0):
             raise WeightsFileError("weight out of range", lineno)
         table.entries[(node, option)] = WeightEntry(w_pos, w_neg, successes, failures)
+    if next_line == 1:  # no row at all, so no header either
+        raise WeightsFileError("bad header", 1)
     return table
 
 

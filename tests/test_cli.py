@@ -217,6 +217,9 @@ class TestBadWeightsFile:
     @pytest.mark.parametrize("verb", [["run"], ["mc", "--episodes", "2"]])
     @pytest.mark.parametrize("content, message", [
         pytest.param(b"node,option,w\n", "line 1: bad header", id="bad_header"),
+        # an empty file is not a table, so no life may start from an all-zero one
+        pytest.param(b"", "line 1: bad header", id="empty"),
+        pytest.param(b"\xef\xbb\xbf", "line 1: bad header", id="byte_order_mark_only"),
         pytest.param(
             b"node,option,w_pos,w_neg,successes,failures\n"
             b"pick,a,0.5,0.5,0,0\n"

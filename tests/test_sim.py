@@ -557,10 +557,42 @@ class TestReusedLives:
         assert not {(False, "some"), (False, "all")} & seen
 
     def test_nonvolatile_batches_run_every_life(self, builtin_name, tmp_path):
+        # a batch that copies lives reports what running every life reports:
+        # with `_gains` finding no life that fixes the rest, each life is run
+        def batch(path, copying):
+            cfg = SimConfig(scenario=builtin_scenario(builtin_name), max_steps=1500,
+                            memory_mode=MEMORY_NONVOLATILE, weights_path=path)
+            if copying:
+                return run_monte_carlo(cfg, 4), path.read_bytes()
+            with mock.patch.object(sim, "_gains", lambda *args: None):
+                stats, built = _building(run_monte_carlo, cfg, 4)
+            assert len(built) == 4
+            return stats, path.read_bytes()
+
+        assert batch(tmp_path / "copied.csv", True) == batch(tmp_path / "run.csv", False)
+
+    def test_nonvolatile_batches_run_lives_up_to_the_first_that_fixes_the_rest(
+        self, builtin_name, tmp_path
+    ):
+        # a life that draws nothing, fails nothing and picks one option per node
+        # fixes the rest of its batch (see `run_monte_carlo`); learning_lab's
+        # first life fails at the station and then picks the beacon
         cfg = SimConfig(scenario=builtin_scenario(builtin_name), max_steps=1500,
                         memory_mode=MEMORY_NONVOLATILE, weights_path=tmp_path / "w.csv")
         stats, built = _building(run_monte_carlo, cfg, 4)
-        assert len(built) == 4 == len(stats.results)
+        assert len(stats.results) == 4
+        assert len(built) == (2 if builtin_name == "learning_lab" else 1)
+        *before, fixing = built
+        failures = [{key: e.failures for key, e in r.final_weights.items() if e.failures}
+                    for r in stats.results]
+        assert fixing.draws == []
+        assert len({node for node, _ in fixing.choices_made}) == len(fixing.choices_made)
+        assert failures[len(before)] == (failures[0] if before else {})
+        if before:
+            [first] = before
+            assert set(first.choices_made) == {("seek", "find_station"),
+                                               ("seek", "find_wireless_power")}
+            assert failures[0] == {("seek", "find_station"): 2}
 
     def test_an_untied_life_seeds_no_rng(self, builtin_name, monkeypatch, tmp_path):
         def refuse(*args):

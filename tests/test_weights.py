@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foragesim.weights import (
+    TOLERANCE,
     WeightEntry,
     WeightTable,
     WeightsFileError,
@@ -148,6 +149,69 @@ _WEIGHT = st.one_of(
     st.integers(0, 1074).map(lambda k: 0.5**k),
     st.floats(min_value=0.0, max_value=1.0),
 )
+
+
+def _near(pool):
+    """A weight from `pool`, moved by nothing, by the tolerance either way or
+    by a few ulps, so that options tie, nearly tie or sit on the boundary."""
+    return st.builds(
+        lambda w, shift, ulps: _clamp01(_ulps(w + shift, ulps)),
+        st.sampled_from(pool),
+        st.sampled_from([0.0, 0.0, TOLERANCE, -TOLERANCE, TOLERANCE + 1e-12, -TOLERANCE - 1e-12]),
+        st.integers(-2, 2),
+    )
+
+
+def _ulps(w, n):
+    for _ in range(abs(n)):
+        w = math.nextafter(w, math.copysign(math.inf, n))
+    return w
+
+
+@st.composite
+def _choice_entries(draw):
+    """2-4 options' (w_pos, w_neg), drawn near a few shared weights: tied,
+    near-tied, subnormal, 0 and 1 alike."""
+    pool = draw(st.lists(_WEIGHT, min_size=1, max_size=3))
+    pair = st.tuples(_near(pool), _near(pool))
+    return draw(st.lists(pair, min_size=2, max_size=4))
+
+
+class _Draws:
+    """An rng that notes every draw and returns 0."""
+
+    def __init__(self):
+        self.stops = []
+
+    def randrange(self, stop):
+        self.stops.append(stop)
+        return 0
+
+
+class TestPickWithoutDraw:
+    """The lemma a nonvolatile batch copies lives by (`sim.run_monte_carlo`):
+    an option picked without a draw is still picked, without a draw, after
+    any number of successes on it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(entries=_choice_entries(), successes=st.integers(1, 50))
+    def test_successes_keep_the_pick(self, entries, successes):
+        options = [f"o{i}" for i in range(len(entries))]
+        table = WeightTable({("n", o): pair for o, pair in zip(options, entries)})
+        rng = _Draws()
+        picked = select_option(table, "n", options, rng)
+        assume(not rng.stops)
+        for _ in range(successes):
+            record_outcome(table, "n", picked, success=True)
+            assert select_option(table, "n", options, rng) == picked
+            assert rng.stops == []
+
+    def test_tied_tables_draw(self):
+        # the property is not vacuous: such tables do reach the rng
+        table = WeightTable({("n", "a"): (0.5, 0.5), ("n", "b"): (0.5 + TOLERANCE, 0.5)})
+        rng = _Draws()
+        select_option(table, "n", ["a", "b"], rng)
+        assert rng.stops == [2]
 
 
 class TestDirectUpdate:
@@ -369,3 +433,18 @@ class TestPersistence:
         path.write_text("nope\n")
         with pytest.raises(WeightsFileError, match="line 1"):
             load_weights(path)
+
+    @pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf"], ids=["empty", "bom_only"])
+    def test_an_empty_file_has_a_bad_header(self, tmp_path, content):
+        # not a table: loading it must not give an all-zero one
+        path = tmp_path / "w.csv"
+        path.write_bytes(content)
+        with pytest.raises(WeightsFileError, match="^line 1: bad header$") as caught:
+            load_weights(path)
+        assert caught.value.line == 1
+
+    @pytest.mark.parametrize("newline", ["", "\n", "\r\n"])
+    def test_a_header_alone_is_an_empty_table(self, tmp_path, newline):
+        path = tmp_path / "w.csv"
+        path.write_text("node,option,w_pos,w_neg,successes,failures" + newline, newline="")
+        assert load_weights(path) == WeightTable()
