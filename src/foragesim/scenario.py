@@ -663,6 +663,7 @@ def _validate(
 
     named = machines_by_name(machines)
     options_of: dict[str, set[str]] = {}  # choice node name -> its options, over all machines
+    declared_in: dict[str, str] = {}  # choice node name -> the first machine that declares it
 
     for m in machines:
         for st in _repeats(m.states, lambda st: st.name):
@@ -692,6 +693,12 @@ def _validate(
         for st in m.states:
             if st.kind == KIND_CHOICE:
                 options_of.setdefault(st.name, set()).update(st.options)
+                # weights are keyed by (node, option), so two machines' nodes share them
+                first = declared_in.setdefault(st.name, m.name)
+                if first != m.name:
+                    diags.append(_warning(
+                        st.line, f"choice '{st.name}' is also declared in machine '{first}'; they share weights"
+                    ))
                 if len(st.options) < 2:
                     diags.append(_error(st.line, "choice requires >=2 options"))
                 for o in sorted(set(_repeats(st.options, str))):

@@ -56,44 +56,45 @@ transitions and each tick's record. A replay makes each period's calls again
 in that order: a choice is counted and reads its entry as it is then, and
 an outcome goes through `record_outcome` (not in closed form, because
 repeated halving rounds differently among subnormals). A traced life also
-appends each period's records and dispatch rows with their steps moved by
-whole periods, so its trace has the bytes of a life that simulated every
-period. Order matters there: a choice row carries the weights its choice
-read, and a dispatch's outcome rows follow all its transitions, so a choice
-made after an outcome of its own dispatch shows a weight that outcome moved,
-though the outcome's row comes later. The log starts over with the key
-table, and the table with a log of CYCLE_STATES items, so a streamed life's
-memory does not grow with its horizon; both start over after a jump. The
-ticks after the replayed periods, fewer than a period and the last one
-included, run as before, and looking goes on in them but jumps no more.
+appends each period as one item (`_Period`: the logged period, the steps it
+is moved by, and the calls its dispatches made), whose records and rows have
+the bytes of a life that simulated every period. Order matters there: a
+choice row carries the weights its choice read, and a dispatch's outcome rows
+follow all its transitions, so a choice made after an outcome of its own
+dispatch shows a weight that outcome moved, though the outcome's row comes
+later. The log starts over with the key table, and the table with a log of
+CYCLE_STATES items, so a streamed life's memory does not grow with its
+horizon; both start over after a jump. The ticks after the replayed periods,
+fewer than a period and the last one included, run as before, and looking
+goes on in them but jumps no more.
 
 The seed reaches a life only through the rng that breaks an exact tie in
 `select_option`, built at its first draw, so a life that never draws seeds
 none. `run_monte_carlo` says which lives of a batch it copies, and why.
 
 A traced life hands each row to a sink (`append`): a transition, choice or
-outcome row as a `TraceEvent`, and each tick as a record (`_Stretch`: first
-step, path, mood, pose, and each tick's levels) that also holds the quiet
-stretch after a full tick. `run_episode` keeps them in a `Trace`, which builds
-a record's rows only when they are read; `run_monte_carlo` builds none. One
-writer, `_JsonlWriter`, writes them as text: `run_life` hands it each item as
-it comes, so its memory does not grow with the horizon, and
-`write_trace_jsonl` a trace's items. `_line` writes an event row's line field
-by field, and `_Stretch.text` a record's lines, as `json.dumps(row.to_dict())`
-does, which writes a row with a value not exactly a `str`, an `int` or a
-finite `float`. A feeding cycle replays the same levels, so a record takes
-each level's text from a bounded cache (`_level`); a level list that holds a
-zero is written uncached, because 0.0 and -0.0 would share one entry. A
-replayed copy of a logged record holds the record's level lists and differs
-from it only in `first`. So the writer keeps the last CYCLE_STATES records it
-wrote, keyed by the identity of their battery list, and a record's tails
-(`_Stretch.tails`: each row's text after its step) once a copy of it comes;
-each later copy is written as its steps and those tails. The memo holds each
-record it keys, so no key outlives its list and no other list can take its id.
-It holds no more records than a period log, and tails only of records that
-were replayed, so a streamed trace's memory still does not grow with the
-horizon, and a life that never jumps keeps no text. Event rows are written
-anew: a choice or outcome row carries weights that every period moves.
+outcome row as a `TraceEvent` (`_rows` builds the rows of a dispatch), each
+tick as a record (`_Stretch`: first step, path, mood, pose, and each tick's
+levels) that also holds the quiet stretch after a full tick, and each
+replayed period as one item. `run_episode` keeps them in a `Trace`, which
+builds the rows of a record or a period only when they are read;
+`run_monte_carlo` builds none. One writer, `_JsonlWriter`, writes them as
+text: `run_life` hands it each item as it comes, so its memory does not grow
+with the horizon, and `write_trace_jsonl` a trace's items. `_line` writes an
+event row's line field by field, and `_Stretch.text` a record's lines, as
+`json.dumps(row.to_dict())` does, which writes a row with a value not exactly
+a `str`, an `int` or a finite `float`. A feeding cycle replays the same
+levels, so a record takes each level's text from a bounded cache (`_level`);
+a level list that holds a zero is written uncached, because 0.0 and -0.0
+would share one entry. Every period of a jump shares its logged period, so at
+a jump's first period the writer makes the period's template (`_template`):
+each row's text after its step, from `_Stretch.tails` for a record and from
+`_line` for a row with no weights. It keeps that one template until the next
+jump, and writes each period as one join of its steps and those tails, with
+only its choice and outcome rows, whose weights every period moves, through
+`_line` again. The template holds one period's rows, at most CYCLE_STATES
+items of at most STRETCH_ROWS rows each, so a streamed trace's memory still
+does not grow with the horizon, and a life that never jumps keeps no text.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import count
@@ -410,43 +411,13 @@ class _Episode:
         self.calls = []
         records = dispatch(self.instance, event, self)
         if self.trace is not None:
-            self._trace_dispatch(self.step, records, self.calls)
+            for row in _rows(self.step, records, self.calls):
+                self.trace.append(row)
         # a replay needs a dispatch's calls, and its transitions if traced
         if self.seen and (self.calls if self.trace is None else records):
             self._note((self.step, records, self.calls))
         if self.instance.status != STATUS_RUNNING:
             self.instance = start_instance(self.scenario)
-
-    def _trace_dispatch(self, step: int, records, calls) -> None:
-        """Append the rows of one dispatch at `step`: transitions in firing
-        order (a choice row carries the weights its choice read), then the
-        outcomes."""
-        consulted = (before for _, _, outcome, before, _ in calls if outcome is None)
-        for rec in records:
-            if rec.note is not None:
-                continue
-            if rec.trigger == TRIGGER_CHOICE:
-                # the choice left its node, the innermost state of from_path
-                entry = next(consulted)
-                self.trace.append(TraceEvent(
-                    step=step, state="/".join(rec.from_path), event=TRIGGER_CHOICE,
-                    node=rec.from_path[-1], option=rec.chosen_option,
-                    w_pos_before=entry.w_pos, w_neg_before=entry.w_neg,
-                ))
-            else:
-                self.trace.append(TraceEvent(
-                    step=step, state="/".join(rec.to_path), event=rec.trigger,
-                ))
-        for node, option, outcome, before, after in calls:
-            if outcome is not None:
-                path, success = outcome
-                self.trace.append(TraceEvent(
-                    step=step, state="/".join(path),
-                    event="outcome_success" if success else "outcome_failure",
-                    node=node, option=option,
-                    w_pos_before=before.w_pos, w_pos_after=after.w_pos,
-                    w_neg_before=before.w_neg, w_neg_after=after.w_neg,
-                ))
 
     def _charging(self) -> tuple[str, float]:
         """The leaf's charging source and the power it gives this tick."""
@@ -489,8 +460,8 @@ class _Episode:
         last tick are jumped (the module docstring says why that is exact),
         and looking starts over. Each period's calls are made again through
         `_call`, in the order they were made, so a choice reads its entry as
-        it is then; a traced life also appends each period's records, moved
-        to its steps, and the rows of each dispatch.
+        it is then; a traced life also appends each period as one item
+        (`_Period`), whose rows are built only when they are read.
         """
         key = self._loop_state()
         mark = self.seen.get(key)
@@ -520,19 +491,21 @@ class _Episode:
 
     def _replay(self, period: list, p: int, k: int) -> None:
         """Replay the `p` steps of a logged period `k` times, in order: make
-        its dispatches' calls again and, in a traced life, append its records
-        and dispatches' rows with their steps moved by whole periods."""
+        its dispatches' calls again and, in a traced life, append each period
+        as one item, the logged period moved by whole periods."""
+        if self.trace is not None:
+            rows = sum(len(item.batteries) if type(item) is _Stretch else len(_rows(*item))
+                       for item in period)
         for shift in range(p, (k + 1) * p, p):
+            made = []
             for item in period:
-                if type(item) is _Stretch:
-                    self.trace.append(item._replace(first=item.first + shift))
-                    continue
-                at, records, calls = item
-                self.calls = []
-                for node, option, outcome, _, _ in calls:
-                    self._call(node, option, outcome)
-                if self.trace is not None:
-                    self._trace_dispatch(at + shift, records, self.calls)
+                if type(item) is tuple:
+                    self.calls = []
+                    for node, option, outcome, _, _ in item[2]:
+                        self._call(node, option, outcome)
+                    made.append(self.calls)
+            if self.trace is not None:
+                self.trace.append(_Period(period, shift, made, rows))
 
     # -- main loop -----------------------------------------------------------
 
@@ -821,6 +794,38 @@ _quoted = lru_cache(maxsize=4096)(json.dumps)
 _level = lru_cache(maxsize=4096)(float.__repr__)
 
 
+def _rows(step: int, records, calls) -> list[TraceEvent]:
+    """The rows of one dispatch at `step` that fired `records` and made
+    `calls`: its transitions in firing order (a choice row carries the
+    weights its choice read), then its outcomes."""
+    consulted = (before for _, _, outcome, before, _ in calls if outcome is None)
+    rows = []
+    for rec in records:
+        if rec.note is not None:
+            continue
+        if rec.trigger == TRIGGER_CHOICE:
+            # the choice left its node, the innermost state of from_path
+            entry = next(consulted)
+            rows.append(TraceEvent(
+                step=step, state="/".join(rec.from_path), event=TRIGGER_CHOICE,
+                node=rec.from_path[-1], option=rec.chosen_option,
+                w_pos_before=entry.w_pos, w_neg_before=entry.w_neg,
+            ))
+        else:
+            rows.append(TraceEvent(step=step, state="/".join(rec.to_path), event=rec.trigger))
+    for node, option, outcome, before, after in calls:
+        if outcome is not None:
+            path, success = outcome
+            rows.append(TraceEvent(
+                step=step, state="/".join(path),
+                event="outcome_success" if success else "outcome_failure",
+                node=node, option=option,
+                w_pos_before=before.w_pos, w_pos_after=after.w_pos,
+                w_neg_before=before.w_neg, w_neg_after=after.w_neg,
+            ))
+    return rows
+
+
 def _line(e: TraceEvent) -> str:
     """`json.dumps(e.to_dict())`, field by field: each set field in
     `TRACE_KEYS` order as `"key": text`, the text `json.dumps` of an exact
@@ -883,54 +888,89 @@ class _Stretch(NamedTuple):
                             map(repr if 0.0 in capacitors else _level, capacitors))
         ]
 
-    def text(self, tails: list[str] | None = None) -> str:
+    def text(self) -> str:
         """The JSON line and newline of each row: the one template for a tick
-        row, `"step": N` and the row's tail. `tails` is `tails()` of this
-        record or of one equal to it but for `first`; a record with a value
-        off the template is written by `json.dumps`."""
-        if tails is None:
-            tails = self.tails()
+        row, `"step": N` and the row's tail; a record with a value off the
+        template is written by `json.dumps`."""
+        tails = self.tails()
         if tails is None or type(self.first) is not int:
             return "".join([json.dumps(self.row(k).to_dict()) + "\n" for k in range(len(self.batteries))])
         return "".join([f'{{"step": {s}{tail}' for s, tail in zip(count(self.first), tails)])
+
+
+class _Period(NamedTuple):
+    """A replayed period of a feeding cycle: the logged period (each tick's
+    record and each dispatch as `(step, records, calls)`, one list shared by
+    every period of a jump), the steps it is moved by, the calls its
+    dispatches made in this period (a list per dispatch, in order), and
+    how many rows it holds."""
+
+    period: list
+    shift: int
+    calls: list[list[tuple]]
+    rows: int
+
+
+def _unpack(item):
+    """An item's records and rows, in order: a period's, each moved to its
+    steps and its dispatches' rows built from its calls; any other item is
+    itself."""
+    if type(item) is not _Period:
+        yield item
+        return
+    calls = iter(item.calls)
+    for logged in item.period:
+        if type(logged) is _Stretch:
+            yield logged._replace(first=logged.first + item.shift)
+        else:
+            yield from _rows(logged[0] + item.shift, logged[1], next(calls))
+
+
+def _size(item) -> int:
+    """How many rows an item holds."""
+    kind = type(item)
+    return len(item.batteries) if kind is _Stretch else item.rows if kind is _Period else 1
 
 
 class Trace(Sequence):
     """A life's trace: a read-only sequence of `TraceEvent` rows, in order.
 
     It is the sink `run_episode` gives a life. An appended row is kept as it
-    is, and a tick's record as it is too, its rows built each time they are
-    read; `write_trace_jsonl` writes a record without them. A slice gives a
-    list of the rows.
+    is, and a tick's record and a replayed period as they are too, their
+    rows built each time they are read; `write_trace_jsonl` writes them
+    without building their tick rows. A slice gives a list of the rows.
     """
 
     def __init__(self) -> None:
-        self._items: list[TraceEvent | _Stretch] = []
+        self._items: list[TraceEvent | _Stretch | _Period] = []
         self._len = 0
 
-    def append(self, item: TraceEvent | _Stretch) -> None:
+    def append(self, item: TraceEvent | _Stretch | _Period) -> None:
         self._items.append(item)
-        self._len += len(item.batteries) if type(item) is _Stretch else 1
+        self._len += _size(item)
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
         for item in self._items:
-            if type(item) is _Stretch:
-                yield from map(item.row, range(len(item.batteries)))
-            else:
-                yield item
+            for part in _unpack(item):
+                if type(part) is _Stretch:
+                    yield from map(part.row, range(len(part.batteries)))
+                else:
+                    yield part
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
         i, start = range(self._len)[index], self._len  # IndexError past either end
         for item in reversed(self._items):  # from the end, where rows are mostly read
-            stretch = type(item) is _Stretch
-            start -= len(item.batteries) if stretch else 1
+            start -= _size(item)
             if i >= start:
-                return item.row(i - start) if stretch else item
+                for part in _unpack(item):
+                    if i < start + _size(part):
+                        return part.row(i - start) if type(part) is _Stretch else part
+                    start += _size(part)
 
     def __reversed__(self):
         return reversed(list(self))
@@ -941,35 +981,82 @@ class Trace(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
+def _template(item: _Period) -> tuple | None:
+    """What each period of `item`'s jump writes alike, or None when one of
+    its records or steps is off the template: each row's step in the logged
+    period and its tail (the text after `"step": N`: a record's from
+    `_Stretch.tails`, a row with no weights from `_line`, and "" for a row
+    that carries weights), the places of those rows, and the dispatches that
+    make them, each as (step, the choice records it fired, its index in
+    `calls`)."""
+    steps, tails, slots, weighted = [], [], [], []
+    calls = enumerate(item.calls)
+    for logged in item.period:
+        if type(logged) is _Stretch:
+            record = logged.tails()
+            if record is None or type(logged.first) is not int:
+                return None
+            steps += range(logged.first, logged.first + len(record))
+            tails += record
+            continue
+        at, records, _ = logged
+        j, made = next(calls)
+        if type(at) is not int:
+            return None
+        places = len(slots)
+        for row in _rows(at, records, made):
+            if row.w_pos_before is None:
+                tails.append(_line(row)[len(f'{{"step": {at}'):] + "\n")
+            else:
+                slots.append(len(tails))
+                tails.append("")
+            steps.append(at)
+        if len(slots) > places:
+            weighted.append((at, [rec for rec in records if rec.trigger == TRIGGER_CHOICE], j))
+    return steps, tails, slots, weighted
+
+
 class _JsonlWriter:
-    """The one trace writer: each row, and each record, as JSON lines of `fh`,
-    in order. It keeps the last CYCLE_STATES records, and a record's tails
-    once a copy of it comes, so each later copy is its steps and those tails."""
+    """The one trace writer: each row, record and replayed period as JSON
+    lines of `fh`, in order. It keeps the `_template` of the last jump's
+    period, so each later period is one join of its steps and tails, and
+    only its rows that carry weights go through `_line` again."""
 
     def __init__(self, fh):
         self._write = fh.write
-        # id of a record's battery list -> [the record, its tails once a copy came]
-        self._records: OrderedDict[int, list] = OrderedDict()
+        # the logged period of the last jump, and its template
+        self._period = self._template = None
 
-    def append(self, item: TraceEvent | _Stretch) -> None:
-        if type(item) is not _Stretch:
+    def append(self, item: TraceEvent | _Stretch | _Period) -> None:
+        kind = type(item)
+        if kind is _Stretch:
+            self._write(item.text())
+        elif kind is not _Period:
             self._write(_line(item) + "\n")
-            return
-        known = self._records.get(id(item.batteries))
-        if known is None or known[0][1:] != item[1:]:
-            if len(self._records) >= CYCLE_STATES:
-                self._records.popitem(last=False)
-            self._records[id(item.batteries)] = known = [item, None]
-        elif known[1] is None:
-            known[1] = item.tails()
-        self._write(item.text(known[1]))
+        else:
+            if item.period is not self._period:
+                self._period, self._template = item.period, _template(item)
+            if self._template is None:
+                for part in _unpack(item):
+                    self.append(part)
+                return
+            steps, tails, slots, weighted = self._template
+            shift = item.shift
+            lines = [f'{{"step": {s + shift}{tail}' for s, tail in zip(steps, tails)]
+            # each row that carries weights takes the place its tail "" held
+            rows = [row for at, choices, j in weighted
+                    for row in _rows(at + shift, choices, item.calls[j])]
+            for slot, row in zip(slots, rows):
+                lines[slot] = _line(row) + "\n"
+            self._write("".join(lines))
 
 
 def write_trace_jsonl(trace, path: str | Path) -> None:
     """Write the trace's rows to `path`, in order, each as the text of
     `json.dumps(row.to_dict())` and a newline, through one `_JsonlWriter`, as
-    `run_life` streams them. `trace` is a `Trace`, whose records are written
-    by their template without building their rows, or any iterable of rows.
+    `run_life` streams them. `trace` is a `Trace`, whose records and
+    replayed periods are written by their templates without building their
+    tick rows, or any iterable of rows.
     An empty trace gives an empty file. The write goes through `replacing`,
     so one that fails part way leaves `path` as it was."""
     with replacing(path) as fh:

@@ -19,7 +19,8 @@ from unittest import mock
 import pytest
 
 from foragesim import sim
-from foragesim.scenario import KIND_CHOICE, parse_scenario
+from foragesim.cli import main
+from foragesim.scenario import KIND_CHOICE, parse_scenario, parse_scenario_checked
 from foragesim.scenarios import BUILTIN_NAMES, builtin_scenario, builtin_scenario_text
 from foragesim.sim import (
     MEMORY_NONVOLATILE,
@@ -253,6 +254,19 @@ def test_the_learning_lab_batch_runs_two_lives(tmp_path, steps, feeds):
     successes = [r.final_weights[("seek", "find_wireless_power")].successes
                  for r in stats.results]
     assert {b - a for a, b in zip(successes, successes[1:])} == {feeds}
+
+
+def test_validate_warns_that_the_shared_node_shares_weights(tmp_path, capsys):
+    # `second`'s `pick` moves with `first`'s successes on `pick.a`; a warning
+    # leaves validate's exit code 0
+    message = "choice 'pick' is also declared in machine 'first'; they share weights"
+    _, diags = parse_scenario_checked(SHARED_NODE)
+    line = SHARED_NODE.splitlines().index("choice pick : a | b") + 1
+    assert [(d.severity, d.line, d.message) for d in diags] == [("warning", line, message)]
+    path = tmp_path / "shared.scn"
+    path.write_text(SHARED_NODE)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().err == f"{path}:{line}:1: warning: {message}\n"
 
 
 def test_a_success_on_an_option_not_picked_fixes_nothing():

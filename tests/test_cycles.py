@@ -29,6 +29,7 @@ from foragesim.sim import (
     MEMORY_VOLATILE,
     OUTCOME_DIED,
     OUTCOME_SURVIVED,
+    STRETCH_ROWS,
     SimConfig,
     run_episode,
     run_life,
@@ -49,6 +50,10 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 import gen  # noqa: E402
 
 LONG = 200_000
+
+# CI's long traces build this variant with sed: as shipped, learning_lab dies at step 3
+LEARNING_LAB_20 = re.sub(r"(?m)^battery_initial = .*$", "battery_initial = 20",
+                         builtin_scenario_text("learning_lab"))
 
 # CI's `hash-seed` job builds this variant with sed: both seek weights tied
 TIED_DUAL_SOURCE = re.sub(r"(?m)^(seek\.[a-z_]*) = .*$", r"\1 = 0.5 0.5",
@@ -211,16 +216,17 @@ def _no_jump(call, *args):
 
 def _traced(cfg, path, table=None):
     """The result of `run_episode(cfg, table)` (or its stuck error as a tuple)
-    and its trace's items (None if stuck); the trace is written to `path`.
+    and its trace's records and event rows, each replayed period's unpacked
+    (None if stuck); the trace is written to `path` first.
 
     Equal items are equal rows, in equal records (a tick's rows with the
-    quiet stretch after it), and they compare without building the rows."""
+    quiet stretch after it), and records compare without building their rows."""
     try:
         result, trace = run_episode(cfg, table)
     except MachineStuckError as exc:
         return ("stuck", exc.step, exc.path, exc.event), None
     write_trace_jsonl(trace, path)
-    return result, trace._items
+    return result, [part for item in trace._items for part in sim._unpack(item)]
 
 
 def _weights_file(cfg):
@@ -339,9 +345,9 @@ class _Writers(list):
 
 
 def _held(writer):
-    """How many records a writer's memo holds, and how many of them with tails."""
-    kept = writer._records.values()
-    return len(kept), sum(tails is not None for _, tails in kept)
+    """The logged period a writer keeps the template of, and the template's
+    tails (each None when it keeps none)."""
+    return writer._period, writer._template and writer._template[1]
 
 
 class _LogSizes:
@@ -596,26 +602,37 @@ class TestMemory:
     @pytest.mark.parametrize("text", [NEVER_REPEATS, ALWAYS_BEHAVES],
                              ids=["never_repeats", "always_behaves"])
     def test_a_life_that_never_jumps_leaves_its_writer_no_text(self, text, tmp_path, monkeypatch):
-        # no record is copied, so the writer keeps the text of none, streamed
-        # or written from a `Trace`; its memo fills with the records alone
+        # no period is replayed, so the writer keeps the text of none, streamed
+        # or written from a `Trace`
         jumps, writers = _Jumps(monkeypatch), _Writers(monkeypatch)
         cfg = SimConfig(parse_scenario(text), max_steps=20_000)
         run_life(cfg, tmp_path / "streamed.jsonl")
         write_trace_jsonl(run_episode(cfg)[1], tmp_path / "written.jsonl")
         assert not jumps.jumps
-        assert [_held(writer) for writer in writers] == [(CYCLE_STATES, 0)] * 2
+        assert [_held(writer) for writer in writers] == [(None, None)] * 2
+        assert filecmp.cmp(tmp_path / "written.jsonl", tmp_path / "streamed.jsonl", shallow=False)
 
-    def test_the_writer_holds_at_most_cycle_states_records(self, tmp_path, monkeypatch):
-        # a jumping life: the writer keeps the tails of the records it has
-        # seen copied, whichever way the trace reaches it
-        writers = _Writers(monkeypatch)
-        cfg = SimConfig(builtin_scenario("dual_source"), seed=3, max_steps=LONG)
-        write_trace_jsonl(run_episode(cfg)[1], tmp_path / "written.jsonl")
+    @pytest.mark.parametrize("text", [builtin_scenario_text("dual_source"), LEARNING_LAB_20],
+                             ids=["dual_source", "learning_lab@20"])
+    def test_a_jumping_lifes_writer_holds_one_periods_tails(self, text, tmp_path, monkeypatch):
+        # the writer keeps the tails of the one period its life replays, a row
+        # each, whichever way the trace reaches it: at most CYCLE_STATES
+        # logged items of at most STRETCH_ROWS rows each
+        jumps, writers = _Jumps(monkeypatch), _Writers(monkeypatch)
+        cfg = SimConfig(parse_scenario(text), seed=3, max_steps=LONG)
+        _, trace = run_episode(cfg)
+        write_trace_jsonl(trace, tmp_path / "written.jsonl")
         run_life(cfg, tmp_path / "streamed.jsonl")
+        assert len(jumps.jumps) == 2  # one a life
+        periods = [item for item in trace._items if type(item) is sim._Period]
+        assert len(periods) > 1 and all(item.period is periods[0].period for item in periods)
         held = [_held(writer) for writer in writers]
-        assert len(held) == 2 and held[0] == held[1]
-        records, tails = held[0]
-        assert 0 < tails < records <= CYCLE_STATES
+        assert len(held) == 2 and held[0] == held[1] == (periods[0].period, held[0][1])
+        period, tails = held[0]
+        assert len(tails) == periods[0].rows
+        assert 0 < len(period) <= CYCLE_STATES
+        assert all(len(item.batteries) <= STRETCH_ROWS for item in period
+                   if type(item) is sim._Stretch)
         assert filecmp.cmp(tmp_path / "written.jsonl", tmp_path / "streamed.jsonl", shallow=False)
 
     def test_a_streamed_life_does_not_grow_with_its_horizon(self, tmp_path):

@@ -560,6 +560,12 @@ STRUCTURE_ERRORS = {
                          "exit 'done' of machine 'inner' is handled only conditionally", "warning"),
     "never_used": (MINIMAL + "[machine spare]  # <-\ninitial -> x\nstate x\n",
                    "machine 'spare' is never used", "warning"),
+    # weights are keyed by (node, option): the second declaration of a choice
+    # node's name shares the first one's weights
+    "shared_choice": (MINIMAL + "choice pick : a | b\nstate b\nsubmachine s = inner -> a on done\n"
+                      "[machine inner]\ninitial -> pick\nchoice pick : x | y  # <-\n"
+                      "state x -> exit.done on go\nstate y\nexit done (success)\n",
+                      "choice 'pick' is also declared in machine 'top'; they share weights", "warning"),
 }
 
 

@@ -29,9 +29,15 @@ from foragesim.sim import (
     write_stats_csv,
     write_trace_jsonl,
 )
-from foragesim.statemachine import MachineInstance, MachineStuckError
-from foragesim.weights import WeightTable, load_weights
+from foragesim.statemachine import (
+    TRIGGER_CHOICE,
+    MachineInstance,
+    MachineStuckError,
+    TransitionRecord,
+)
+from foragesim.weights import WeightEntry, WeightTable, load_weights
 from genscenarios import random_scenario
+from test_cycles import LEARNING_LAB_20, _no_jump
 from test_records import _Index
 
 NO_SOURCE = """
@@ -792,17 +798,71 @@ def _stretches(draw):
     return tuple(stretch.values())
 
 
+@st.composite
+def _dispatches(draw):
+    """A logged dispatch as `(step, records, calls)`, in any order: transitions,
+    a noted record, choices (each with the call whose weights it read) and
+    outcomes, with weights JSON writes as their repr or not."""
+    step, records, calls = draw(st.integers(0, 10**6)), [], []
+    for kind in draw(st.lists(st.sampled_from(["transition", "noted", "choice", "outcome"]),
+                              max_size=4)):
+        path = tuple(draw(st.lists(_STRINGS, min_size=1, max_size=3)))
+        before = WeightEntry(draw(_FLOATS), draw(_FLOATS))
+        if kind == "transition":
+            event = draw(_STRINGS.filter(lambda text: text != TRIGGER_CHOICE))
+            records.append(TransitionRecord(step, path, path, event))
+        elif kind == "noted":
+            records.append(TransitionRecord(step, path, path, TRIGGER_CHOICE, note="ignored"))
+        elif kind == "choice":
+            option = draw(_STRINGS)
+            records.append(TransitionRecord(step, path, path, TRIGGER_CHOICE, option))
+            calls.append((path[-1], option, None, before, None))
+        else:
+            after = WeightEntry(draw(_FLOATS), draw(_FLOATS))
+            calls.append((draw(_STRINGS), draw(_STRINGS), (path, draw(st.booleans())), before, after))
+    return step, records, calls
+
+
+@st.composite
+def _jumps(draw):
+    """The items a sink gets from a life that jumps once or twice: each jump's
+    logged period (records and dispatches), handed over live, then 1-3
+    replayed periods, each moved by its shift and with calls of its own that
+    read and leave other weights."""
+    items = []
+    for _ in range(draw(st.integers(1, 2))):
+        period = draw(st.lists(st.one_of(_stretches().map(lambda s: sim._Stretch(*s)),
+                                         _dispatches()), min_size=1, max_size=5))
+        live = []
+        for logged in period:
+            live += [logged] if type(logged) is sim._Stretch else sim._rows(*logged)
+        items += live
+        rows = sum(map(sim._size, live))
+        for shift in draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3)):
+            calls = [[(node, option, outcome, WeightEntry(draw(_FLOATS), draw(_FLOATS)),
+                       None if outcome is None else WeightEntry(draw(_FLOATS), draw(_FLOATS)))
+                      for node, option, outcome, _, _ in logged[2]]
+                     for logged in period if type(logged) is tuple]
+            items.append(sim._Period(period, shift, calls, rows))
+    return items
+
+
 def _fresh(record: sim._Stretch) -> sim._Stretch:
     """An equal record that holds level lists of its own."""
     return record._replace(batteries=list(record.batteries), capacitors=list(record.capacitors))
 
 
-def _rows_text(items) -> str:
-    """`json.dumps` of each row of `items` (rows and records), a line each."""
+def _rows_of(items) -> list:
+    """The rows of `items` (rows and records), in order."""
     rows = []
     for item in items:
         rows += map(item.row, range(len(item.batteries))) if type(item) is sim._Stretch else [item]
-    return "".join(json.dumps(row.to_dict()) + "\n" for row in rows)
+    return rows
+
+
+def _rows_text(items) -> str:
+    """`json.dumps` of each row of `items` (rows and records), a line each."""
+    return "".join(json.dumps(row.to_dict()) + "\n" for row in _rows_of(items))
 
 
 def _sink_texts(records, tmp_path_factory) -> list[str]:
@@ -926,6 +986,21 @@ class TestStretchFormat:
             math.copysign(1.0, c) for r in records for c in r.capacitors
         ]
 
+    @settings(max_examples=300, deadline=None)
+    @given(_jumps())
+    def test_a_replayed_period_is_written_as_its_rows(self, tmp_path_factory, items):
+        # a period writes what json.dumps writes for the rows a `Trace` reads
+        # from it, from its template or, with a record or a step off it, row
+        # by row; a second jump's period replaces the first's template
+        rows = [row for item in items for row in _rows_of(sim._unpack(item))]
+        trace = sim.Trace()
+        for item in items:
+            trace.append(item)
+        # by repr: a NaN read twice is two floats, which are not equal
+        assert len(trace) == len(rows) and list(map(repr, trace)) == list(map(repr, rows))
+        expected = "".join(json.dumps(row.to_dict()) + "\n" for row in rows)
+        assert _sink_texts(items, tmp_path_factory) == [expected] * 2
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_trace_file_is_the_same_bytes_whole_row_by_row_and_streamed(
         self, name, tmp_path, monkeypatch
@@ -935,12 +1010,22 @@ class TestStretchFormat:
         sim.write_trace_jsonl(list(trace), tmp_path / "rows.jsonl")
         sim.run_life(cfg, tmp_path / "life.jsonl")
         # the tick records are written by the template, and every event row by
-        # `_line`
+        # `_line`: a replayed row that carries weights in each period, and
+        # one with none once per jump, in the template of the jump's period
         lines, line = [], sim._line
         monkeypatch.setattr(sim, "_line", lambda row: lines.append(row) or line(row))
         sim.write_trace_jsonl(trace, tmp_path / "trace.jsonl")
-        stretches = [item for item in trace._items if type(item) is sim._Stretch]
-        assert len(lines) == len(trace._items) - len(stretches)
+        expected, jumps = 0, set()
+        for item in trace._items:
+            if type(item) is sim._Period:
+                rows = [row for row in sim._unpack(item) if type(row) is TraceEvent]
+                weighted = sum(row.w_pos_before is not None for row in rows)
+                first = id(item.period) not in jumps
+                jumps.add(id(item.period))
+                expected += len(rows) if first else weighted
+            else:
+                expected += type(item) is TraceEvent
+        assert len(lines) == expected
         written = (tmp_path / "trace.jsonl").read_bytes()
         assert written == (tmp_path / "rows.jsonl").read_bytes()
         assert written == (tmp_path / "life.jsonl").read_bytes()
@@ -977,9 +1062,12 @@ class TestTraceSequence:
                     kw.get("event") is None and tick_rows.append(args) or row(*args, **kw)))
                 patched.setattr(sim, "tick_discharge", lambda *args: (
                     full_ticks.append(args) or discharge(*args)))
+                # a replayed period is handed over as one item: its records,
+                # moved to its steps
                 for sink in (sim.Trace, sim._JsonlWriter):
                     patched.setattr(sink, "append", lambda self, item, append=sink.append: (
-                        type(item) is sim._Stretch and records.append(item) or append(self, item)))
+                        records.extend(part for part in sim._unpack(item)
+                                       if type(part) is sim._Stretch) or append(self, item)))
                 if not jump:  # the reference: every period of the feeding cycle in full
                     patched.setattr(sim._Episode, "_periods", lambda episode, step: 0)
                 if life == "run_episode":
@@ -1052,4 +1140,56 @@ class TestTraceSequence:
         rows = list(reference)
         assert trace[-10:] == rows[-10:] and trace[5:40:3] == rows[5:40:3] and trace[::-1] == rows[::-1]
         assert type(trace[-10:]) is list
+        assert list(reversed(trace)) == rows[::-1]
+
+    # A `Trace` of a life that jumps holds one item per replayed period and
+    # builds its rows only when they are read; it reads as the rows of the
+    # same life with every period simulated (`test_cycles._no_jump`)
+
+    @pytest.fixture(scope="class", params=["dual_source", "learning_lab@20"])
+    def jumped(self, request):
+        text = {"dual_source": builtin_scenario_text("dual_source"),
+                "learning_lab@20": LEARNING_LAB_20}[request.param]
+        cfg = SimConfig(parse_scenario(text), seed=3, max_steps=20_000)
+        _, trace = run_episode(cfg)
+        rows = list(_no_jump(run_episode, cfg)[1])
+        # the index of the first row of each replayed period
+        starts, at = [], 0
+        for item in trace._items:
+            if type(item) is sim._Period:
+                starts.append(at)
+            at += sim._size(item)
+        assert len(starts) >= 3 and at == len(rows)
+        return trace, rows, starts
+
+    def test_a_jumped_trace_has_the_references_len_and_equals_it(self, jumped):
+        trace, rows, _ = jumped
+        assert len(trace) == len(rows) == len(list(trace))
+        assert trace == rows and rows == trace and trace == tuple(rows)
+        assert trace != rows[:-1] and trace != [*rows[:-1], rows[0]]
+
+    def test_a_jumped_trace_is_indexed_before_at_and_after_the_jump_and_in_the_last_period(
+        self, jumped
+    ):
+        trace, rows, starts = jumped
+        n = len(rows)
+        indices = {0, starts[0] - 1, starts[0], starts[0] + 1, starts[1] - 1, starts[1],
+                   starts[-1] - 1, starts[-1], starts[-1] + 1, n - 2, n - 1}
+        for i in sorted(indices):
+            assert trace[i] == rows[i] and trace[i - n] == rows[i]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                trace[index]
+
+    def test_a_jumped_trace_is_sliced_across_the_jump_and_a_period_boundary(self, jumped):
+        trace, rows, starts = jumped
+        n = len(rows)
+        for window in (slice(starts[0] - 5, starts[0] + 5), slice(starts[1] - 3, starts[1] + 3),
+                       slice(starts[0] - 7, starts[2] + 7, 3), slice(starts[1] - n - 4, -3),
+                       slice(starts[2] + 2, starts[0] - 2, -5), slice(None, None, -1)):
+            assert trace[window] == rows[window]
+        assert type(trace[starts[0]:starts[1]]) is list
+
+    def test_a_jumped_trace_reads_reversed(self, jumped):
+        trace, rows, _ = jumped
         assert list(reversed(trace)) == rows[::-1]
