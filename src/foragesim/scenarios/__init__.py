@@ -12,7 +12,7 @@ BUILTIN_NAMES = ("station_only", "wireless_only", "dual_source", "learning_lab")
 def builtin_scenario_text(name: str) -> str:
     if name not in BUILTIN_NAMES:
         raise KeyError(f"no built-in scenario named '{name}'")
-    return resources.files(__package__).joinpath(f"{name}.scn").read_text()
+    return resources.files(__package__).joinpath(f"{name}.scn").read_text(encoding="utf-8")
 
 
 def builtin_scenario(name: str) -> ScenarioDef:

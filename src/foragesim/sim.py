@@ -77,8 +77,9 @@ outcome row as a `TraceEvent` (`_rows` builds the rows of a dispatch), each
 tick as a record (`_Stretch`: first step, path, mood, pose, and each tick's
 levels) that also holds the quiet stretch after a full tick, and each
 replayed period as one item. `run_episode` keeps them in a `Trace`, which
-builds the rows of a record or a period only when they are read;
-`run_monte_carlo` builds none. One writer, `_JsonlWriter`, writes them as
+builds the rows of a record or a period only when they are read, a slice or
+`reversed` only those of the items it reaches; `run_monte_carlo` builds
+none. One writer, `_JsonlWriter`, writes them as
 text: `run_life` hands it each item as it comes, so its memory does not grow
 with the horizon, and `write_trace_jsonl` a trace's items. `_line` writes an
 event row's line field by field, and `_Stretch.text` a record's lines, as
@@ -89,10 +90,14 @@ a level list that holds a zero is written uncached, because 0.0 and -0.0
 would share one entry. Every period of a jump shares its logged period, so at
 a jump's first period the writer makes the period's template (`_template`):
 each row's text after its step, from `_Stretch.tails` for a record and from
-`_line` for a row with no weights. It keeps that one template until the next
-jump, and writes each period as one join of its steps and those tails, with
-only its choice and outcome rows, whose weights every period moves, through
-`_line` again. The template holds one period's rows, at most CYCLE_STATES
+`_line` for an event row. A choice or outcome row's text stops before its
+weights: a replay makes the logged calls again, so its other fields are the
+same in every period. The writer keeps that one template until the next
+jump, and writes each period as one join of its steps, those tails, and the
+`repr` of each weight its calls read or left; a period that holds a weight
+`json` does not write as its `repr` (`_as_repr`) is written row by row, as a
+record off the template is. No period after a jump's first goes through
+`_line`. The template holds one period's rows, at most CYCLE_STATES
 items of at most STRETCH_ROWS rows each, so a streamed trace's memory still
 does not grow with the horizon, and a life that never jumps keeps no text.
 """
@@ -102,8 +107,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import count
 from operator import eq, index
@@ -826,20 +832,24 @@ def _rows(step: int, records, calls) -> list[TraceEvent]:
     return rows
 
 
+def _as_repr(value) -> bool:
+    """Whether `json` writes `value` as its `repr`: an exact `int` or finite exact `float`."""
+    return type(value) is int or type(value) is float and value - value == 0.0
+
+
 def _line(e: TraceEvent) -> str:
     """`json.dumps(e.to_dict())`, field by field: each set field in
     `TRACE_KEYS` order as `"key": text`, the text `json.dumps` of an exact
-    `str` (memoised) or `repr` of an exact `int` or of a finite exact `float`,
-    which is what `json` writes for them. A row with any other value goes
-    through `json.dumps` itself."""
+    `str` (memoised) or the `repr` of a value `_as_repr` takes, which is
+    what `json` writes for them. A row with any other value goes through
+    `json.dumps` itself."""
     fields = []
     for key, value in zip(TRACE_KEYS, e):
         if value is None:
             continue
-        kind = type(value)
-        if kind is str:
+        if type(value) is str:
             fields.append(f'"{key}": {_quoted(value)}')
-        elif kind is int or kind is float and value - value == 0.0:
+        elif _as_repr(value):
             fields.append(f'"{key}": {value!r}')
         else:
             return json.dumps(e.to_dict())
@@ -932,48 +942,55 @@ def _size(item) -> int:
     return len(item.batteries) if kind is _Stretch else item.rows if kind is _Period else 1
 
 
+def _built(part, offsets: range | list[int]) -> Iterable[TraceEvent]:
+    """A record's rows at `offsets`, or a row once if `offsets` holds its offset, 0."""
+    return map(part.row, offsets) if type(part) is _Stretch else [part] * len(offsets)
+
+
 class Trace(Sequence):
     """A life's trace: a read-only sequence of `TraceEvent` rows, in order.
 
     It is the sink `run_episode` gives a life. An appended row is kept as it
     is, and a tick's record and a replayed period as they are too, their
     rows built each time they are read; `write_trace_jsonl` writes them
-    without building their tick rows. A slice gives a list of the rows.
+    without building their tick rows. A slice gives a list of its rows, and
+    builds no tick row outside it.
     """
 
     def __init__(self) -> None:
         self._items: list[TraceEvent | _Stretch | _Period] = []
-        self._len = 0
+        self._ends: list[int] = []  # the rows up to each item's end
 
     def append(self, item: TraceEvent | _Stretch | _Period) -> None:
         self._items.append(item)
-        self._len += _size(item)
+        self._ends.append(len(self) + _size(item))
 
     def __len__(self) -> int:
-        return self._len
+        return self._ends[-1] if self._ends else 0
 
     def __iter__(self):
         for item in self._items:
             for part in _unpack(item):
-                if type(part) is _Stretch:
-                    yield from map(part.row, range(len(part.batteries)))
-                else:
-                    yield part
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        i, start = range(self._len)[index], self._len  # IndexError past either end
-        for item in reversed(self._items):  # from the end, where rows are mostly read
-            start -= _size(item)
-            if i >= start:
-                for part in _unpack(item):
-                    if i < start + _size(part):
-                        return part.row(i - start) if type(part) is _Stretch else part
-                    start += _size(part)
+                yield from _built(part, range(_size(part)))
 
     def __reversed__(self):
-        return reversed(list(self))
+        for item in reversed(self._items):
+            for part in reversed([*_unpack(item)]):
+                yield from _built(part, range(_size(part))[::-1])
+
+    def __getitem__(self, index):
+        wanted = range(len(self))[index]  # IndexError past either end
+        if type(wanted) is int:
+            return self[wanted:wanted + 1][0]
+        # unpack only the items that hold a wanted row, found by their ends
+        up, rows, ends = (wanted if wanted.step > 0 else wanted[::-1]), [], self._ends
+        for k in range(bisect_right(ends, up[0]), bisect_right(ends, up[-1]) + 1) if up else ():
+            start = ends[k] - _size(self._items[k])
+            for part in _unpack(self._items[k]):
+                offsets = [i - start for i in range(start, start + _size(part)) if i in up]
+                rows += _built(part, offsets)
+                start += _size(part)
+        return rows if wanted.step > 0 else rows[::-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes, bytearray)):
@@ -982,14 +999,12 @@ class Trace(Sequence):
 
 
 def _template(item: _Period) -> tuple | None:
-    """What each period of `item`'s jump writes alike, or None when one of
-    its records or steps is off the template: each row's step in the logged
-    period and its tail (the text after `"step": N`: a record's from
-    `_Stretch.tails`, a row with no weights from `_line`, and "" for a row
-    that carries weights), the places of those rows, and the dispatches that
-    make them, each as (step, the choice records it fired, its index in
-    `calls`)."""
-    steps, tails, slots, weighted = [], [], [], []
+    """What each period of `item`'s jump writes alike, or None when a record
+    or step is off the template: each row's step in the logged period and
+    tail (the text after `"step": N`, from `_Stretch.tails` or `_line`), and
+    each row that shows weights as (its place, its dispatch's index in
+    `calls`, its call's index there), whose tail ends at `"w_pos_before": `."""
+    steps, tails, weighted = [], [], []
     calls = enumerate(item.calls)
     for logged in item.period:
         if type(logged) is _Stretch:
@@ -1003,24 +1018,32 @@ def _template(item: _Period) -> tuple | None:
         j, made = next(calls)
         if type(at) is not int:
             return None
-        places = len(slots)
-        for row in _rows(at, records, made):
-            if row.w_pos_before is None:
-                tails.append(_line(row)[len(f'{{"step": {at}'):] + "\n")
-            else:
-                slots.append(len(tails))
-                tails.append("")
+        # the call whose weights each row shows, in `_rows` order
+        picks = (i for i, call in enumerate(made) if call[2] is None)
+        shown = [next(picks) if rec.trigger == TRIGGER_CHOICE else None
+                 for rec in records if rec.note is None]
+        shown += [i for i, call in enumerate(made) if call[2] is not None]
+        for row, i in zip(_rows(at, records, made), shown):
+            text = _line(row._replace(**_NO_WEIGHTS))[len(f'{{"step": {at}'):]
+            if i is not None:
+                weighted.append((len(tails), j, i))
+            tails.append(text + "\n" if i is None else text[:-1] + ', "w_pos_before": ')
             steps.append(at)
-        if len(slots) > places:
-            weighted.append((at, [rec for rec in records if rec.trigger == TRIGGER_CHOICE], j))
-    return steps, tails, slots, weighted
+    return steps, tails, weighted
+
+
+# a choice or outcome row's line after `"w_pos_before": `, from its two or four
+# weights, all that differs between periods: `_replay` makes the logged calls again
+_NO_WEIGHTS = dict.fromkeys(TRACE_KEYS[5:9])
+_WEIGHTS = {2: '{!r}, "w_neg_before": {!r}}}\n'.format,
+            4: '{!r}, "w_pos_after": {!r}, "w_neg_before": {!r}, "w_neg_after": {!r}}}\n'.format}
 
 
 class _JsonlWriter:
     """The one trace writer: each row, record and replayed period as JSON
     lines of `fh`, in order. It keeps the `_template` of the last jump's
-    period, so each later period is one join of its steps and tails, and
-    only its rows that carry weights go through `_line` again."""
+    period, and writes each period as one join of its steps and tails and its
+    weights, or row by row when it holds a weight `_as_repr` does not take."""
 
     def __init__(self, fh):
         self._write = fh.write
@@ -1036,19 +1059,21 @@ class _JsonlWriter:
         else:
             if item.period is not self._period:
                 self._period, self._template = item.period, _template(item)
-            if self._template is None:
-                for part in _unpack(item):
-                    self.append(part)
-                return
-            steps, tails, slots, weighted = self._template
-            shift = item.shift
-            lines = [f'{{"step": {s + shift}{tail}' for s, tail in zip(steps, tails)]
-            # each row that carries weights takes the place its tail "" held
-            rows = [row for at, choices, j in weighted
-                    for row in _rows(at + shift, choices, item.calls[j])]
-            for slot, row in zip(slots, rows):
-                lines[slot] = _line(row) + "\n"
-            self._write("".join(lines))
+            if self._template is not None:
+                steps, tails, weighted = self._template
+                shift, calls = item.shift, item.calls
+                lines = [f'{{"step": {s + shift}{tail}' for s, tail in zip(steps, tails)]
+                for slot, j, i in weighted:
+                    _, _, _, b, a = calls[j][i]  # weights before, and after an outcome
+                    w = (b.w_pos, b.w_neg) if a is None else (b.w_pos, a.w_pos, b.w_neg, a.w_neg)
+                    if not all(map(_as_repr, w)):
+                        break
+                    lines[slot] += _WEIGHTS[len(w)](*w)
+                else:
+                    self._write("".join(lines))
+                    return
+            for part in _unpack(item):
+                self.append(part)
 
 
 def write_trace_jsonl(trace, path: str | Path) -> None:

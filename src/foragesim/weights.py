@@ -147,7 +147,7 @@ def replacing(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", newline=newline) as fh:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

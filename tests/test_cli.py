@@ -382,3 +382,29 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == ""
+
+    def test_every_text_file_is_read_and_written_as_utf8(self, scenario_file, tmp_path):
+        # under `-X warn_default_encoding`, a text file opened in the locale's
+        # encoding warns, and `-W error::EncodingWarning` makes that exit 1
+        dual = scenario_file(builtin_scenario_text("dual_source"), "dual_source.scn")
+        lab = scenario_file(builtin_scenario_text("learning_lab"), "lab.scn")
+        nonvolatile = ["mc", lab, "--seed", "1", "--steps", "400", "--episodes", "5",
+                       "--memory", "nonvolatile", "--weights", tmp_path / "w.csv", "--out", tmp_path / "nv.csv"]
+        commands = [
+            ["-m", "foragesim", "validate", dual],
+            ["-m", "foragesim", "run", dual, "--steps", "3000", "--trace", tmp_path / "t.jsonl"],
+            ["-m", "foragesim", "mc", dual, "--steps", "3000", "--episodes", "5", "--out", tmp_path / "s.csv"],
+            # the first batch starts cold, and the second loads the weights file
+            ["-m", "foragesim", *nonvolatile],
+            ["-m", "foragesim", *nonvolatile],
+            ["-c", "from foragesim.scenarios import BUILTIN_NAMES, builtin_scenario_text\n"
+                   "for name in BUILTIN_NAMES: builtin_scenario_text(name)"],
+        ]
+        for command in commands:
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 *map(str, command)],
+                capture_output=True, text=True, cwd=Path(foragesim.__file__).parents[1],
+            )
+            assert proc.returncode == 0, (command, proc.stderr)
+        assert (tmp_path / "w.csv").read_bytes().isascii()

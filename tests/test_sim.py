@@ -798,6 +798,16 @@ def _stretches(draw):
     return tuple(stretch.values())
 
 
+# a weight JSON writes as its repr (a finite float, an int) or not (an infinity
+# or NaN, a bool, None, a subclass), in which case a replayed period that holds
+# it is written row by row
+_WEIGHTS = st.one_of(_FLOATS, st.sampled_from([None, False, True, -1, 0, 7, 10**30, *_SUBCLASSED]))
+
+
+def _entries(draw) -> WeightEntry:
+    return WeightEntry(draw(_WEIGHTS), draw(_WEIGHTS))
+
+
 @st.composite
 def _dispatches(draw):
     """A logged dispatch as `(step, records, calls)`, in any order: transitions,
@@ -807,7 +817,7 @@ def _dispatches(draw):
     for kind in draw(st.lists(st.sampled_from(["transition", "noted", "choice", "outcome"]),
                               max_size=4)):
         path = tuple(draw(st.lists(_STRINGS, min_size=1, max_size=3)))
-        before = WeightEntry(draw(_FLOATS), draw(_FLOATS))
+        before = _entries(draw)
         if kind == "transition":
             event = draw(_STRINGS.filter(lambda text: text != TRIGGER_CHOICE))
             records.append(TransitionRecord(step, path, path, event))
@@ -818,7 +828,7 @@ def _dispatches(draw):
             records.append(TransitionRecord(step, path, path, TRIGGER_CHOICE, option))
             calls.append((path[-1], option, None, before, None))
         else:
-            after = WeightEntry(draw(_FLOATS), draw(_FLOATS))
+            after = _entries(draw)
             calls.append((draw(_STRINGS), draw(_STRINGS), (path, draw(st.booleans())), before, after))
     return step, records, calls
 
@@ -839,8 +849,7 @@ def _jumps(draw):
         items += live
         rows = sum(map(sim._size, live))
         for shift in draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3)):
-            calls = [[(node, option, outcome, WeightEntry(draw(_FLOATS), draw(_FLOATS)),
-                       None if outcome is None else WeightEntry(draw(_FLOATS), draw(_FLOATS)))
+            calls = [[(node, option, outcome, _entries(draw), None if outcome is None else _entries(draw))
                       for node, option, outcome, _, _ in logged[2]]
                      for logged in period if type(logged) is tuple]
             items.append(sim._Period(period, shift, calls, rows))
@@ -1001,6 +1010,29 @@ class TestStretchFormat:
         expected = "".join(json.dumps(row.to_dict()) + "\n" for row in rows)
         assert _sink_texts(items, tmp_path_factory) == [expected] * 2
 
+    def test_a_period_with_a_weight_off_the_template_is_written_as_its_rows(self, tmp_path_factory):
+        # a jump's second period holds a NaN weight and its third a bool, which
+        # `json` does not write as their repr; its first and fourth hold none
+        path = ("top", "seek")
+        records = [TransitionRecord(5, path, path, TRIGGER_CHOICE, "wireless"),
+                   TransitionRecord(5, path, ("top", "charge"), "located")]
+
+        def calls(before, after):
+            return [[("seek", "wireless", None, before, None),
+                     ("seek", "wireless", (path, True), before, after)]]
+
+        plain = WeightEntry(0.5, 0.25), WeightEntry(0.75, 0.125)
+        period = [sim._Stretch(4, "top/seek", "normal", 1, 2, [50.0, 49.5], [1.0, 1.0]),
+                  (5, records, calls(*plain)[0])]
+        items = [period[0], *sim._rows(*period[1])]
+        for shift, weights in enumerate([plain, (WeightEntry(math.nan, 0.25), plain[1]),
+                                         (plain[0], WeightEntry(0.75, True)), plain], start=1):
+            items.append(sim._Period(period, 2 * shift, calls(*weights), 5))
+        rows = [row for item in items for row in _rows_of(sim._unpack(item))]
+        expected = "".join(json.dumps(row.to_dict()) + "\n" for row in rows)
+        assert '"w_pos_before": NaN' in expected and '"w_neg_after": true' in expected
+        assert _sink_texts(items, tmp_path_factory) == [expected] * 2
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_trace_file_is_the_same_bytes_whole_row_by_row_and_streamed(
         self, name, tmp_path, monkeypatch
@@ -1009,20 +1041,19 @@ class TestStretchFormat:
         _, trace = run_episode(cfg)
         sim.write_trace_jsonl(list(trace), tmp_path / "rows.jsonl")
         sim.run_life(cfg, tmp_path / "life.jsonl")
-        # the tick records are written by the template, and every event row by
-        # `_line`: a replayed row that carries weights in each period, and
-        # one with none once per jump, in the template of the jump's period
+        # the tick records are written by the template, and each live event
+        # row by `_line`; a replayed period's event rows go through `_line`
+        # once per jump, in the template of the jump's first period, and a
+        # later period fills in the weights of its choice and outcome rows
         lines, line = [], sim._line
         monkeypatch.setattr(sim, "_line", lambda row: lines.append(row) or line(row))
         sim.write_trace_jsonl(trace, tmp_path / "trace.jsonl")
         expected, jumps = 0, set()
         for item in trace._items:
             if type(item) is sim._Period:
-                rows = [row for row in sim._unpack(item) if type(row) is TraceEvent]
-                weighted = sum(row.w_pos_before is not None for row in rows)
-                first = id(item.period) not in jumps
+                if id(item.period) not in jumps:
+                    expected += sum(type(row) is TraceEvent for row in sim._unpack(item))
                 jumps.add(id(item.period))
-                expected += len(rows) if first else weighted
             else:
                 expected += type(item) is TraceEvent
         assert len(lines) == expected
@@ -1193,3 +1224,27 @@ class TestTraceSequence:
     def test_a_jumped_trace_reads_reversed(self, jumped):
         trace, rows, _ = jumped
         assert list(reversed(trace)) == rows[::-1]
+
+
+class TestTraceReadsOnlyItsRows:
+    """A slice and `reversed` build the rows they give, and at most the event
+    rows of a replayed period they reach, not the whole trace."""
+
+    @pytest.mark.parametrize("text", [builtin_scenario_text("dual_source"), LEARNING_LAB_20],
+                             ids=["dual_source", "learning_lab@20"])
+    @pytest.mark.parametrize("jump", [True, False], ids=["jumped", "every_period_run"])
+    def test_a_tail_slice_and_the_last_row_build_only_theirs(self, text, jump, monkeypatch):
+        cfg = SimConfig(parse_scenario(text), seed=3, max_steps=20_000)
+        _, trace = run_episode(cfg) if jump else _no_jump(run_episode, cfg)
+        rows = list(trace)
+        # a period reached is unpacked whole, its dispatches' rows built with it
+        periods = [sum(type(part) is TraceEvent for part in sim._unpack(item))
+                   for item in trace._items if type(item) is sim._Period]
+        assert bool(periods) is jump
+        built, row = [], sim.TraceEvent
+        monkeypatch.setattr(sim, "TraceEvent", lambda *args, **kw: built.append(1) or row(*args, **kw))
+        assert trace[-10:] == rows[-10:]
+        assert 10 <= len(built) <= 10 + max(periods, default=0) < len(rows) // 100
+        built.clear()
+        assert next(reversed(trace)) == rows[-1]
+        assert 1 <= len(built) <= 1 + max(periods, default=0)
