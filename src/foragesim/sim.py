@@ -319,10 +319,13 @@ BEHAVIORS = {
 class _Episode:
     """One life, and the dispatch context its machine runs in.
 
-    `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`;
-    the last two make their call through `_call`, which notes it in `calls`,
-    and `_dispatch` turns the notes into trace rows once the run to
-    completion is over. `choose` hands itself to
+    `dispatch` reads `step` and calls back `guard`, `choose` and `outcome`.
+    While the life is traced or looks for its feeding cycle (`seen` is not
+    empty), the last two make their call through `_call`, which notes it in
+    `calls`, and `_dispatch` turns the notes into trace rows once the run to
+    completion is over; otherwise they only count the choice or apply
+    `record_outcome`, and an untraced dispatch builds no transition record
+    (`dispatch(..., records=False)`). `choose` hands itself to
     `select_option` as the rng: its `randrange` seeds `rng` at the first
     draw, which stays None in a life that never draws, and notes each draw
     in `draws` as `(stop, value)`. Rows are built only when the life has a
@@ -388,11 +391,17 @@ class _Episode:
         chosen = select_option(self.table, node, options, self)
         self.choice_fired = True
         self.first_choices.setdefault(node, chosen)
-        self._call(node, chosen)
+        if self.trace is None and not self.seen:
+            self.choices_made[(node, chosen)] += 1
+        else:
+            self._call(node, chosen)
         return chosen
 
     def outcome(self, node: str, option: str, success: bool) -> None:
-        self._call(node, option, (self.instance.path, success))
+        if self.trace is None and not self.seen:
+            record_outcome(self.table, node, option, success)
+        else:
+            self._call(node, option, (self.instance.path, success))
 
     def _call(self, node: str, option: str, outcome: tuple | None = None) -> None:
         """Count a choice of `option`, or record the outcome `(path, success)`
@@ -415,7 +424,7 @@ class _Episode:
 
     def _dispatch(self, event: str) -> None:
         self.calls = []
-        records = dispatch(self.instance, event, self)
+        records = dispatch(self.instance, event, self, records=self.trace is not None)
         if self.trace is not None:
             for row in _rows(self.step, records, self.calls):
                 self.trace.append(row)

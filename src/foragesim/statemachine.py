@@ -12,10 +12,12 @@ choice node has no arms, so a frame leaves one only by its choice), then
 pursuits opened by choice nodes along the way and reports their outcome,
 tagged success or failure, through the context.
 
-The active path (the machine's name, then each frame's state) is held as one
-tuple, set only where the frames change, and shared by every record and
-error that names it. Dispatch reports each transition as a `TransitionRecord`,
-a NamedTuple.
+The active path (the machine's name, then each frame's state) is a function
+of the frames, built as one tuple when it is first read after they change and
+shared by every record and error that names it until they change again.
+`dispatch` reports each transition as a `TransitionRecord`, a NamedTuple; a
+caller that reads none passes `records=False`, and the same loop then builds
+no record and no path that only a record would read.
 """
 
 from __future__ import annotations
@@ -192,9 +194,18 @@ class MachineInstance:
         # the active state per nesting level, and the (node, option) pursuits
         # that the choice nodes of its machine have opened
         self.frames, self.pursuits = [initial], [[]]
-        self._rest(initial, (initial.machine.name,))
+        self._rest(initial)
 
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def path(self) -> tuple[str, ...]:
+        """The machine's name, then each frame's state: built when first read
+        after the frames change."""
+        path = self._path
+        if path is None:
+            path = self._path = (self.machine.name, *[st.name for st in self.frames])
+        return path
 
     def active_path(self) -> list[str]:
         return list(self.path)
@@ -213,36 +224,37 @@ class MachineInstance:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _rest(self, st: _State, base: tuple[str, ...]) -> None:
+    def _rest(self, st: _State) -> None:
         """Make `st` the innermost active state and enter it down to a leaf, one
-        frame per level, extending the path as it goes; `base` is the active
-        path outside the innermost frame."""
+        frame per level."""
         frames = self.frames
         frames[-1] = st
-        path = base + (st.name,)
+        self._path = None
         while st.kind == KIND_COMPOSITE:
             st = st.inner
             frames.append(st)
             self.pursuits.append([])
-            path += (st.name,)
-        self.path = path
         if st.kind == KIND_FINAL and len(frames) == 1:
             self.status = STATUS_FINALIZED
 
     def _fire(self, target, trigger: str, ctx, records, chosen: str | None = None) -> str | None:
-        """Take an arm or a choice; returns the name of an exit crossed into a
-        frame that has to handle it next, else None."""
-        from_path = self.path
+        """Take an arm or a choice, appending its record to `records` unless
+        that is None; returns the name of an exit crossed into a frame that has
+        to handle it next, else None."""
+        if records is not None:
+            from_path = self.path
         if type(target) is not tuple:
-            self._rest(target, from_path[:-1])
-            records.append(TransitionRecord(ctx.step, from_path, self.path, trigger, chosen))
+            self._rest(target)
+            if records is not None:
+                records.append(TransitionRecord(ctx.step, from_path, self.path, trigger, chosen))
             return None
         exit_name, success = target
         self.frames.pop()
-        self.path = from_path[:-1]
+        self._path = None
         for node, option in self.pursuits.pop():
             ctx.outcome(node, option, success)
-        records.append(TransitionRecord(ctx.step, from_path, self.path + (exit_name,), trigger))
+        if records is not None:
+            records.append(TransitionRecord(ctx.step, from_path, self.path + (exit_name,), trigger))
         if not self.frames:
             self.status = STATUS_EXITED
             return None
@@ -294,25 +306,28 @@ def start_instance(scenario: ScenarioDef, machine: str | None = None) -> Machine
     return MachineInstance(chart[0], initial)
 
 
-def dispatch(instance: MachineInstance, event: str, ctx=None) -> list[TransitionRecord]:
+def dispatch(instance: MachineInstance, event: str, ctx=None, *,
+             records: bool = True) -> list[TransitionRecord]:
     """Feed one event and run to completion; returns records in firing order.
 
     Unknown event names raise; events sent to a finished instance yield a
-    single no-op record carrying a note.
+    single no-op record carrying a note. With `records=False` the run is the
+    same, calls on `ctx` included, but it builds no record and returns an
+    empty list.
     """
     if ctx is None:
         ctx = StaticContext()
     if instance.status != STATUS_RUNNING:
         note = f"ignored: machine {instance.status}"
-        return [TransitionRecord(ctx.step, instance.path, instance.path, event, note=note)]
+        return [TransitionRecord(ctx.step, instance.path, instance.path, event, note=note)] if records else []
     if event != AUTO and event not in instance.events:
         raise UnknownEventError(f"unknown event '{event}'")
-    records: list[TransitionRecord] = []
+    fired: list[TransitionRecord] | None = [] if records else None
     try:
         target = None if event == AUTO else _enabled(instance.frames[-1], event, ctx)
-        pending = None if target is None else instance._fire(target, event, ctx, records)
-        instance._drain(pending, ctx, records)
+        pending = None if target is None else instance._fire(target, event, ctx, fired)
+        instance._drain(pending, ctx, fired)
     except MachineStuckError as exc:
         exc.step, exc.path, exc.event = ctx.step, instance.path, event
         raise
-    return records
+    return fired if records else []

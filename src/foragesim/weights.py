@@ -95,20 +95,24 @@ def select_option(
     """Pick one option for `node` by the stored weights.
 
     Keeps every option whose success weight is within TOLERANCE of the best,
-    then takes the lowest failure weight among them; an exact tie there is
-    broken uniformly at random by `rng.randrange(len(tied))`. Nothing else of
+    then takes the lowest failure weight among them (both in one pass over
+    the entries, each read with one lookup); an exact tie there is broken
+    uniformly at random by `rng.randrange(len(tied))`. Nothing else of
     `rng` is used, so it may be anything with `randrange`, and it is not
     touched when there is no tie.
     """
     if not options:
         raise ValueError("empty option list")
-    entries = [table.get(node, o) for o in options]
-    best = max(e.w_pos for e in entries)
-    cands = [i for i, e in enumerate(entries) if best - e.w_pos <= TOLERANCE + _TOL_EPS]
-    if len(cands) == 1:
-        return options[cands[0]]
-    min_neg = min(entries[i].w_neg for i in cands)
-    tied = [i for i in cands if entries[i].w_neg == min_neg]
+    get = table.entries.get
+    entries = [get((node, o), _ZERO) for o in options]
+    best, within = max([e.w_pos for e in entries]), TOLERANCE + _TOL_EPS
+    tied, least = [], None  # the candidates with the least failure weight so far
+    for i, (w_pos, w_neg, _, _) in enumerate(entries):
+        if best - w_pos <= within:
+            if least is None or w_neg < least:
+                tied, least = [i], w_neg
+            elif w_neg == least:
+                tied.append(i)
     if len(tied) == 1:
         return options[tied[0]]
     return options[tied[rng.randrange(len(tied))]]
@@ -119,9 +123,12 @@ def record_outcome(table: WeightTable, node: str, option: str, success: bool) ->
 
     Success: w_pos <- (w_pos + 1)/2 and w_neg <- w_neg/2.
     Failure: w_pos <- w_pos/2 and w_neg <- (w_neg + 1)/2.
-    Both rules map [0, 1] into itself; the clamp turns a -0.0 into 0.0.
+    Both rules map [0, 1] into itself; the clamp turns a -0.0 into 0.0, and
+    maps any value, NaN included, into [0, 1], so the entry is stored without
+    `WeightTable.set`'s range check.
     """
-    e = table.get(node, option)
+    key = (node, option)
+    e = table.entries.get(key, _ZERO)
     if success:
         updated = WeightEntry(
             _clamp01((e.w_pos + 1.0) / 2.0), _clamp01(e.w_neg / 2.0), e.successes + 1, e.failures
@@ -130,7 +137,7 @@ def record_outcome(table: WeightTable, node: str, option: str, success: bool) ->
         updated = WeightEntry(
             _clamp01(e.w_pos / 2.0), _clamp01((e.w_neg + 1.0) / 2.0), e.successes, e.failures + 1
         )
-    table.set(node, option, updated)
+    table.entries[key] = updated
     return updated
 
 

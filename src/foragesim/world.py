@@ -43,7 +43,8 @@ class StationSpec(_StationFields):
 
     def track_cells(self) -> tuple[Cell, ...]:
         """Track cells that are actually detectable (gaps removed)."""
-        return tuple(c for c in self.track if c not in self.gaps)
+        gaps = self.gaps
+        return tuple([c for c in self.track if c not in gaps])
 
 
 class BeaconSpec(NamedTuple):
@@ -112,15 +113,11 @@ def detect_station_cues(world: WorldMap, pos: Cell, gain: float) -> CueReading:
     st = world.station
     if st is None:
         return CueReading()
-    track_detected = False
-    cells = st.track_cells()
-    if cells:
-        nearest = min(cells, key=lambda c: (math.dist(pos, c), c))
-        track_detected = math.dist(pos, nearest) <= 1.0 * gain
-    return CueReading(
-        ir_detected=math.dist(pos, st.pos) <= st.ir_radius * gain,
-        track_detected=track_detected,
-    )
+    # the nearest cell's distance, each cell's taken once (a tie-break among
+    # equidistant cells would not change it)
+    near = min([math.dist(pos, c) for c in st.track_cells()], default=None)
+    return CueReading(math.dist(pos, st.pos) <= st.ir_radius * gain,
+                      near is not None and near <= 1.0 * gain)
 
 
 def _climb(world: WorldMap, pos: Cell, score) -> Cell:

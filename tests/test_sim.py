@@ -5,6 +5,8 @@ import json
 import math
 import random
 import re
+import sys
+from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 from unittest import mock
@@ -39,6 +41,9 @@ from foragesim.weights import WeightEntry, WeightTable, load_weights
 from genscenarios import random_scenario
 from test_cycles import LEARNING_LAB_20, _no_jump
 from test_records import _Index
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+import gen  # noqa: E402
 
 NO_SOURCE = """
 [machine top entry]
@@ -441,6 +446,65 @@ class TestUntracedLives:
         assert stats.episodes == 2
         with pytest.raises(AssertionError):
             run_episode(cfg)
+
+
+class TestBusyLives:
+    """The benchmark's `learning_lives` items: hungry variants whose every
+    choice node is tied, so their lives draw, fail, pick several options of
+    a node and mostly die. Each life of a `run_monte_carlo` batch, volatile
+    and nonvolatile, cold and resumed from the weights file, must equal the
+    traced `run_episode` life of its seed, the nonvolatile ones threaded
+    through one table: its result, the draws `_live` reports for each life
+    the batch runs, and the weights file's bytes after the batch."""
+
+    @pytest.mark.parametrize("workload_seed", [0, 1, 2])
+    def test_untraced_batches_equal_traced_lives(self, workload_seed, tmp_path):
+        draws = {}
+        live = sim._live
+
+        def noted(cfg, table, trace):
+            result, made = live(cfg, table, trace)
+            draws[trace is not None, cfg.seed] = made
+            return result, made
+
+        kinds = Counter()
+        for item in gen.learning_lives(workload_seed):
+            scenario = parse_scenario(item.text)
+
+            def config(memory, name, seed):
+                path = None if memory == MEMORY_VOLATILE else tmp_path / name
+                return SimConfig(scenario=scenario, seed=seed, max_steps=item.steps,
+                                 memory_mode=memory, weights_path=path)
+
+            for memory in (MEMORY_VOLATILE, MEMORY_NONVOLATILE):
+                (tmp_path / "mc.csv").unlink(missing_ok=True)
+                (tmp_path / "traced.csv").unlink(missing_ok=True)
+                table = WeightTable(scenario.seed_weights) if memory == MEMORY_NONVOLATILE else None
+                # a cold batch and, in nonvolatile memory, one resumed from its file
+                resumed = [] if table is None else [item.seed + item.episodes]
+                for first in [item.seed, *resumed]:
+                    if first != item.seed:
+                        table = load_weights(tmp_path / "traced.csv")
+                    seeds = range(first, first + item.episodes)
+                    draws.clear()
+                    with mock.patch.object(sim, "_live", noted):
+                        batch = run_monte_carlo(config(memory, "mc.csv", first), item.episodes)
+                        traced = [run_episode(config(memory, "traced.csv", seed), table)[0]
+                                  for seed in seeds]
+                    assert batch.results == traced, (item.label, memory, first)
+                    ran = [seed for seed in seeds if (False, seed) in draws]
+                    assert ran and all(draws[False, seed] == draws[True, seed] for seed in ran)
+                    if table is not None:
+                        assert ((tmp_path / "mc.csv").read_bytes()
+                                == (tmp_path / "traced.csv").read_bytes())
+                    kinds["lives"] += len(traced)
+                    kinds["died"] += sum(r.outcome == OUTCOME_DIED for r in traced)
+                    kinds["drew"] += sum(bool(draws[True, seed]) for seed in seeds)
+                    kinds["failed"] += sum(e.failures > 0 for r in traced
+                                           for e in r.final_weights.values())
+        # these lives do what the built-ins' lives seldom do
+        assert kinds["died"] > kinds["lives"] // 2 and kinds["drew"] > kinds["lives"] // 2
+        assert kinds["failed"] > 0
 
 
 def _tied(scenario):

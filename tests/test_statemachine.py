@@ -507,3 +507,95 @@ class TestCachedPath:
                         assert rec.to_path[-1] in declared(machine)[1]
                     else:
                         assert rec.to_path == now
+
+
+class _CallLog(StaticContext):
+    """A context that logs each `choose` and `outcome` call with the active
+    path at the call, and checks that path against the frames."""
+
+    def __init__(self, rng):
+        super().__init__(chooser=lambda node, options: rng.choice(options))
+        self.inst = None
+        self.calls = []
+
+    def choose(self, node, options):
+        chosen = super().choose(node, options)
+        self.calls.append(("choose", node, chosen, self._path()))
+        return chosen
+
+    def outcome(self, node, option, success):
+        super().outcome(node, option, success)
+        self.calls.append(("outcome", node, option, success, self._path()))
+
+    def _path(self):
+        assert self.inst.path == _rebuilt(self.inst)
+        return self.inst.path
+
+
+class TestRecordFreeDispatch:
+    """`dispatch(..., records=False)` runs the same loop as `dispatch`: the
+    same machine afterwards, the same calls on the context, the same error,
+    and no record built."""
+
+    @staticmethod
+    def _state(inst):
+        return (list(inst.frames), [list(p) for p in inst.pursuits], inst.status, inst.path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scenario_seed=st.integers(0, 10**6), drive_seed=st.integers(0, 10**6),
+        # generated machines seldom cross an exit with a pursuit open; the
+        # built-ins do it on every choice that succeeds or fails
+        builtin=st.sampled_from([None, None, "dual_source", "station_only", "wireless_only"]),
+    )
+    def test_same_machine_calls_and_errors_as_dispatch(self, scenario_seed, drive_seed, builtin):
+        scenario = random_scenario(scenario_seed) if builtin is None else builtin_scenario(builtin)
+        rng = random.Random(drive_seed)
+        events = sorted(scenario.event_vocabulary()) + [AUTO] * 3 + ["never_declared"]
+        guards = sorted({g for g in _GUARDS if g})
+        # each side chooses by its own rng of one seed, so the two choose alike
+        both = [_CallLog(random.Random(drive_seed)) for _ in range(2)]
+        for ctx in both:
+            ctx.inst = start_instance(scenario)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a record-free dispatch built a record")
+
+        for step in range(rng.randint(1, 25)):
+            if both[0].inst.status != STATUS_RUNNING and rng.random() < 0.7:
+                for ctx in both:
+                    ctx.inst = start_instance(scenario)
+            # mostly an event some active state has an arm on, so that exits are crossed
+            armed = sorted({e for frame in both[0].inst.frames for e in frame.arms})
+            event = rng.choice(armed if armed and rng.random() < 0.8 else events)
+            flags = {g: rng.random() < 0.5 for g in guards}
+            outs = []
+            for ctx, records in zip(both, (True, False)):
+                ctx.guards, ctx.step = flags, step
+                try:
+                    if records:
+                        out = dispatch(ctx.inst, event, ctx)
+                    else:
+                        with mock.patch.object(statemachine, "TransitionRecord", built):
+                            out = dispatch(ctx.inst, event, ctx, records=False)
+                except (MachineStuckError, UnknownEventError) as exc:
+                    out = (type(exc), str(exc), getattr(exc, "step", None),
+                           getattr(exc, "path", None), getattr(exc, "event", None))
+                outs.append(out)
+            if type(outs[0]) is tuple:
+                assert outs[0] == outs[1]
+                if outs[0][0] is MachineStuckError:
+                    assert outs[0][3] == _rebuilt(both[0].inst)
+            else:
+                assert outs[1] == []
+            assert both[0].calls == both[1].calls
+            assert self._state(both[0].inst) == self._state(both[1].inst)
+            assert both[1].inst.path == _rebuilt(both[1].inst)
+            if type(outs[0]) is tuple and outs[0][0] is MachineStuckError:
+                break
+
+    def test_a_finished_machine_returns_no_record(self):
+        inst = start_instance(builtin_scenario("dual_source"))
+        inst.status = STATUS_EXITED
+        assert dispatch(inst, AUTO, records=False) == []
+        assert [rec.note for rec in dispatch(inst, AUTO)] == ["ignored: machine exited"]

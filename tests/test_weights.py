@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foragesim.weights import (
+    _TOL_EPS,
     TOLERANCE,
     WeightEntry,
     WeightTable,
@@ -178,14 +179,46 @@ def _choice_entries(draw):
 
 
 class _Draws:
-    """An rng that notes every draw and returns 0."""
+    """An rng that notes every draw and returns `value` modulo its stop."""
 
-    def __init__(self):
+    def __init__(self, value=0):
         self.stops = []
+        self.value = value
 
     def randrange(self, stop):
         self.stops.append(stop)
-        return 0
+        return self.value % stop
+
+
+def _by_the_rule(table, node, options, rng):
+    """`select_option`'s rule step by step: the candidates within tolerance
+    of the best success weight, then those of them with the least failure
+    weight, then a draw among those."""
+    entries = [table.get(node, o) for o in options]
+    best = max(e.w_pos for e in entries)
+    cands = [i for i, e in enumerate(entries) if best - e.w_pos <= TOLERANCE + _TOL_EPS]
+    if len(cands) == 1:
+        return options[cands[0]]
+    min_neg = min(entries[i].w_neg for i in cands)
+    tied = [i for i in cands if entries[i].w_neg == min_neg]
+    if len(tied) == 1:
+        return options[tied[0]]
+    return options[tied[rng.randrange(len(tied))]]
+
+
+class TestSelectByTheRule:
+    """`select_option` takes its candidates in one pass; it must pick as the
+    rule does, step by step, and make the same draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=_choice_entries(), absent=st.sets(st.integers(0, 3)), value=st.integers(0, 3))
+    def test_same_pick_and_draws_as_the_rule(self, entries, absent, value):
+        options = [f"o{i}" for i in range(len(entries))]
+        table = WeightTable({("n", o): pair for i, (o, pair) in enumerate(zip(options, entries))
+                             if i not in absent})
+        got, want = _Draws(value), _Draws(value)
+        assert select_option(table, "n", options, got) == _by_the_rule(table, "n", options, want)
+        assert got.stops == want.stops
 
 
 class TestPickWithoutDraw:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foragesim.scenarios import BUILTIN_NAMES, builtin_scenario
 from foragesim.world import (
     CUE_IR,
     CUE_TRACK,
@@ -11,6 +12,7 @@ from foragesim.world import (
     FOLLOW_LOST,
     FOLLOW_PROGRESSING,
     BeaconSpec,
+    CueReading,
     StationSpec,
     WorldMap,
     coupling_efficiency,
@@ -115,6 +117,59 @@ class TestStationCues:
         cues = detect_station_cues(w, (3, 4), gain=1.0)
         # adjacent only to the gap cell, which does not count
         assert cues.track_detected is False
+
+
+def _nearest_rule(world, pos, gain):
+    """The cue reading by the nearest track cell under the (distance, cell)
+    tie-break, as `detect_station_cues` once chose it."""
+    st = world.station
+    if st is None:
+        return CueReading()
+    track_detected = False
+    cells = st.track_cells()
+    if cells:
+        nearest = min(cells, key=lambda c: (math.dist(pos, c), c))
+        track_detected = math.dist(pos, nearest) <= 1.0 * gain
+    return CueReading(ir_detected=math.dist(pos, st.pos) <= st.ir_radius * gain,
+                      track_detected=track_detected)
+
+
+class TestNearestTrackCell:
+    """`detect_station_cues` reads each track cell's distance once and takes
+    the least; it must give the nearest-cell rule's reading everywhere."""
+
+    @staticmethod
+    def _stations(world):
+        # the shipped station, and one whose track is the grid's inner corners
+        # and the middle of its top side, so that many cells lie equally far
+        # from two or more track cells
+        w, h = world.width, world.height
+        square = ((1, 1), (w - 2, 1), (1, h - 2), (w - 2, h - 2), (w // 2, 1))
+        stations = [StationSpec(pos=(1, 1), ir_radius=3.0, track=square)]
+        if world.station is not None:
+            stations.append(world.station)
+        for st in list(stations):
+            stations.append(st._replace(gaps=st.track[::2]))  # every other cell a gap
+            stations.append(st._replace(gaps=st.track))  # nothing to detect
+        return stations
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_every_cell_of_each_builtin_grid(self, name):
+        world = builtin_scenario(name).world
+        seen = set()
+        for station in [None, *self._stations(world)]:
+            where = world._replace(station=station)
+            for cell in ((x, y) for x in range(world.width) for y in range(world.height)):
+                for gain in (0.0, 0.2, 1.0):
+                    got = detect_station_cues(where, cell, gain)
+                    assert got == _nearest_rule(where, cell, gain)
+                    assert [type(v) for v in got] == [bool, bool]
+                    seen.add((gain, got.track_detected))
+                if station is not None and station.track_cells():
+                    dists = sorted(math.dist(cell, c) for c in station.track_cells())
+                    seen.add(("tied", len(dists) > 1 and dists[0] == dists[1]))
+        assert {(g, True) for g in (0.0, 0.2, 1.0)} <= seen
+        assert ("tied", True) in seen
 
 
 class TestFollow:
