@@ -31,42 +31,48 @@ flags of its last update and fires a threshold only when its flag turns on,
 so it fires nothing in the stretch and ends it with the flags each tick would
 leave. Path, pose (a cell) and mood stay constant over the stretch.
 
-A robot that has learned to feed settles into a feeding cycle, so a life
-jumps whole periods of it, traced or not. After each quiet stretch it keys
-its loop state: the energy, the pose, the machine's states (by identity),
-open pursuits and status, the watcher's flags, the charge count, the
-charge-timer flag and the queue; all that the loop reads but the weights,
-the rng and the step. When a key comes back `p` steps later, and
+A robot that has learned to feed settles into a feeding cycle, so once a
+life finds it, traced or not, it jumps to its horizon. After each quiet
+stretch it keys its loop state: the energy, the pose, the machine's states
+(by identity), open pursuits and status, the watcher's flags, the charge
+count, the charge-timer flag and the queue; all that the loop reads but the
+weights, the rng and the step. When a key comes back `p` steps later, and
 the period between drew no tie, had only successful outcomes and picked one
 option per choice node, every later period takes the same path. Guards,
 behaviours and energy follow from the loop state alone, and no draw means
-the rng is not reached. The weights change only in the picked entries,
-whose success weight only rises and failure weight only falls. So at each
-choice the best success weight cannot fall, the candidates within tolerance
-of it can only drop out, and the picked option stays among them with the
-unique least failure weight: the choice is the same, again without a draw.
-(A node that picked two options could swap them as both failure weights
-halve, until halving among subnormals ties them and the life draws.) Levels
-compare by value, so 0.0 and -0.0 share a key, and no comparison in the
-loop tells them apart. The life then replays `k` periods, as many as end
-before its last tick, and adds their recharges. While it looks for its
-cycle it logs the period in progress: each dispatch's choice and outcome
-calls in the order they were made and, in a traced life, the dispatch's
-transitions and each tick's record. A replay makes each period's calls again
-in that order: a choice is counted and reads its entry as it is then, and
-an outcome goes through `record_outcome` (not in closed form, because
-repeated halving rounds differently among subnormals). A traced life also
-appends each period as one item (`_Period`: the logged period, the steps it
-is moved by, and the calls its dispatches made), whose records and rows have
-the bytes of a life that simulated every period. Order matters there: a
-choice row carries the weights its choice read, and a dispatch's outcome rows
-follow all its transitions, so a choice made after an outcome of its own
-dispatch shows a weight that outcome moved, though the outcome's row comes
-later. The log starts over with the key table, and the table with a log of
-CYCLE_STATES items, so a streamed life's memory does not grow with its
-horizon; both start over after a jump. The ticks after the replayed periods,
-fewer than a period and the last one included, run as before, and looking
-goes on in them but jumps no more.
+the rng is not reached. The weights change only in the picked entries, whose
+success weight only rises and failure weight only falls. So at each choice
+the best success weight cannot fall, the candidates within tolerance of it
+can only drop out, and the picked option stays among them with the unique
+least failure weight: the choice is the same, again without a draw. (A node
+that picked two options could swap them as both failure weights halve, until
+halving among subnormals ties them and the life draws.) Levels compare by
+value, so 0.0 and -0.0 share a key, and no comparison in the loop tells them
+apart. The life then replays the periods up to its horizon, the whole ones
+and then the first steps of one more, as many as are left; every earlier
+period ended alive in the same state along the same path, so those are the
+ticks it would run, and no death falls in them. The horizon's tick would run
+in full, but a quiet tick gives a full tick's levels, rows and result, and
+the result reports no energy, so the state the life ends in is never read.
+While it looks for its cycle it logs the period in progress: each dispatch's
+choice and outcome calls in the order they were made and, in a traced life,
+the dispatch's transitions and each tick's record; and it notes the step of
+each recharge it counts, so a replay counts those that fall before the
+horizon. A replay makes each period's calls again in that order: a choice is
+counted and reads its entry as it is then, and an outcome goes through
+`record_outcome` (not in closed form, because repeated halving rounds
+differently among subnormals). A traced life also appends each period as one
+item (`_Period`: the logged period, the steps it is moved by, the calls its
+dispatches made, and its row count, which stops the last one at the
+horizon), and then the horizon's tick as a record of its own, as the loop
+makes it; the records and rows have the bytes of a life that simulated every
+period. Order matters there: a choice row carries the weights its choice
+read, and a dispatch's outcome rows follow all its transitions, so a choice
+made after an outcome of its own dispatch shows a weight that outcome moved,
+though the outcome's row comes later. The log and the recharge notes start
+over with the key table, and all three when one holds CYCLE_STATES items, so
+a streamed life's memory does not grow with its horizon. No tick runs after
+a jump.
 
 The seed reaches a life only through the rng that breaks an exact tie in
 `select_option`, built at its first draw, so a life that never draws seeds
@@ -79,27 +85,28 @@ levels) that also holds the quiet stretch after a full tick, and each
 replayed period as one item. `run_episode` keeps them in a `Trace`, which
 builds the rows of a record or a period only when they are read, a slice or
 `reversed` only those of the items it reaches; `run_monte_carlo` builds
-none. One writer, `_JsonlWriter`, writes them as
-text: `run_life` hands it each item as it comes, so its memory does not grow
-with the horizon, and `write_trace_jsonl` a trace's items. `_line` writes an
-event row's line field by field, and `_Stretch.text` a record's lines, as
-`json.dumps(row.to_dict())` does, which writes a row with a value not exactly
-a `str`, an `int` or a finite `float`. A feeding cycle replays the same
-levels, so a record takes each level's text from a bounded cache (`_level`);
-a level list that holds a zero is written uncached, because 0.0 and -0.0
-would share one entry. Every period of a jump shares its logged period, so at
-a jump's first period the writer makes the period's template (`_template`):
-each row's text after its step, from `_Stretch.tails` for a record and from
-`_line` for an event row. A choice or outcome row's text stops before its
-weights: a replay makes the logged calls again, so its other fields are the
-same in every period. The writer keeps that one template until the next
-jump, and writes each period as one join of its steps, those tails, and the
-`repr` of each weight its calls read or left; a period that holds a weight
-`json` does not write as its `repr` (`_as_repr`) is written row by row, as a
-record off the template is. No period after a jump's first goes through
-`_line`. The template holds one period's rows, at most CYCLE_STATES
-items of at most STRETCH_ROWS rows each, so a streamed trace's memory still
-does not grow with the horizon, and a life that never jumps keeps no text.
+none. One writer, `_JsonlWriter`, writes them as text: `run_life` hands it
+each item as it comes, so its memory does not grow with the horizon, and
+`write_trace_jsonl` a trace's items. `_line` writes an event row's line
+field by field, and `_Stretch.text` a record's lines, as
+`json.dumps(row.to_dict())` does, which writes a row with a value not
+exactly a `str`, an `int` or a finite `float`. A feeding cycle replays the
+same levels, so a record takes each level's text from a bounded cache
+(`_level`); a level list that holds a zero is written uncached, because 0.0
+and -0.0 would share one entry. Every period of a jump shares its logged
+period, so at a jump's first period the writer makes the period's template
+(`_template`): each row's text after its step, from `_Stretch.tails` for a
+record and from `_line` for an event row. A choice or outcome row's text
+stops before its weights: a replay makes the logged calls again, so its
+other fields are the same in every period. The writer keeps that one
+template, and writes each whole period as one join of its steps, those
+tails, and the `repr` of each weight its calls read or left; a period that
+holds a weight `json` does not write as its `repr` (`_as_repr`), or that the
+horizon cuts, is written row by row, as a record off the template is. No
+whole period after a jump's first goes through `_line`. The template holds
+one period's rows, at most CYCLE_STATES items of at most STRETCH_ROWS rows
+each, so a streamed trace's memory still does not grow with the horizon, and
+a life that never jumps keeps no text.
 """
 
 from __future__ import annotations
@@ -354,10 +361,11 @@ class _Episode:
         self.charge_ticks = 0
         self.wait_sent = False
         self.step = 0
-        # loop state after a quiet stretch -> its mark, and the log of the
-        # period in progress (see `_periods`); both start over after a jump
+        # loop state after a quiet stretch -> its mark, and the log and the
+        # recharges, as (step, source), of the period in progress: `_periods`
         self.seen: dict = {}
         self.log: list = []
+        self.fed: list[tuple[int, str]] = []
         # the dispatch's calls, each (node, option, outcome, weights before,
         # weights after): a choice's outcome and after are None, an outcome's
         # outcome is (state path, success)
@@ -459,68 +467,82 @@ class _Episode:
         if len(self.log) < CYCLE_STATES:
             self.log.append(item)
         else:
-            self.seen.clear()
-            self.log.clear()
+            self._forget()
+
+    def _forget(self) -> None:
+        """Start the search for a feeding cycle over."""
+        self.seen.clear()
+        self.log.clear()
+        self.fed.clear()
 
     def _periods(self, step: int) -> int:
         """The steps to jump from `step`, the top of the loop after a quiet
-        stretch: whole periods of the life's feeding cycle, or 0.
+        stretch: the rest of the life once its feeding cycle is found, or 0.
 
         The loop state is kept in `seen` with its mark: the step, the draw
-        count, the log's length and the recharge counts. The log holds what
+        count and the lengths of the log and of `fed`. The log holds what
         came since: each dispatch that made a call or, in a traced life,
         fired a transition, as `(step, records, calls)`, and each tick's
-        record. When the state comes back with no draw, no failure and one
-        option per choice node in between, the periods that end before the
-        last tick are jumped (the module docstring says why that is exact),
-        and looking starts over. Each period's calls are made again through
-        `_call`, in the order they were made, so a choice reads its entry as
-        it is then; a traced life also appends each period as one item
-        (`_Period`), whose rows are built only when they are read.
+        record; `fed` holds each recharge counted since, as `(step, source)`.
+        When the state comes back before the last tick, with no draw, no
+        failure and one option per choice node in between, the period is
+        replayed to the horizon (`_replay`; the module docstring says why
+        that is exact) and each of its recharges is counted once for each
+        replayed period that reaches its step. The life then ends, and is
+        not asked again.
         """
         key = self._loop_state()
         mark = self.seen.get(key)
         if mark is not None:
-            then, draws, start, recharges = mark
+            then, draws, start, fed = mark
             period = self.log[start:]
             calls = [call for item in period if type(item) is tuple for call in item[2]]
             picked = {(node, option) for node, option, outcome, _, _ in calls if outcome is None}
-            k = (self.cfg.max_steps - 1 - step) // (step - then)
             if (
-                k >= 1
+                step < self.cfg.max_steps  # a tick is left to replay
                 and len(self.draws) == draws
                 and all(outcome is None or outcome[1] for _, _, outcome, _, _ in calls)
                 and len({node for node, _ in picked}) == len(picked)
             ):
-                self._replay(period, step - then, k)
-                for source, n in recharges.items():
-                    self.recharges[source] += k * (self.recharges[source] - n)
-                self.seen.clear()
-                self.log.clear()
-                return k * (step - then)
+                self._replay(period, then, step - then)
+                for at, source in self.fed[fed:]:
+                    self.recharges[source] += (self.cfg.max_steps - at) // (step - then)
+                return self.cfg.max_steps - step
         elif len(self.seen) >= CYCLE_STATES:
-            self.seen.clear()
-            self.log.clear()
-        self.seen[key] = (step, len(self.draws), len(self.log), dict(self.recharges))
+            self._forget()
+        self.seen[key] = (step, len(self.draws), len(self.log), len(self.fed))
         return 0
 
-    def _replay(self, period: list, p: int, k: int) -> None:
-        """Replay the `p` steps of a logged period `k` times, in order: make
-        its dispatches' calls again and, in a traced life, append each period
-        as one item, the logged period moved by whole periods."""
+    def _replay(self, period: list, then: int, p: int) -> None:
+        """Replay a logged period, the `p` steps after step `then`, moved by
+        whole periods to the horizon, in order, the last one cut there: make
+        its dispatches' calls again up to the horizon and, in a traced life,
+        append each period as one item, whose rows are its ticks' and its
+        dispatches'. The loop runs the horizon's tick in full, so that tick
+        follows the last item as a record of its own, with the levels the
+        logged period has at its step."""
+        horizon, dispatches = self.cfg.max_steps, [item for item in period if type(item) is tuple]
         if self.trace is not None:
-            rows = sum(len(item.batteries) if type(item) is _Stretch else len(_rows(*item))
-                       for item in period)
-        for shift in range(p, (k + 1) * p, p):
-            made = []
-            for item in period:
-                if type(item) is tuple:
-                    self.calls = []
-                    for node, option, outcome, _, _ in item[2]:
-                        self._call(node, option, outcome)
-                    made.append(self.calls)
+            sizes = [len(_rows(*item)) for item in dispatches]
+        for shift in range(p, horizon - then, p):
+            made, end = [], min(then + p, horizon - shift)  # its last logged step
+            for at, _, calls in dispatches:
+                if at > end:
+                    break
+                self.calls = []
+                for node, option, outcome, _, _ in calls:
+                    self._call(node, option, outcome)
+                made.append(self.calls)
             if self.trace is not None:
-                self.trace.append(_Period(period, shift, made, rows))
+                # the last one stops before the horizon's tick, which follows it
+                rows = end - then + sum(sizes[:len(made)]) - (end + shift == horizon)
+                if rows:
+                    self.trace.append(_Period(period, shift, made, rows))
+        if self.trace is not None:
+            record = next(item for item in reversed(period) if type(item) is _Stretch and item.first <= end)
+            tick = slice(end - record.first, end - record.first + 1)
+            self.trace.append(record._replace(first=horizon, batteries=record.batteries[tick],
+                                              capacitors=record.capacitors[tick]))
 
     # -- main loop -----------------------------------------------------------
 
@@ -567,6 +589,11 @@ class _Episode:
                         self.queue.append(EVENT_WAIT_TIMER)
                         self.wait_sent = True
                         self.recharges[source] += 1
+                        if self.seen:  # a replay counts it again (see `_periods`)
+                            if len(self.fed) < CYCLE_STATES:
+                                self.fed.append((step, source))
+                            else:
+                                self._forget()
             else:
                 self.charge_ticks = 0
                 self.wait_sent = False
@@ -922,7 +949,7 @@ class _Period(NamedTuple):
     record and each dispatch as `(step, records, calls)`, one list shared by
     every period of a jump), the steps it is moved by, the calls its
     dispatches made in this period (a list per dispatch, in order), and
-    how many rows it holds."""
+    how many rows it holds: the last period of a jump stops at the horizon."""
 
     period: list
     shift: int
@@ -932,17 +959,26 @@ class _Period(NamedTuple):
 
 def _unpack(item):
     """An item's records and rows, in order: a period's, each moved to its
-    steps and its dispatches' rows built from its calls; any other item is
+    steps and its dispatches' rows built from its calls, up to its `rows`,
+    where the horizon cuts the last record's levels; any other item is
     itself."""
     if type(item) is not _Period:
         yield item
         return
-    calls = iter(item.calls)
+    calls, left = iter(item.calls), item.rows
     for logged in item.period:
+        if left <= 0:
+            return
         if type(logged) is _Stretch:
-            yield logged._replace(first=logged.first + item.shift)
+            part = logged._replace(first=logged.first + item.shift)
+            if left < len(part.batteries):
+                part = part._replace(batteries=part.batteries[:left], capacitors=part.capacitors[:left])
+            left -= len(part.batteries)
+            yield part
         else:
-            yield from _rows(logged[0] + item.shift, logged[1], next(calls))
+            rows = _rows(logged[0] + item.shift, logged[1], next(calls))
+            left -= len(rows)
+            yield from rows
 
 
 def _size(item) -> int:
@@ -1007,15 +1043,17 @@ class Trace(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-def _template(item: _Period) -> tuple | None:
-    """What each period of `item`'s jump writes alike, or None when a record
-    or step is off the template: each row's step in the logged period and
-    tail (the text after `"step": N`, from `_Stretch.tails` or `_line`), and
-    each row that shows weights as (its place, its dispatch's index in
-    `calls`, its call's index there), whose tail ends at `"w_pos_before": `."""
+def _template(period: list) -> tuple | None:
+    """What each whole period of a jump of the logged `period` writes alike,
+    or None when a record or step is off the template: each row's step in
+    the logged period and tail (the text after `"step": N`, from
+    `_Stretch.tails` or `_line`), and each row that shows weights as (its
+    place, its dispatch's index in a period's `calls`, its call's index
+    there), whose tail ends at `"w_pos_before": `; the logged calls say
+    which, as a replay makes them again."""
     steps, tails, weighted = [], [], []
-    calls = enumerate(item.calls)
-    for logged in item.period:
+    dispatches = count()
+    for logged in period:
         if type(logged) is _Stretch:
             record = logged.tails()
             if record is None or type(logged.first) is not int:
@@ -1023,8 +1061,8 @@ def _template(item: _Period) -> tuple | None:
             steps += range(logged.first, logged.first + len(record))
             tails += record
             continue
-        at, records, _ = logged
-        j, made = next(calls)
+        at, records, made = logged
+        j = next(dispatches)
         if type(at) is not int:
             return None
         # the call whose weights each row shows, in `_rows` order
@@ -1067,8 +1105,9 @@ class _JsonlWriter:
             self._write(_line(item) + "\n")
         else:
             if item.period is not self._period:
-                self._period, self._template = item.period, _template(item)
-            if self._template is not None:
+                self._period, self._template = item.period, _template(item.period)
+            # a period the horizon cuts holds fewer rows than the template
+            if self._template is not None and len(self._template[0]) == item.rows:
                 steps, tails, weighted = self._template
                 shift, calls = item.shift, item.calls
                 lines = [f'{{"step": {s + shift}{tail}' for s, tail in zip(steps, tails)]
@@ -1082,7 +1121,7 @@ class _JsonlWriter:
                     self._write("".join(lines))
                     return
             for part in _unpack(item):
-                self.append(part)
+                self._write(part.text() if type(part) is _Stretch else _line(part) + "\n")
 
 
 def write_trace_jsonl(trace, path: str | Path) -> None:

@@ -1,11 +1,11 @@
-"""Feeding cycles: a life jumps whole periods of its cycle.
+"""Feeding cycles: a life jumps from its cycle's first recurrence to its horizon.
 
 After each quiet stretch a life keys its loop state. When a state comes back
 with no tie draw, no failure and one option per choice node in between, the
-life jumps the whole periods that end before its last tick (the
-`foragesim.sim` docstring says why that is exact), replaying each period's
-choices and outcomes in the order they were made, and, in a traced life, its
-rows. The reference is the same life with the jump patched to 0 steps, which
+life replays the period to its horizon, whole periods and then the steps left
+(the `foragesim.sim` docstring says why that is exact), making each period's
+choices and outcomes again in the order they were made, and, in a traced life,
+its rows. The reference is the same life with the jump patched to 0 steps, which
 simulates every period in full: each life must equal it (result, final
 weights and weights file, `Trace`, `write_trace_jsonl` bytes and the streamed
 `run_life` file), or raise the same `MachineStuckError`.
@@ -366,7 +366,8 @@ class _LogSizes:
 
 def _keyed_at_100():
     """A fresh untraced `dual_source` life of 10,000 steps that has keyed its
-    loop state at step 100; the same state at step 200 jumps JUMPED_AT_200."""
+    loop state at step 100; the same state at step 200 jumps JUMPED_AT_200,
+    the rest of the life."""
     scenario = builtin_scenario("dual_source")
     episode = sim._Episode(SimConfig(scenario, max_steps=10_000),
                            WeightTable(scenario.seed_weights), None)
@@ -374,7 +375,7 @@ def _keyed_at_100():
     return episode
 
 
-JUMPED_AT_200 = (10_000 - 1 - 200) // 100 * 100
+JUMPED_AT_200 = 10_000 - 200
 
 
 def _set_watcher(episode):
@@ -440,10 +441,9 @@ class TestDifferential:
         for periods in (2, 3):
             for offset in (-1, 0, 1):
                 cfg = SimConfig(scenario, seed=seed, max_steps=s1 + periods * period + offset)
-                # the last tick always runs, so `periods` whole periods are
-                # jumped only when a tick is left after them; a traced life
-                # jumps the same steps
-                jumped = [(s1, period, (cfg.max_steps - 1 - s1) // period * period)]
+                # the jump takes the life to its horizon, whole periods and
+                # the steps left after them; a traced life jumps the same steps
+                jumped = [(s1, period, cfg.max_steps - s1)]
                 for life in (run_life, lambda c: run_episode(c)[0]):
                     jumps.jumps.clear()
                     life(cfg)
@@ -464,6 +464,71 @@ class TestDifferential:
                 args = (parse_scenario(text), seed, memory, api, steps)
                 assert _play(*args) == _tick_by_tick(*args)
         assert jumps.jumps
+
+
+def _first_period(scenario, seed):
+    """The step at which a life's loop state first comes back, its period,
+    and the steps of the items logged in that period (a dispatch's step,
+    both ends of a record), from the `_replay` of a traced 20,000-step life."""
+    replays, original = [], sim._Episode._replay
+    with mock.patch.object(sim._Episode, "_replay",
+                           lambda episode, *args: replays.append(args) or original(episode, *args)):
+        run_episode(SimConfig(scenario, seed=seed, max_steps=20_000))
+    [(period, then, p)] = replays
+    steps = set()
+    for item in period:
+        if type(item) is sim._Stretch:
+            steps |= {item.first, item.first + len(item.batteries) - 1}
+        else:
+            steps.add(item[0])
+    return then + p, p, steps
+
+
+# built-ins that live past their first period (as shipped, learning_lab dies
+# at step 3), hand-built loops, and the benchmark's jumping lives
+_SWEPT = [(f"{name}@{seed}", builtin_scenario_text(name), seed)
+          for name in ("dual_source", "station_only", "wireless_only") for seed in (0, 3)]
+_SWEPT += [("learning_lab@20", LEARNING_LAB_20, 3), ("feed", FEED.format(tag="success"), 0),
+           ("same_dispatch", SAME_DISPATCH, 0)]
+_SWEPT += [(f"{kind}{seed}.{item.label}", item.text, item.seed)
+           for kind in ("mc_quiet", "trace_run") for seed in (0, 1)
+           for item in getattr(gen, kind)(seed)]
+
+
+class TestHorizonSweep:
+    """A jump takes a life to its horizon: the whole periods left, then the
+    first steps of one more. Each horizon here cuts the first replayed period
+    at, just before or just after the step of one of its items, so the state
+    first comes back with fewer than a period left (at the first, on the
+    last tick, with none; at the last, one step past the period's end, with
+    one whole period and one step). At each, the streamed
+    and the written trace, the untraced result, and a volatile and a
+    nonvolatile `run_monte_carlo` with its weights file equal the life's
+    with every period simulated."""
+
+    @pytest.mark.parametrize("text, seed", [case[1:] for case in _SWEPT],
+                             ids=[case[0] for case in _SWEPT])
+    def test_horizons_that_cut_the_first_replayed_period(self, text, seed, tmp_path):
+        scenario = parse_scenario(text)
+        s1, period, steps = _first_period(scenario, seed)
+        horizons = sorted({at + period + d for at in steps for d in (-1, 0, 1)})
+        assert horizons[0] == s1 and horizons[-1] == s1 + period + 1
+        reference, streamed, written = (tmp_path / f"{name}.jsonl"
+                                        for name in ("reference", "streamed", "written"))
+        for horizon in horizons:
+            cfg = SimConfig(scenario, seed=seed, max_steps=horizon)
+            result = _no_jump(run_life, cfg, reference)
+            assert run_life(cfg, streamed) == result == run_life(cfg)
+            jumped, trace = run_episode(cfg)
+            write_trace_jsonl(trace, written)
+            assert jumped == result
+            assert filecmp.cmp(streamed, reference, shallow=False)
+            assert filecmp.cmp(written, reference, shallow=False)
+            assert run_monte_carlo(cfg, 2) == _no_jump(run_monte_carlo, cfg, 2)
+            batches = [cfg._replace(memory_mode=MEMORY_NONVOLATILE, weights_path=tmp_path / name)
+                       for name in (f"jumped{horizon}.csv", f"reference{horizon}.csv")]
+            assert run_monte_carlo(batches[0], 2) == _no_jump(run_monte_carlo, batches[1], 2)
+            assert batches[0].weights_path.read_bytes() == batches[1].weights_path.read_bytes()
 
 
 class TestRowOrder:
@@ -523,11 +588,10 @@ class TestJump:
 
     @pytest.mark.parametrize("periods, offset", [(None, 0), (2, -1), (2, 1), (3, -1), (3, 1)],
                              ids=["200000", "s1+2p-1", "s1+2p+1", "s1+3p-1", "s1+3p+1"])
-    def test_a_life_looks_on_after_its_jump_and_jumps_once(self, periods, offset, tmp_path,
-                                                           monkeypatch):
-        # after the jump fewer ticks than a period are left, so the life
-        # keeps asking and is told 0 each time; at s1 + m*p + 1 the jump
-        # leaves only the last tick, which starts the period and is not quiet
+    def test_a_jump_ends_the_life_and_periods_is_not_asked_after_it(self, periods, offset,
+                                                                     tmp_path, monkeypatch):
+        # the jump replays the rest of the life, so its answer is the last
+        # one: the steps from the recurrence to the horizon
         jumps = _Jumps(monkeypatch)
         cfg = SimConfig(builtin_scenario("dual_source"), seed=3, max_steps=LONG)
         run_life(cfg)
@@ -537,10 +601,10 @@ class TestJump:
         for life in (run_life, lambda c: run_episode(c)[0]):
             jumps.jumps.clear()
             jumps.answers.clear()
-            life(cfg)
-            [(step, _, jumped)] = jumps.jumps
-            after = jumps.answers[jumps.answers.index((step, jumped)) + 1:]
-            assert (offset == 1 or after) and all(answer == 0 for _, answer in after)
+            assert life(cfg).lifetime == cfg.max_steps
+            assert jumps.jumps == [(s1, period, cfg.max_steps - s1)]
+            assert jumps.answers[-1] == (s1, cfg.max_steps - s1)
+            assert all(answer == 0 for _, answer in jumps.answers[:-1])
         _assert_traced_equal(cfg, tmp_path)
         assert run_life(cfg) == _no_jump(run_life, cfg)
 

@@ -900,9 +900,11 @@ def _dispatches(draw):
 @st.composite
 def _jumps(draw):
     """The items a sink gets from a life that jumps once or twice: each jump's
-    logged period (records and dispatches), handed over live, then 1-3
+    logged period (records and dispatches), handed over live, then 0-3
     replayed periods, each moved by its shift and with calls of its own that
-    read and leave other weights."""
+    read and leave other weights, and maybe one more that the horizon cuts
+    in one of its records: it holds that record's first levels and the calls
+    of the dispatches before it. Each jump replays at least one period."""
     items = []
     for _ in range(draw(st.integers(1, 2))):
         period = draw(st.lists(st.one_of(_stretches().map(lambda s: sim._Stretch(*s)),
@@ -911,12 +913,24 @@ def _jumps(draw):
         for logged in period:
             live += [logged] if type(logged) is sim._Stretch else sim._rows(*logged)
         items += live
-        rows = sum(map(sim._size, live))
-        for shift in draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3)):
+        sizes = [sim._size(logged) if type(logged) is sim._Stretch else len(sim._rows(*logged))
+                 for logged in period]
+        records = [i for i, logged in enumerate(period) if type(logged) is sim._Stretch and sizes[i]]
+        cut = draw(st.sampled_from(records)) if records and draw(st.booleans()) else None
+        shifts = draw(st.lists(st.integers(1, 10**6), min_size=0 if cut is not None else 1,
+                               max_size=3))
+        if cut is not None:
+            shifts.append(draw(st.integers(1, 10**6)))
+        for shift in shifts:
             calls = [[(node, option, outcome, _entries(draw), None if outcome is None else _entries(draw))
                       for node, option, outcome, _, _ in logged[2]]
                      for logged in period if type(logged) is tuple]
-            items.append(sim._Period(period, shift, calls, rows))
+            items.append(sim._Period(period, shift, calls, sum(sizes)))
+        if cut is not None:
+            # the horizon falls in record `cut`, after `kept` of its rows
+            kept, last = draw(st.integers(1, sizes[cut])), items[-1]
+            dispatches = sum(type(logged) is tuple for logged in period[:cut])
+            items[-1] = last._replace(calls=last.calls[:dispatches], rows=sum(sizes[:cut]) + kept)
     return items
 
 
@@ -1107,15 +1121,20 @@ class TestStretchFormat:
         sim.run_life(cfg, tmp_path / "life.jsonl")
         # the tick records are written by the template, and each live event
         # row by `_line`; a replayed period's event rows go through `_line`
-        # once per jump, in the template of the jump's first period, and a
-        # later period fills in the weights of its choice and outcome rows
+        # once per jump, in the template of the period it copies, and a whole
+        # period fills in the weights of its choice and outcome rows; the
+        # last period, which the horizon cuts, is written row by row
         lines, line = [], sim._line
         monkeypatch.setattr(sim, "_line", lambda row: lines.append(row) or line(row))
         sim.write_trace_jsonl(trace, tmp_path / "trace.jsonl")
         expected, jumps = 0, set()
         for item in trace._items:
             if type(item) is sim._Period:
+                logged = [row for part in item.period if type(part) is tuple for row in sim._rows(*part)]
+                ticks = sum(len(part.batteries) for part in item.period if type(part) is sim._Stretch)
                 if id(item.period) not in jumps:
+                    expected += len(logged)
+                if item.rows != ticks + len(logged):
                     expected += sum(type(row) is TraceEvent for row in sim._unpack(item))
                 jumps.add(id(item.period))
             else:
@@ -1178,15 +1197,18 @@ class TestTraceSequence:
         assert steps == list(range(1, result.lifetime + 1))
         assert max(len(r.batteries) for r in reference) > 1
         # a jumping life appends the same records: each is a full tick's, or a
-        # copy of an earlier one moved by whole periods, which shares its levels
+        # copy of an earlier one moved by whole periods, which shares its
+        # levels; the horizon's tick is a record of its own, and the record
+        # before it may be cut there, so those two may hold levels of their own
         jumped, records, full_ticks = play(jump=True)
         assert jumped == result and records == reference
         originals = {}
-        for r in records:
+        for r in records[:-2]:
             original = originals.setdefault(id(r.batteries), r)
             assert r is original or (r[1:] == original[1:] and r.first > original.first
                                      and r.capacitors is original.capacitors)
         assert len(originals) == len(full_ticks) < len(records)
+        assert records[-1].first == result.lifetime and len(records[-1].batteries) == 1
 
     def test_len_order_and_equality(self, traces):
         trace, reference = traces
@@ -1288,6 +1310,32 @@ class TestTraceSequence:
     def test_a_jumped_trace_reads_reversed(self, jumped):
         trace, rows, _ = jumped
         assert list(reversed(trace)) == rows[::-1]
+
+    # The jump takes the life to its 20,000-step horizon: its last period is
+    # cut there, before the horizon's tick, which is a record of its own
+
+    def test_the_last_period_is_cut_before_the_horizons_tick(self, jumped):
+        trace, rows, starts = jumped
+        *_, whole, cut, last = trace._items
+        assert type(whole) is type(cut) is sim._Period and cut.period is whole.period
+        assert 1 < cut.rows < whole.rows and starts[-1] == len(rows) - 1 - cut.rows
+        assert type(last) is sim._Stretch and (last.first, len(last.batteries)) == (20_000, 1)
+
+    def test_a_jumped_trace_is_indexed_across_the_cut_period(self, jumped):
+        trace, rows, starts = jumped
+        n, cut = len(rows), starts[-1]
+        for i in range(cut - 3, n):
+            assert trace[i] == rows[i] and trace[i - n] == rows[i]
+
+    def test_a_jumped_trace_is_sliced_and_reversed_across_the_cut_period(self, jumped):
+        trace, rows, starts = jumped
+        n, cut, whole = len(rows), starts[-1], starts[-2]
+        for window in (slice(cut - 4, cut + 4), slice(cut + 1, None), slice(n - 3, None),
+                       slice(whole + 3, n - 1, 7), slice(n - 1, cut - 5, -1),
+                       slice(None, whole - 2, -3), slice(cut - n - 2, None, 2)):
+            assert trace[window] == rows[window]
+        tail = n - cut + 2
+        assert [row for row, _ in zip(reversed(trace), range(tail))] == rows[:-tail - 1:-1]
 
 
 class TestTraceReadsOnlyItsRows:
